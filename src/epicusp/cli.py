@@ -3,14 +3,14 @@
 Every analysis result goes to stdout as JSON (or JSON lines); anything
 human-facing goes to stderr.  Exit codes: 0 success, 1 analysis error
 (with a JSON error object on stdout), 2 usage error, 3 verification
-failure.  The environment variable EPICUSP_THREADS caps internal
-parallelism; results are identical for any setting.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -34,6 +34,17 @@ def _parse_s(text: str) -> float:
     if not -1.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError("s must lie in [-1, 1]")
     return value
+
+
+def _parse_z0(text: str) -> PlanePoint:
+    """Base point as x,y with finite coordinates."""
+    try:
+        x, y = (float(part) for part in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a point x,y: {text!r}") from exc
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise argparse.ArgumentTypeError("z0 coordinates must be finite")
+    return PlanePoint(x, y)
 
 
 def _fuse_rational_flags(argv: list[str]) -> list[str]:
@@ -73,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wind", help="winding number about a base point")
     _add_ab(p)
     p.add_argument("-s", type=_parse_s, required=True, help="weight in [-1, 1]")
-    p.add_argument("--z0", default="0,0", help="base point as x,y (default origin)")
+    p.add_argument(
+        "--z0", type=_parse_z0, default="0,0", help="base point as x,y (default origin)"
+    )
     p.add_argument("--numeric", action="store_true", help="force argument tracking")
     p.add_argument("-n", type=int, default=4096, help="grid size for --numeric")
 
@@ -111,11 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_wind(args) -> int:
     spec = TwoTermSpec(args.a, args.b, args.s)
-    x, y = (float(v) for v in args.z0.split(","))
-    z0 = PlanePoint(x, y)
-    off_origin = (x, y) != (0.0, 0.0)
-    if args.numeric or off_origin:
-        result = winding.winding_numeric(spec, z0, n=args.n)
+    if args.numeric or args.z0 != (0.0, 0.0):
+        result = winding.winding_numeric(spec, args.z0, n=args.n)
         payload = {
             "value": result.value,
             "residual": result.residual,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
@@ -39,6 +40,16 @@ class PlanePoint(NamedTuple):
         return math.hypot(self.x, self.y)
 
 
+def _integer(value, name: str) -> int:
+    """An integer frequency as a plain int; numpy integers pass, bools do not."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ValueError(f"{name} must be an integer") from exc
+
+
 @dataclass(frozen=True)
 class ExponentialTerm:
     """One summand w * exp(2*pi*i * frequency * t)."""
@@ -47,9 +58,11 @@ class ExponentialTerm:
     weight: complex
 
     def __post_init__(self) -> None:
-        if not isinstance(self.frequency, int):
-            raise ValueError("frequency must be an integer")
-        object.__setattr__(self, "weight", complex(self.weight))
+        object.__setattr__(self, "frequency", _integer(self.frequency, "frequency"))
+        weight = complex(self.weight)
+        if not cmath.isfinite(weight):
+            raise ValueError("weight must be finite")
+        object.__setattr__(self, "weight", weight)
 
 
 @dataclass(frozen=True)
@@ -78,8 +91,8 @@ class TwoTermSpec:
     s: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise ValueError("frequencies a, b must be integers")
+        object.__setattr__(self, "a", _integer(self.a, "frequency a"))
+        object.__setattr__(self, "b", _integer(self.b, "frequency b"))
         if not 1 <= self.a < self.b:
             raise ValueError("need 1 <= a < b")
         if not -1.0 <= self.s <= 1.0:
@@ -205,11 +218,10 @@ def spec_to_wire(spec: AnySpec) -> dict:
 
 
 def spec_from_wire(data: dict) -> CurveSpec:
-    """Parse the wire format emitted by spec_to_wire."""
+    """Parse the wire format emitted by spec_to_wire; ValueError for anything else."""
     try:
         terms = data["terms"]
+        pairs = [(t["freq"], complex(float(t["w_re"]), float(t["w_im"]))) for t in terms]
     except (TypeError, KeyError) as exc:
-        raise ValueError("wire format needs a 'terms' list") from exc
-    return CurveSpec.from_pairs(
-        [(int(t["freq"]), complex(float(t["w_re"]), float(t["w_im"]))) for t in terms]
-    )
+        raise ValueError("wire format needs a 'terms' list of freq, w_re, w_im") from exc
+    return CurveSpec.from_pairs(pairs)

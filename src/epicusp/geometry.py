@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .curve import (
     AnySpec,
@@ -31,7 +30,6 @@ from .curve import (
     curve_scale,
     eval_complex,
 )
-from .parallel import map_ordered
 from .winding import zeros_of_curve
 
 log = logging.getLogger(__name__)
@@ -147,6 +145,38 @@ def _polish_antipodal(spec: CurveSpec, t1: float, scale: float) -> Optional[floa
     return t1 if abs(g) < 1e-13 * scale else None
 
 
+def _close_pairs(pts: np.ndarray, r: float) -> np.ndarray:
+    """Index pairs (i, j), i < j, of the rows of pts at most r apart.
+
+    Points are binned into square cells of side r, so a close pair lies in
+    one cell or in two adjacent ones.  Each cell is compared with itself
+    and with its four forward neighbours, which meets every adjacent pair
+    of cells exactly once.
+    """
+    cell = np.floor((pts - pts.min(axis=0)) / r).astype(np.int64)
+    # the +1 offset and the stride of max+3 keep the y neighbours -1 and
+    # +1 from aliasing into the next column of cells
+    stride = int(cell[:, 1].max()) + 3
+    key = cell[:, 0] * stride + cell[:, 1] + 1
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    rank = np.argsort(order)  # each point's position in the sorted order
+    found_i, found_j = [], []
+    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+        target = key + dx * stride + dy
+        hi = np.searchsorted(sorted_key, target, side="right")
+        # within its own cell a point meets only the members after it
+        lo = rank + 1 if dx == dy == 0 else np.searchsorted(sorted_key, target, side="left")
+        count = hi - lo
+        at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        found_i.append(np.repeat(np.arange(len(pts)), count))
+        found_j.append(order[at])
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    d = pts[i] - pts[j]
+    near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r * r
+    return np.column_stack([np.minimum(i, j)[near], np.maximum(i, j)[near]])
+
+
 def self_intersections(
     spec: AnySpec, t_grid: int = 4096, tol: float | None = None
 ) -> list[IntersectionRecord]:
@@ -180,7 +210,7 @@ def self_intersections(
     # the capture radius must reach the longest segment or crossings sitting
     # between samples could slip through
     pts = np.column_stack([z.real, z.imag])
-    pairs = cKDTree(pts).query_pairs(capture, output_type="ndarray")
+    pairs = _close_pairs(pts, capture)
     min_sep = max(2, t_grid // 2048)
     candidates: list[tuple[int, int]] = []
     if len(pairs):
@@ -197,9 +227,7 @@ def self_intersections(
         candidates = sorted(zip(pi[keep].tolist(), pj[keep].tolist()))
 
     antipodal = _all_frequencies_odd(c)
-    refined = map_ordered(
-        lambda ij: _refine_pair(c, float(t[ij[0]]), float(t[ij[1]]), scale), candidates
-    )
+    refined = [_refine_pair(c, float(t[i]), float(t[j]), scale) for i, j in candidates]
     hits = []
     dropped = 0
     for t1, t2, resid in refined:

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curve import (
     AnySpec,
@@ -30,7 +29,6 @@ from .curve import (
     eval_complex,
 )
 from .errors import NotSingular, WindowTooWide
-from .parallel import map_ordered
 
 # |gamma'| below this fraction of its natural scale counts as vanishing
 SINGULAR_RTOL = 1e-7
@@ -235,9 +233,7 @@ def find_cusps(a: int, b: int, s_grid: int = 256, t_grid: int = 256) -> list[Cus
         is_min &= D <= shifted
     seeds = [(float(S[i, j]), float(T[i, j])) for i, j in zip(*np.nonzero(is_min))]
 
-    outcomes = map_ordered(
-        lambda seed: _newton_refine_singular(a, b, seed[0], seed[1]), sorted(seeds)
-    )
+    outcomes = [_newton_refine_singular(a, b, s, t) for s, t in sorted(seeds)]
     refined = [hit for hit in outcomes if hit is not None]
 
     # cluster refined points; duplicates from adjacent seeds collapse
@@ -355,7 +351,7 @@ def undefined_derivative_set(a: int, b: int, s: float) -> list[float]:
 
 
 def _x_prime_zeros(spec: TwoTermSpec) -> list[float]:
-    """Zeros of x'(t) on [0, 1) by sign-change bracketing and brentq."""
+    """Zeros of x'(t) on [0, 1) by sign-change bracketing and bisection."""
     n = 256 * (spec.a + spec.b)
 
     def xp(t):
@@ -363,12 +359,22 @@ def _x_prime_zeros(spec: TwoTermSpec) -> list[float]:
 
     t = np.arange(n + 1) / n
     v = xp(t)
-    roots = []
-    for i in range(n):
-        if v[i] == 0.0:
-            roots.append(float(t[i]))
-        elif v[i] * v[i + 1] < 0.0:
-            roots.append(brentq(lambda u: float(xp(u)), t[i], t[i + 1], xtol=1e-13))
+    bracket = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+    lo, hi, v_lo = t[bracket], t[bracket + 1], v[bracket]
+    # halve every bracket at once until its ends are adjacent floats
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        v_mid = xp(mid)
+        up = live & (np.sign(v_mid) == np.sign(v_lo))
+        lo, v_lo = np.where(up, mid, lo), np.where(up, v_mid, v_lo)
+        hi = np.where(live & ~up, mid, hi)
+    # keep the end with the smaller |x'|, so that a zero which is itself a
+    # float, such as t = 1/2, comes out exactly
+    ends = np.where(np.abs(xp(lo)) <= np.abs(xp(hi)), lo, hi)
+    roots = sorted(t[:-1][v[:-1] == 0.0].tolist() + ends.tolist())
     out: list[float] = []
     for r in roots:
         r %= 1.0

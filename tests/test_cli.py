@@ -63,6 +63,10 @@ class TestUsageErrors:
             ("wind", "-a", "1", "-b", "3", "-s", "1.5"),
             ("wind", "-a", "1", "-b", "3"),
             ("nonsense",),
+            ("wind", "-a", "1", "-b", "3", "-s", "0.5", "--z0", "1"),
+            ("wind", "-a", "1", "-b", "3", "-s", "0.5", "--z0", "a,b"),
+            ("wind", "-a", "1", "-b", "3", "-s", "0.5", "--z0", "1,2,3"),
+            ("wind", "-a", "1", "-b", "3", "-s", "0.5", "--z0", "nan,0"),
         ],
     )
     def test_exit_code_two(self, capsys, argv):
@@ -87,13 +91,6 @@ class TestCusps:
             assert row["t"] == pytest.approx(t, abs=1e-6)
             assert row["flip_dot"] <= -1.0 + 1e-6
             assert row["proven"]
-
-    def test_same_output_for_any_thread_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("EPICUSP_THREADS", "1")
-        _, serial = run_cli(capsys, "cusps", "-a", "2", "-b", "5")
-        monkeypatch.setenv("EPICUSP_THREADS", "3")
-        _, threaded = run_cli(capsys, "cusps", "-a", "2", "-b", "5")
-        assert serial == threaded
 
 
 class TestSymmetry:
@@ -196,6 +193,17 @@ def _console_script() -> tuple[list[str], dict[str, str] | None]:
     code = f"import sys; from {module} import {func}; sys.exit({func}())"
     pkg_root = str(Path(epicusp.__file__).resolve().parent.parent)
     return [sys.executable, "-c", code], {**os.environ, "PYTHONPATH": pkg_root}
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, epicusp; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    pkg_root = str(Path(epicusp.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": pkg_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_is_installed():

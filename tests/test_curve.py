@@ -162,10 +162,28 @@ class TestSample:
 
 
 class TestSpecValidation:
-    @pytest.mark.parametrize("a,b,s", [(0, 3, 0.0), (3, 3, 0.0), (3, 1, 0.0), (1, 3, 1.5)])
+    @pytest.mark.parametrize(
+        "a,b,s",
+        [
+            (0, 3, 0.0),
+            (3, 3, 0.0),
+            (3, 1, 0.0),
+            (1, 3, 1.5),
+            (True, 2, 0.0),
+            (1, np.True_, 0.0),
+            (1, 3.0, 0.0),
+            (1, 3, math.nan),
+        ],
+    )
     def test_rejects_bad_parameters(self, a, b, s):
         with pytest.raises(ValueError):
             TwoTermSpec(a, b, s)
+
+    def test_numpy_integer_frequencies_become_ints(self):
+        spec = TwoTermSpec(np.int64(1), np.int32(3), 0)
+        assert spec == TwoTermSpec(1, 3, 0)
+        assert type(spec.a) is int and type(spec.b) is int
+        assert type(ExponentialTerm(np.int64(4), 1.0).frequency) is int
 
     def test_lowering_preserves_weights(self):
         low = TwoTermSpec(2, 5, 0.25).lower()
@@ -181,5 +199,15 @@ class TestSpecValidation:
         assert spec_from_wire(spec_to_wire(spec)) == spec
 
     def test_wire_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            spec_from_wire({"nope": []})
+        term = {"freq": 1, "w_re": 1.0, "w_im": 0.0}
+        for data in (
+            {"nope": []},
+            {"terms": [{"freq": 1, "w_re": 1.0}]},
+            {"terms": [{**term, "freq": True}]},
+            {"terms": [{**term, "freq": 2.7}]},
+            {"terms": [{**term, "w_re": math.nan}]},
+            {"terms": [{**term, "w_im": math.inf}]},
+            {"terms": [{**term, "w_re": -math.inf}]},
+        ):
+            with pytest.raises(ValueError):
+                spec_from_wire(data)

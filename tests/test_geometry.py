@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from epicusp import (
     self_intersections,
     verify_symmetry,
 )
+from epicusp.curve import eval_complex
+from epicusp.geometry import _close_pairs
 
 
 class TestVerifySymmetry:
@@ -124,6 +127,31 @@ class TestSelfIntersections:
     def test_rejects_coarse_grids(self):
         with pytest.raises(ValueError):
             self_intersections(TwoTermSpec(1, 3, 0.0), t_grid=128)
+
+
+class TestClosePairs:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TwoTermSpec(1, 3, 0.0),
+            TwoTermSpec(2, 7, 0.25),
+            TwoTermSpec(5, 13, -0.6),
+            CurveSpec.from_pairs([(-2, 0.7), (3, 1.0), (5, 0.3 + 0.2j)]),
+        ],
+    )
+    @pytest.mark.parametrize("radius_in_segments", [1.0, 3.5])
+    def test_matches_the_brute_force_distance_matrix(self, spec, radius_in_segments):
+        n = 512
+        z = eval_complex(spec, np.arange(n) / n)
+        r = radius_in_segments * float(np.max(np.abs(np.diff(z))))
+        pts = np.column_stack([z.real, z.imag])
+        dx = pts[:, None, 0] - pts[None, :, 0]
+        dy = pts[:, None, 1] - pts[None, :, 1]
+        near = np.triu(dx * dx + dy * dy <= r * r, k=1)
+        expected = {tuple(p) for p in np.argwhere(near).tolist()}
+        got = _close_pairs(pts, r).tolist()
+        assert len(got) == len(expected)
+        assert {tuple(p) for p in got} == expected
 
 
 class TestGridCheck:
