@@ -15,6 +15,7 @@ with 1 <= a < b and a weight parameter s in [-1, 1].
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -100,7 +101,16 @@ class TwoTermSpec:
         object.__setattr__(self, "s", float(self.s))
 
     def lower(self) -> CurveSpec:
+        """The generic form, built once per instance."""
+        return self._lowered
+
+    @functools.cached_property
+    def _lowered(self) -> CurveSpec:
         return CurveSpec.from_pairs([(self.a, 1.0 - self.s), (self.b, 1.0 + self.s)])
+
+    def __getstate__(self) -> dict:
+        # the cached lowering is derived, not state: pickles hold the fields only
+        return {"a": self.a, "b": self.b, "s": self.s}
 
 
 AnySpec = Union[CurveSpec, TwoTermSpec]
@@ -129,6 +139,16 @@ def derivative_scale(spec: AnySpec) -> float:
 def eval_complex(spec: AnySpec, t, order: int = 0) -> np.ndarray:
     """Vectorized evaluation of gamma or one of its t-derivatives.
 
+    The phase a*t is reduced to a*t - floor(a*t) in [0, 1] before it is
+    multiplied by 2*pi, which keeps the angle small for large t.  For every
+    finite a*t this is the correctly rounded fractional part, the same float
+    as np.mod(a*t, 1.0).  A float ``t`` is evaluated in Python arithmetic
+    with the same operations in the same order, which gives the same bits
+    as numpy's arithmetic on a 0-d array.  With real weights (every
+    TwoTermSpec) that is also what the same t inside an array gives; numpy
+    may fuse the complex products of complex weights on long arrays into
+    multiply-adds, which moves last bits.
+
     Parameters
     ----------
     spec : CurveSpec or TwoTermSpec
@@ -138,17 +158,39 @@ def eval_complex(spec: AnySpec, t, order: int = 0) -> np.ndarray:
 
     Returns
     -------
-    numpy.ndarray of complex, same shape as ``t``.
+    numpy.ndarray of complex, same shape as ``t`` (0-d for a scalar).
     """
     c = as_curve(spec)
+    if isinstance(t, float):
+        z = _eval_scalar(c, float(t), order)
+        if z is not None:
+            return np.array(z)
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
     for term in c.terms:
-        # Reduce the phase a*t mod 1 before multiplying by 2*pi; for large t
-        # this keeps the angle in [0, 2*pi) and avoids precision loss.
-        angle = 2.0 * np.pi * np.mod(term.frequency * t, 1.0)
+        u = term.frequency * t
+        angle = 2.0 * np.pi * (u - np.floor(u))
         factor = (2j * np.pi * term.frequency) ** order
         out += term.weight * factor * (np.cos(angle) + 1j * np.sin(angle))
+    return out
+
+
+def _eval_scalar(c: CurveSpec, t: float, order: int) -> complex | None:
+    """eval_complex at one float t in Python arithmetic, or None.
+
+    The operations and their order are those the array path applies to a
+    0-d t, which numpy carries out in its scalar arithmetic, so the result
+    has the same bits.  A non-finite phase returns None and is left to the
+    array path, which turns it into nan.
+    """
+    out = 0j
+    for term in c.terms:
+        u = term.frequency * t
+        if not math.isfinite(u):
+            return None
+        angle = 2.0 * math.pi * (u - math.floor(u))
+        factor = (2j * math.pi * term.frequency) ** order
+        out += term.weight * factor * (math.cos(angle) + 1j * math.sin(angle))
     return out
 
 
@@ -224,4 +266,6 @@ def spec_from_wire(data: dict) -> CurveSpec:
         pairs = [(t["freq"], complex(float(t["w_re"]), float(t["w_im"]))) for t in terms]
     except (TypeError, KeyError) as exc:
         raise ValueError("wire format needs a 'terms' list of freq, w_re, w_im") from exc
+    except OverflowError as exc:  # an integer weight beyond the float range
+        raise ValueError("weight must be finite") from exc
     return CurveSpec.from_pairs(pairs)

@@ -215,10 +215,12 @@ def find_cusps(a: int, b: int, s_grid: int = 256, t_grid: int = 256) -> list[Cus
     # |gamma'| is constant, so the scan would see a flat landscape
     ss = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, s_grid)
     tt = np.arange(t_grid) / t_grid
-    S, T = np.meshgrid(ss, tt, indexing="ij")
-    G = (1.0 - S) * (2j * np.pi * a) * np.exp(2j * np.pi * a * T) + (
+    # the exponentials depend on t alone: one per grid column, broadcast
+    # over the s rows of the (s, t) grid
+    S = ss[:, None]
+    G = (1.0 - S) * (2j * np.pi * a) * np.exp(2j * np.pi * a * tt) + (
         1.0 + S
-    ) * (2j * np.pi * b) * np.exp(2j * np.pi * b * T)
+    ) * (2j * np.pi * b) * np.exp(2j * np.pi * b * tt)
     D = np.abs(G) ** 2
 
     dscale = 2.0 * np.pi * (a + b) * 2.0
@@ -231,7 +233,7 @@ def find_cusps(a: int, b: int, s_grid: int = 256, t_grid: int = 256) -> list[Cus
         elif ds == 1:
             shifted[0, :] = np.inf
         is_min &= D <= shifted
-    seeds = [(float(S[i, j]), float(T[i, j])) for i, j in zip(*np.nonzero(is_min))]
+    seeds = [(float(ss[i]), float(tt[j])) for i, j in zip(*np.nonzero(is_min))]
 
     outcomes = [_newton_refine_singular(a, b, s, t) for s, t in sorted(seeds)]
     refined = [hit for hit in outcomes if hit is not None]

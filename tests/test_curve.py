@@ -1,4 +1,6 @@
+import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from epicusp import (
     spec_from_wire,
     spec_to_wire,
 )
+from epicusp.curve import as_curve, eval_complex
 
 
 def close(p: PlanePoint, x: float, y: float, tol: float = 1e-12) -> bool:
@@ -35,6 +38,94 @@ def curve_specs(draw):
         im = draw(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
         terms.append(ExponentialTerm(freq, complex(re, im)))
     return CurveSpec(tuple(terms))
+
+
+def reference_eval(spec, t, order=0):
+    """The kernel as first written: np.mod phase, cos + 1j*sin, all in numpy."""
+    c = as_curve(spec)
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape, dtype=complex)
+    for term in c.terms:
+        angle = 2.0 * np.pi * np.mod(term.frequency * t, 1.0)
+        factor = (2j * np.pi * term.frequency) ** order
+        out += term.weight * factor * (np.cos(angle) + 1j * np.sin(angle))
+    return out
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+KERNEL_SPECS = [
+    TwoTermSpec(1, 3, 0.0),
+    TwoTermSpec(2, 5, -0.3),
+    TwoTermSpec(7, 60, 0.85),
+    CurveSpec.from_pairs([(1, 0.7 - 0.2j), (-3, 0.45 + 0.3j), (5, 0.1j), (0, 0.2)]),
+    rotate(TwoTermSpec(3, 11, 0.4), 0.7),
+]
+KERNEL_T = [0.0, -0.0, 0.1, 0.37, 0.5, 1.0 - 2.0**-53, -0.25, -0.1, 1e-300, -1e-300,
+            5e-324, 123456.789, -98765.4321, 1e9 + 0.3, -3.5e12, 2.0**52 + 1.0]
+
+
+class TestKernel:
+    """eval_complex against the reference, bit for bit."""
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=range(len(KERNEL_SPECS)))
+    @pytest.mark.parametrize("order", range(4))
+    def test_arrays_match_the_reference(self, spec, order):
+        rng = np.random.default_rng(order)
+        for t in (
+            np.arange(4096) / 4096,
+            rng.uniform(-1e4, 1e4, 2048),
+            -rng.uniform(0, 1, 1024),
+            np.array(KERNEL_T),
+            np.arange(12.0).reshape(3, 4) / 7 - 1,
+        ):
+            assert same_bits(eval_complex(spec, t, order), reference_eval(spec, t, order))
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=range(len(KERNEL_SPECS)))
+    @pytest.mark.parametrize("order", range(4))
+    def test_scalars_match_the_reference(self, spec, order):
+        ts = KERNEL_T + list(np.random.default_rng(order).uniform(-50, 50, 200))
+        for t in ts:
+            want = reference_eval(spec, t, order)
+            for x in (float(t), np.float64(t)):
+                assert same_bits(eval_complex(spec, x, order), want), t
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS[:3], ids=range(3))
+    def test_real_weights_give_array_bits_for_scalars(self, spec):
+        ts = np.array(KERNEL_T + list(np.random.default_rng(7).uniform(-50, 50, 200)))
+        for order in range(4):
+            along = eval_complex(spec, ts, order)
+            for t, z in zip(ts, along):
+                assert same_bits(eval_complex(spec, float(t), order), np.array(z)), t
+
+    @given(curve_specs(), st.floats(allow_nan=False, allow_infinity=False),
+           st.integers(min_value=0, max_value=3))
+    @settings(deadline=None)
+    def test_any_finite_scalar_matches_the_reference(self, spec, t, order):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(eval_complex(spec, t, order), reference_eval(spec, t, order))
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=range(len(KERNEL_SPECS)))
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, np.float64(math.nan), 1e308])
+    def test_non_finite_phase_gives_nan(self, spec, t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for order in range(3):
+                z = eval_complex(spec, t, order)
+                assert z.shape == () and cmath.isnan(complex(z))
+
+    def test_lowering_is_cached_without_touching_identity(self):
+        spec = TwoTermSpec(2, 5, 0.25)
+        fresh = pickle.dumps(spec)
+        low = spec.lower()
+        assert spec.lower() is low
+        twin = TwoTermSpec(2, 5, 0.25)
+        assert spec == twin and hash(spec) == hash(twin)
+        assert pickle.dumps(spec) == fresh == pickle.dumps(twin)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec)
+        assert back.lower() == low and repr(back) == repr(spec)
 
 
 class TestEvaluate:
@@ -161,6 +252,29 @@ class TestSample:
             sample(TwoTermSpec(1, 3, 0.0), 1)
 
 
+def json_values():
+    scalars = (st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+               | st.integers() | st.sampled_from([10**400, -(10**400)]))
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=12,
+    )
+
+
+@st.composite
+def wire_documents(draw):
+    """Any JSON-shaped value, often shaped like the wire format."""
+    if draw(st.booleans()):
+        return draw(json_values())
+    weight = st.floats() | st.integers() | st.sampled_from([10**400, -(10**400)]) | json_values()
+    term = st.fixed_dictionaries(
+        {},
+        optional={"freq": st.integers(-20, 20) | json_values(), "w_re": weight, "w_im": weight},
+    )
+    return {"terms": draw(st.lists(term | json_values(), max_size=4))}
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize(
         "a,b,s",
@@ -198,6 +312,15 @@ class TestSpecValidation:
     def test_wire_roundtrip(self, spec):
         assert spec_from_wire(spec_to_wire(spec)) == spec
 
+    @given(wire_documents())
+    @settings(deadline=None)
+    def test_wire_parses_or_raises_value_error(self, data):
+        try:
+            spec = spec_from_wire(data)
+        except ValueError:
+            return
+        assert isinstance(spec, CurveSpec)
+
     def test_wire_rejects_garbage(self):
         term = {"freq": 1, "w_re": 1.0, "w_im": 0.0}
         for data in (
@@ -208,6 +331,7 @@ class TestSpecValidation:
             {"terms": [{**term, "w_re": math.nan}]},
             {"terms": [{**term, "w_im": math.inf}]},
             {"terms": [{**term, "w_re": -math.inf}]},
+            {"terms": [{**term, "w_re": 10**400}]},
         ):
             with pytest.raises(ValueError):
                 spec_from_wire(data)
