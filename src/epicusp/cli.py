@@ -49,19 +49,20 @@ def _parse_z0(text: str) -> PlanePoint:
 
 def _fuse_rational_flags(argv: list[str]) -> list[str]:
     # argparse treats a detached "-1/2" or "-1,2" as a new flag; re-attach
-    # values with a leading dash to their option
+    # values with a leading dash to their option (argparse also takes the
+    # abbreviation --z for --z0)
     fused = []
     i = 0
     while i < len(argv):
         arg = argv[i]
         if (
-            arg in ("-s", "-a", "-b", "-n", "--z0")
+            arg in ("-s", "-a", "-b", "-n", "--z", "--z0")
             and i + 1 < len(argv)
             and argv[i + 1].startswith("-")
             and len(argv[i + 1]) > 1
             and argv[i + 1][1] in "0123456789."
         ):
-            fused.append(f"{arg}={argv[i + 1]}" if arg == "--z0" else arg + argv[i + 1])
+            fused.append(f"{arg}={argv[i + 1]}" if arg.startswith("--") else arg + argv[i + 1])
             i += 2
         else:
             fused.append(arg)

@@ -253,21 +253,7 @@ def self_intersections(
     if dropped:
         log.debug("self_intersections: dropped %d unresolved candidates", dropped)
 
-    # cluster duplicates; tangential contacts can leave several nearby
-    # converged copies, of which the smallest residual wins
-    hits.sort()
-    kept: list[tuple[float, float, float]] = []
-    for t1, t2, resid in hits:
-        merged = False
-        for k, (u1, u2, ur) in enumerate(kept):
-            if _circ(t1, u1) < 1e-4 and _circ(t2, u2) < 1e-4:
-                if resid < ur:
-                    kept[k] = (t1, t2, resid)
-                merged = True
-                break
-        if not merged:
-            kept.append((t1, t2, resid))
-    kept.sort()
+    kept = _merge_duplicates(hits)
 
     grid_n = _rational_grid_size(spec)
     records = []
@@ -288,6 +274,33 @@ def self_intersections(
             )
         )
     return records
+
+
+def _merge_duplicates(hits: list[tuple[float, float, float]]) -> list[tuple[float, float, float]]:
+    """Collapse (t1, t2, residual) hits that lie within 1e-4 of each other.
+
+    Tangential contacts can leave several nearby converged copies, of which
+    the smallest residual wins.  Hits are taken in ascending order, and each
+    one merges into the first kept record, in the order kept, that lies
+    within 1e-4 in both parameters.  A kept t1 only grows, and never beyond
+    the current hit's, so only the records whose t1 is within 2e-4 of the
+    hit's can match it, plus those with t1 < 2e-4, which match across the
+    wrap at t = 1; a record that leaves that window never matches again.
+    """
+    kept: list[tuple[float, float, float]] = []
+    near: list[int] = []  # indices of the kept records that can still match, ascending
+    for t1, t2, resid in sorted(hits):
+        near = [k for k in near if kept[k][0] >= t1 - 2e-4 or kept[k][0] < 2e-4]
+        for k in near:
+            u1, u2, ur = kept[k]
+            if _circ(t1, u1) < 1e-4 and _circ(t2, u2) < 1e-4:
+                if resid < ur:
+                    kept[k] = (t1, t2, resid)
+                break
+        else:
+            near.append(len(kept))
+            kept.append((t1, t2, resid))
+    return sorted(kept)
 
 
 def _circ(x: float, y: float) -> float:

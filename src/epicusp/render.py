@@ -26,7 +26,7 @@ from .curve import (
     spec_to_wire,
 )
 from .errors import EmptyInput
-from .singularity import predicted_cusp_locus, undefined_derivative_set
+from .singularity import predicted_cusp_locus, undefined_derivative_sets
 
 SVG_NS = 'xmlns="http://www.w3.org/2000/svg"'
 
@@ -192,9 +192,9 @@ def render_singularity_diagram(a: int, b: int, s_grid: int = 201) -> str:
             f'text-anchor="end">t={t_tick:g}</text>'
         )
 
-    for i in range(s_grid):
-        s = s_lo + (s_hi - s_lo) * i / (s_grid - 1)
-        for t in undefined_derivative_set(a, b, s):
+    weights = [s_lo + (s_hi - s_lo) * i / (s_grid - 1) for i in range(s_grid)]
+    for s, ts in zip(weights, undefined_derivative_sets(a, b, weights)):
+        for t in ts:
             x, y = to_px(s, t)
             lines.append(
                 f'<circle class="udef-dot" cx="{_px(x)}" cy="{_px(y)}" r="1.2" '

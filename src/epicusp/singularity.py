@@ -334,35 +334,100 @@ def undefined_derivative_set(a: int, b: int, s: float) -> list[float]:
     For (a, b) = (1, 3) the set is known in closed form: t = 0 and 1/2
     always, plus the four solutions of 4*pi*t = +-arccos((-2-s)/(3(1+s)))
     mod pi once s >= -1/2 (they coincide in pairs exactly at s = -1/2).
-    Other frequency pairs fall back to numerical root finding on x'(t).
+    Other frequency pairs take the zeros of x'(t): sign changes on the grid
+    t = j/(256(a+b)) bracket them, and each bracket is bisected down to
+    adjacent floats.  This is undefined_derivative_sets for one weight.
+    """
+    return undefined_derivative_sets(a, b, [s])[0]
+
+
+def undefined_derivative_sets(a: int, b: int, weights) -> list[list[float]]:
+    """undefined_derivative_set(a, b, s) for every s in weights, in order.
+
+    The weights share one t grid and one bisection of all their brackets,
+    so many weights cost little more than one; each list holds the same
+    floats as a call for its weight alone.
     """
     if not 1 <= a < b:
         raise ValueError("need 1 <= a < b")
-    if not -1.0 <= s <= 1.0:
-        raise ValueError("s must lie in [-1, 1]")
+    weights = list(weights)
+    for s in weights:
+        if not -1.0 <= s <= 1.0:
+            raise ValueError("s must lie in [-1, 1]")
     if (a, b) == (1, 3):
-        values = [0.0, 0.5]
-        if s >= -0.5:
-            tbar = math.acos((-2.0 - s) / (3.0 * (1.0 + s))) / (4.0 * math.pi)
-            for v in (tbar, 0.5 - tbar, 0.5 + tbar, 1.0 - tbar):
-                v %= 1.0
-                if all(abs(v - w) > 1e-12 for w in values):
-                    values.append(v)
-        return sorted(values)
-    return _x_prime_zeros(TwoTermSpec(a, b, s))
+        return [_one_three_set(s) for s in weights]
+    return _x_prime_zeros([TwoTermSpec(a, b, s) for s in weights])
 
 
-def _x_prime_zeros(spec: TwoTermSpec) -> list[float]:
-    """Zeros of x'(t) on [0, 1) by sign-change bracketing and bisection."""
-    n = 256 * (spec.a + spec.b)
+def _one_three_set(s: float) -> list[float]:
+    values = [0.0, 0.5]
+    if s >= -0.5:
+        tbar = math.acos((-2.0 - s) / (3.0 * (1.0 + s))) / (4.0 * math.pi)
+        for v in (tbar, 0.5 - tbar, 0.5 + tbar, 1.0 - tbar):
+            v %= 1.0
+            if all(abs(v - w) > 1e-12 for w in values):
+                values.append(v)
+    return sorted(values)
 
-    def xp(t):
-        return eval_complex(spec, t, order=1).real
 
+def _sin_turns(f: int, t: np.ndarray) -> np.ndarray:
+    """sin(2*pi*f*t) with the phase reduction of eval_complex."""
+    u = f * t
+    return np.sin(2.0 * np.pi * (u - np.floor(u)))
+
+
+def _x_prime_coefficients(spec: TwoTermSpec) -> tuple[float, float]:
+    """(c_a, c_b) with x'(t) = -c_a*sin(2*pi*a*t) - c_b*sin(2*pi*b*t).
+
+    c_f is the imaginary part of the order-1 coefficient w_f*(2*pi*i*f),
+    formed as eval_complex forms it; with a real weight its real part is a
+    signed zero.
+    """
+    ca, cb = ((term.weight * (2j * np.pi * term.frequency)).imag for term in spec.lower().terms)
+    return ca, cb
+
+
+def _x_prime(ca, cb, sin_a: np.ndarray, sin_b: np.ndarray) -> np.ndarray:
+    """x'(t) from its coefficients and the sines at t.
+
+    These are the roundings eval_complex(spec, t, order=1).real makes for
+    real weights (each term's real part is -c_f*sin rounded once), so the
+    bits are the same.
+    """
+    return 0.0 - ca * sin_a - cb * sin_b
+
+
+def _x_prime_zeros(specs: list[TwoTermSpec]) -> list[list[float]]:
+    """Zeros of x'(t) on [0, 1), one sorted list per spec of one (a, b).
+
+    The grid is scanned one spec at a time with shared sines, and the
+    sign-change brackets of all specs are halved together until their ends
+    are adjacent floats.
+    """
+    if not specs:
+        return []
+    a, b = specs[0].a, specs[0].b
+    n = 256 * (a + b)
     t = np.arange(n + 1) / n
-    v = xp(t)
-    bracket = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
-    lo, hi, v_lo = t[bracket], t[bracket + 1], v[bracket]
+    sin_a, sin_b = _sin_turns(a, t), _sin_turns(b, t)
+    coef = np.array([_x_prime_coefficients(spec) for spec in specs])
+    grid_zeros, brackets, v_brackets = [], [], []
+    for ca, cb in coef:
+        v = _x_prime(ca, cb, sin_a, sin_b)
+        grid_zeros.append(t[:-1][v[:-1] == 0.0].tolist())
+        bracket = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+        brackets.append(bracket)
+        v_brackets.append(v[bracket])
+    counts = [len(k) for k in brackets]
+    bracket = np.concatenate(brackets)
+    # each bracket carries the coefficients of its own spec
+    owner = np.repeat(np.arange(len(specs)), counts)
+    ca, cb = coef[owner, 0], coef[owner, 1]
+
+    def xp(u):
+        return _x_prime(ca, cb, _sin_turns(a, u), _sin_turns(b, u))
+
+    lo, hi, v_lo = t[bracket], t[bracket + 1], np.concatenate(v_brackets)
     # halve every bracket at once until its ends are adjacent floats
     while True:
         mid = 0.5 * (lo + hi)
@@ -375,11 +440,16 @@ def _x_prime_zeros(spec: TwoTermSpec) -> list[float]:
         hi = np.where(live & ~up, mid, hi)
     # keep the end with the smaller |x'|, so that a zero which is itself a
     # float, such as t = 1/2, comes out exactly
-    ends = np.where(np.abs(xp(lo)) <= np.abs(xp(hi)), lo, hi)
-    roots = sorted(t[:-1][v[:-1] == 0.0].tolist() + ends.tolist())
-    out: list[float] = []
-    for r in roots:
-        r %= 1.0
-        if all(_circ_dist(r, q) > 1e-9 for q in out):
-            out.append(r)
-    return sorted(out)
+    ends = np.where(np.abs(xp(lo)) <= np.abs(xp(hi)), lo, hi).tolist()
+    out_sets = []
+    start = 0
+    for zeros, count in zip(grid_zeros, counts):
+        roots = sorted(zeros + ends[start : start + count])
+        start += count
+        out: list[float] = []
+        for r in roots:
+            r %= 1.0
+            if all(_circ_dist(r, q) > 1e-9 for q in out):
+                out.append(r)
+        out_sets.append(sorted(out))
+    return out_sets

@@ -49,11 +49,14 @@ class TestWind:
 
     @pytest.mark.parametrize("z0", ["-1,2", "-.5,1"])
     def test_detached_negative_base_point(self, capsys, z0):
-        # a detached "-1,2" must reach --z0 as its value, not as a new flag
+        # a detached "-1,2" must reach --z0, or its abbreviation --z, as its
+        # value, not as a new flag
         argv = ("wind", "-a", "1", "-b", "3", "-s", "0.5")
-        rc, out = run_cli(capsys, *argv, "--z0", z0)
-        assert rc == 0
-        assert out == run_cli(capsys, *argv, f"--z0={z0}")[1]
+        attached = run_cli(capsys, *argv, f"--z0={z0}")[1]
+        for flag in ("--z0", "--z"):
+            rc, out = run_cli(capsys, *argv, flag, z0)
+            assert rc == 0
+            assert out == attached
 
     def test_balanced_weight_reports_the_error(self, capsys):
         rc, out = run_cli(capsys, "wind", "-a", "1", "-b", "3", "-s", "0")

@@ -14,7 +14,7 @@ from epicusp import (
     verify_symmetry,
 )
 from epicusp.curve import eval_complex
-from epicusp.geometry import _close_pairs
+from epicusp.geometry import _circ, _close_pairs, _merge_duplicates
 
 
 class TestVerifySymmetry:
@@ -166,3 +166,73 @@ class TestGridCheck:
     def test_order_is_enforced(self):
         with pytest.raises(ValueError):
             grid_intersection_check(3, 2)
+
+
+def reference_merge(hits):
+    """The quadratic cluster loop that _merge_duplicates replaced, kept as
+    its reference: every hit is compared with every kept record."""
+    hits = sorted(hits)
+    kept = []
+    for t1, t2, resid in hits:
+        merged = False
+        for k, (u1, u2, ur) in enumerate(kept):
+            if _circ(t1, u1) < 1e-4 and _circ(t2, u2) < 1e-4:
+                if resid < ur:
+                    kept[k] = (t1, t2, resid)
+                merged = True
+                break
+        if not merged:
+            kept.append((t1, t2, resid))
+    kept.sort()
+    return kept
+
+
+# parameters at the ends of [0, 1], where clusters meet across the wrap
+EDGES = st.sampled_from([0.0, 2e-5, 9e-5, 1.5e-4, 0.5, 1.0 - 1.5e-4, 1.0 - 9e-5, 1.0 - 2e-5, 1.0])
+
+
+@st.composite
+def clustered_hits(draw):
+    """(t1, t2, residual) hits in clusters of spread ~1e-4 on [0, 1]."""
+    centre = EDGES | st.floats(0.0, 1.0)
+    centres = draw(st.lists(st.tuples(centre, centre), min_size=1, max_size=4))
+    jitter = st.floats(-3e-4, 3e-4)
+    residual = st.sampled_from([0.0, 1e-12, 1e-10]) | st.floats(0.0, 1e-9)
+    hits = []
+    for _ in range(draw(st.integers(1, 40))):
+        c1, c2 = draw(st.sampled_from(centres))
+        t1 = min(max(c1 + draw(jitter), 0.0), 1.0)
+        t2 = min(max(c2 + draw(jitter), 0.0), 1.0)
+        hits.append((min(t1, t2), max(t1, t2), draw(residual)))
+    return hits
+
+
+class TestMergeDuplicates:
+    @settings(max_examples=200, deadline=None)
+    @given(clustered_hits())
+    def test_sweep_equals_the_quadratic_loop(self, hits):
+        assert repr(_merge_duplicates(hits)) == repr(reference_merge(hits))
+
+    def test_clusters_meet_across_the_wrap(self):
+        # the last hit lies within 1e-4 of the first across t = 1 and has
+        # the smaller residual, so it replaces it
+        hits = [(2e-5, 1.0 - 1e-5, 1e-12), (0.5, 0.6, 1e-12), (1.0 - 3e-5, 1.0 - 1e-6, 1e-13)]
+        assert _merge_duplicates(hits) == reference_merge(hits) == [
+            (0.5, 0.6, 1e-12),
+            (1.0 - 3e-5, 1.0 - 1e-6, 1e-13),
+        ]
+
+    def test_the_first_kept_match_wins(self):
+        # the third hit moves record 0 past record 1 in t1; the fourth hit
+        # lies within 1e-4 of both and merges into record 0, kept first
+        hits = [(0.1, 0.2, 1e-10), (0.10005, 0.2002, 1e-10), (0.10008, 0.20005, 1e-11), (0.1001, 0.20013, 1e-13)]
+        assert _merge_duplicates(hits) == reference_merge(hits) == [
+            (0.10005, 0.2002, 1e-10),
+            (0.1001, 0.20013, 1e-13),
+        ]
+
+    def test_a_replaced_record_is_matched_at_its_new_place(self):
+        # each hit moves the record by less than 1e-4; the last one lies
+        # 2.5e-4 past where the record started
+        hits = [(0.1, 0.2, 1e-10), (0.10009, 0.2, 1e-11), (0.10018, 0.2, 1e-12), (0.10025, 0.2, 1e-13)]
+        assert _merge_duplicates(hits) == reference_merge(hits) == [(0.10025, 0.2, 1e-13)]

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from epicusp import (
@@ -21,6 +22,13 @@ from epicusp import (
     rotated_param_deriv,
     rotation_angle,
     undefined_derivative_set,
+)
+from epicusp.curve import eval_complex
+from epicusp.singularity import (
+    _sin_turns,
+    _x_prime,
+    _x_prime_coefficients,
+    undefined_derivative_sets,
 )
 
 CUSP_SPEC = TwoTermSpec(1, 3, -0.5)
@@ -221,3 +229,72 @@ class TestUndefinedDerivativeSet:
         spec = TwoTermSpec(1, 2, 0.4)
         for v in values:
             assert abs(derivative(spec, v).x) < 1e-8
+
+
+def reference_x_prime_zeros(spec: TwoTermSpec) -> list[float]:
+    """One weight's search through eval_complex: the bisection that the
+    batched kernel replaced, kept as its reference."""
+    n = 256 * (spec.a + spec.b)
+
+    def xp(t):
+        return eval_complex(spec, t, order=1).real
+
+    t = np.arange(n + 1) / n
+    v = xp(t)
+    bracket = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+    lo, hi, v_lo = t[bracket], t[bracket + 1], v[bracket]
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        v_mid = xp(mid)
+        up = live & (np.sign(v_mid) == np.sign(v_lo))
+        lo, v_lo = np.where(up, mid, lo), np.where(up, v_mid, v_lo)
+        hi = np.where(live & ~up, mid, hi)
+    ends = np.where(np.abs(xp(lo)) <= np.abs(xp(hi)), lo, hi)
+    roots = sorted(t[:-1][v[:-1] == 0.0].tolist() + ends.tolist())
+    out: list[float] = []
+    for r in roots:
+        r %= 1.0
+        if all(min(abs(r - q) % 1.0, 1.0 - abs(r - q) % 1.0) > 1e-9 for q in out):
+            out.append(r)
+    return sorted(out)
+
+
+# the weights of render_singularity_diagram's default grid
+DIAGRAM_WEIGHTS = [-1.0 + 2.0 * i / 200 for i in range(201)]
+
+
+class TestBatchedXPrimeZeros:
+    # (1, 2) and (9, 11) include weights where zeros coalesce
+    @pytest.mark.parametrize("a,b", [(2, 5), (3, 4), (3, 5), (4, 5), (1, 2), (9, 11)])
+    def test_every_diagram_weight_matches_the_per_weight_search(self, a, b):
+        expected = [repr(reference_x_prime_zeros(TwoTermSpec(a, b, s))) for s in DIAGRAM_WEIGHTS]
+        assert [repr(v) for v in undefined_derivative_sets(a, b, DIAGRAM_WEIGHTS)] == expected
+        assert [repr(undefined_derivative_set(a, b, s)) for s in DIAGRAM_WEIGHTS] == expected
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (2, 5), (9, 11), (4, 17)])
+    @pytest.mark.parametrize("s", [-1.0, -0.6, -0.25, 0.0, 0.35, 1.0])
+    def test_inline_x_prime_has_the_bits_of_eval_complex(self, a, b, s):
+        n = 256 * (a + b)
+        rng = np.random.default_rng(a * 100 + b)
+        t = np.concatenate([np.arange(n + 1) / n, [0.0, 0.5, 1.0, 0.25], rng.random(200)])
+        spec = TwoTermSpec(a, b, s)
+        ca, cb = _x_prime_coefficients(spec)
+        got = _x_prime(ca, cb, _sin_turns(a, t), _sin_turns(b, t))
+        assert got.tobytes() == eval_complex(spec, t, order=1).real.tobytes()
+
+    def test_one_three_keeps_its_closed_form(self):
+        weights = [-0.75, -0.5, 0.0, 1.0]
+        assert undefined_derivative_sets(1, 3, weights) == [
+            undefined_derivative_set(1, 3, s) for s in weights
+        ]
+
+    def test_no_weights_give_no_sets(self):
+        assert undefined_derivative_sets(2, 5, []) == []
+
+    @pytest.mark.parametrize("weights", [[0.0, 1.5], [float("nan")]])
+    def test_every_weight_is_checked(self, weights):
+        with pytest.raises(ValueError):
+            undefined_derivative_sets(2, 5, weights)
