@@ -94,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cusps", help="locate and certify cusps")
     _add_ab(p)
     p.add_argument("--predicted-only", action="store_true", help="print the locus only")
-    p.add_argument("--s-grid", type=int, default=256)
-    p.add_argument("--t-grid", type=int, default=256)
 
     p = sub.add_parser("symmetry", help="verify the dihedral symmetry identities")
     _add_ab(p)
@@ -152,7 +150,7 @@ def _cmd_cusps(args) -> int:
             )
         )
         return EXIT_OK
-    for cert in singularity.find_cusps(args.a, args.b, args.s_grid, args.t_grid):
+    for cert in singularity.find_cusps(args.a, args.b):
         print(
             json.dumps(
                 {

@@ -29,6 +29,8 @@ from .errors import EmptyInput
 from .singularity import predicted_cusp_locus, undefined_derivative_sets
 
 SVG_NS = 'xmlns="http://www.w3.org/2000/svg"'
+# weights on the uniform grid over [-1, 1] that the singularity diagram draws
+DIAGRAM_WEIGHT_COUNT = 201
 
 
 @dataclass(frozen=True)
@@ -149,14 +151,14 @@ def render_param_derivative(spec: TwoTermSpec, plot: PlotSpec = PlotSpec()) -> s
     return "\n".join(lines) + "\n"
 
 
-def render_singularity_diagram(a: int, b: int, s_grid: int = 201) -> str:
+def render_singularity_diagram(a: int, b: int) -> str:
     """Diagram of undefined-derivative parameters across the weight range.
 
-    For each weight s on a uniform grid the parameters where the
-    parametric derivative is undefined are drawn as dots (s horizontal,
-    t vertical); the dense grid renders the branch curves.  The
-    predicted cusps are overlaid as bold markers carrying their (s, t)
-    in data attributes.
+    For each of DIAGRAM_WEIGHT_COUNT weights s on a uniform grid over
+    [-1, 1] the parameters where the parametric derivative is undefined
+    are drawn as dots (s horizontal, t vertical); the dense grid renders
+    the branch curves.  The predicted cusps are overlaid as bold markers
+    carrying their (s, t) in data attributes.
     """
     width = height = 800
     s_lo, s_hi = -1.0, 1.0
@@ -192,7 +194,8 @@ def render_singularity_diagram(a: int, b: int, s_grid: int = 201) -> str:
             f'text-anchor="end">t={t_tick:g}</text>'
         )
 
-    weights = [s_lo + (s_hi - s_lo) * i / (s_grid - 1) for i in range(s_grid)]
+    n = DIAGRAM_WEIGHT_COUNT
+    weights = [s_lo + (s_hi - s_lo) * i / (n - 1) for i in range(n)]
     for s, ts in zip(weights, undefined_derivative_sets(a, b, weights)):
         for t in ts:
             x, y = to_px(s, t)

@@ -1,14 +1,19 @@
 """Singular points of the two-term family: location and certification.
 
-The family gamma_{a,b}^s has singular points (gamma'(t) = 0) exactly on the
-locus s = (a-b)/(a+b), t = h/(2(b-a)) with h odd; this is proven for a = 1
-and conjectural (numerically confirmed here) for a > 1.  A singular point
-is certified as a cusp by checking that the one-sided unit tangents flip
-direction across it: their dot product extrapolates to -1 as the offset
-shrinks.  The module also carries the rotation construction that places a
-chosen cusp on the vertical axis, the closed-form parametric derivative in
-that rotated frame, and the loop-birth count that detects the small loop a
-cusp unfolds into.
+Write z = exp(2*pi*i*t).  The k-th derivative of gamma_{a,b}^s is
+(2*pi*i)^k * ((1-s)*a^k*z^a + (1+s)*b^k*z^b), so gamma'(t) = 0 forces
+|(1-s)*a| = |(1+s)*b| and z^(b-a) = -1: for every a, the singular points
+are exactly s = (a-b)/(a+b), t = h/(2(b-a)) with h odd.  There
+gamma'' = (2*pi*i)^2 * (1-s)*a*z^a*(a-b) is nonzero and
+gamma''' = 2*pi*i*(a+b) * gamma'', so gamma'' and gamma''' are
+perpendicular and each singular point is an ordinary (semicubical) cusp
+(Bruce & Giblin, Curves and Singularities, 1992).  find_cusps lists this
+locus and certifies each point independently: the one-sided unit tangents
+must flip direction across it, their dot product extrapolating to -1 as
+the offset shrinks.  The module also carries the rotation construction
+that places a chosen cusp on the vertical axis, the closed-form parametric
+derivative in that rotated frame, and the loop-birth count that detects
+the small loop a cusp unfolds into.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from .curve import (
     AnySpec,
     PlanePoint,
     TwoTermSpec,
+    _integer,
     derivative_scale,
     eval_complex,
 )
-from .errors import NotSingular, WindowTooWide
+from .errors import NotSingular, Unresolved, WindowTooWide
 
 # |gamma'| below this fraction of its natural scale counts as vanishing
 SINGULAR_RTOL = 1e-7
@@ -48,8 +54,8 @@ class CuspCertificate:
 
     The one-sided unit tangents are limits from below and above t; at a
     cusp they point in opposite directions, so their dot product is -1.
-    ``proven`` records whether the location is covered by the proven part
-    of the cusp locus (a = 1) rather than the conjectural extension.
+    ``proven`` records whether the curve lies in the case a = 1 that the
+    paper proves; the derivation in the module docstring covers every a.
     """
 
     s: float
@@ -144,11 +150,13 @@ def certify_cusp(spec: AnySpec, t: float, delta: float = 1e-3) -> Optional[CuspC
 
 
 def predicted_cusp_locus(a: int, b: int) -> CuspLocus:
-    """Predicted cusp parameters: s = (a-b)/(a+b), t = h/(2(b-a)), h odd.
+    """Cusp parameters: s = (a-b)/(a+b), t = h/(2(b-a)), h odd.
 
-    The locus is proven for a = 1 and conjectural for a > 1; the proven
-    flag records which case applies.
+    These are all the singular points of the family, each an ordinary
+    cusp, for every a (see the module docstring).  The proven flag records
+    whether a = 1, the case the paper proves.
     """
+    a, b = _integer(a, "frequency a"), _integer(b, "frequency b")
     if not 1 <= a < b:
         raise ValueError("need 1 <= a < b")
     d = 2 * (b - a)
@@ -159,100 +167,28 @@ def predicted_cusp_locus(a: int, b: int) -> CuspLocus:
     )
 
 
-def _newton_refine_singular(a: int, b: int, s0: float, t0: float) -> Optional[tuple[float, float]]:
-    """Damped Newton on gamma'(s, t) = 0 from a grid seed; None if it stalls."""
-    ca, cb = 2j * np.pi * a, 2j * np.pi * b
-    dscale = 2.0 * np.pi * (a + b) * 2.0
+def find_cusps(a: int, b: int) -> list[CuspCertificate]:
+    """Certify every cusp of the family over s in (-1, 1).
 
-    def gprime(s, t):
-        ea = np.exp(2j * np.pi * a * t)
-        eb = np.exp(2j * np.pi * b * t)
-        return (1.0 - s) * ca * ea + (1.0 + s) * cb * eb, ea, eb
+    The singular points are exactly the points of predicted_cusp_locus;
+    each is certified by certify_cusp at the float nearest its exact
+    (s, t).  Certificates come back sorted by t, b - a of them.
 
-    s, t = s0, t0
-    g, ea, eb = gprime(s, t)
-    for _ in range(50):
-        if abs(g) < 1e-12 * dscale:
-            return s, t % 1.0
-        dg_ds = -ca * ea + cb * eb
-        dg_dt = (1.0 - s) * ca * (2j * np.pi * a) * ea + (1.0 + s) * cb * (2j * np.pi * b) * eb
-        jac = np.array([[dg_ds.real, dg_dt.real], [dg_ds.imag, dg_dt.imag]])
-        rhs = -np.array([g.real, g.imag])
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            # near-singular Jacobian: take the least-squares direction
-            step = np.linalg.lstsq(jac, rhs, rcond=None)[0]
-        lam = 1.0
-        while lam > 1.0 / 64.0:
-            s_new = min(max(s + lam * step[0], -1.0 + 1e-6), 1.0 - 1e-6)
-            t_new = t + lam * step[1]
-            g_new, ea_new, eb_new = gprime(s_new, t_new)
-            if abs(g_new) < (1.0 - 0.5 * lam) * abs(g) + 1e-15:
-                s, t, g, ea, eb = s_new, t_new, g_new, ea_new, eb_new
-                break
-            lam *= 0.5
-        else:
-            return None
-    return (s, t % 1.0) if abs(g) < 1e-12 * dscale else None
-
-
-def find_cusps(a: int, b: int, s_grid: int = 256, t_grid: int = 256) -> list[CuspCertificate]:
-    """Locate and certify all cusps of the family over s in (-1, 1).
-
-    A vectorized scan of |gamma'|^2 over an (s, t) grid yields local
-    minima as seeds; each seed is refined by damped Newton on the two
-    real equations x'(s,t) = y'(s,t) = 0, refined points are deduplicated,
-    and survivors must pass certify_cusp.  Certificates come back sorted
-    by t.  Seeds whose refinement fails to converge are dropped.
+    Raises
+    ------
+    Unresolved
+        If a locus point fails certification.
     """
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
-    if s_grid < 64 or t_grid < 64:
-        raise ValueError("need grids >= 64")
-
-    # endpoints are excluded: at s = +-1 the curve is a circle and
-    # |gamma'| is constant, so the scan would see a flat landscape
-    ss = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, s_grid)
-    tt = np.arange(t_grid) / t_grid
-    # the exponentials depend on t alone: one per grid column, broadcast
-    # over the s rows of the (s, t) grid
-    S = ss[:, None]
-    G = (1.0 - S) * (2j * np.pi * a) * np.exp(2j * np.pi * a * tt) + (
-        1.0 + S
-    ) * (2j * np.pi * b) * np.exp(2j * np.pi * b * tt)
-    D = np.abs(G) ** 2
-
-    dscale = 2.0 * np.pi * (a + b) * 2.0
-    threshold = (0.05 * dscale) ** 2
-    is_min = D < threshold
-    for ds, dt in ((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)):
-        shifted = np.roll(D, (ds, dt), axis=(0, 1))
-        if ds == -1:
-            shifted[-1, :] = np.inf  # s does not wrap
-        elif ds == 1:
-            shifted[0, :] = np.inf
-        is_min &= D <= shifted
-    seeds = [(float(ss[i]), float(tt[j])) for i, j in zip(*np.nonzero(is_min))]
-
-    outcomes = [_newton_refine_singular(a, b, s, t) for s, t in sorted(seeds)]
-    refined = [hit for hit in outcomes if hit is not None]
-
-    # cluster refined points; duplicates from adjacent seeds collapse
-    refined.sort()
-    kept: list[tuple[float, float]] = []
-    for s, t in refined:
-        if any(abs(s - s2) < 1e-4 and _circ_dist(t, t2) < 1e-4 for s2, t2 in kept):
-            continue
-        kept.append((s, t))
-
-    certs = []
+    locus = predicted_cusp_locus(a, b)
+    spec = TwoTermSpec(a, b, float(locus.s_bar))
     delta = min(1e-3, 0.01 / (a + b))
-    for s, t in kept:
-        cert = certify_cusp(TwoTermSpec(a, b, s), t, delta=delta)
-        if cert is not None:
-            certs.append(cert)
-    return sorted(certs, key=lambda c: c.t)
+    certs = []
+    for t in locus.t_values:
+        cert = certify_cusp(spec, float(t), delta=delta)
+        if cert is None:
+            raise Unresolved(f"({a},{b}): no tangent flip at t = {t}")
+        certs.append(cert)
+    return certs
 
 
 def _circ_dist(x: float, y: float) -> float:
@@ -449,7 +385,9 @@ def _x_prime_zeros(specs: list[TwoTermSpec]) -> list[list[float]]:
         out: list[float] = []
         for r in roots:
             r %= 1.0
-            if all(_circ_dist(r, q) > 1e-9 for q in out):
+            # the roots are sorted and only a final 1.0 wraps to 0.0, so
+            # the nearest kept root is the last one or, across t = 0, the first
+            if not out or (_circ_dist(r, out[-1]) > 1e-9 and _circ_dist(r, out[0]) > 1e-9):
                 out.append(r)
         out_sets.append(sorted(out))
     return out_sets

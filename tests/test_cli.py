@@ -78,6 +78,7 @@ class TestUsageErrors:
             ("wind", "-a", "1", "-b", "3", "-s", "0.5", "--z0", "a,b"),
             ("wind", "-a", "1", "-b", "3", "-s", "0.5", "--z0", "1,2,3"),
             ("wind", "-a", "1", "-b", "3", "-s", "0.5", "--z0", "nan,0"),
+            ("cusps", "-a", "1", "-b", "3", "--s-grid", "64"),
         ],
     )
     def test_exit_code_two(self, capsys, argv):
@@ -102,6 +103,12 @@ class TestCusps:
             assert row["t"] == pytest.approx(t, abs=1e-6)
             assert row["flip_dot"] <= -1.0 + 1e-6
             assert row["proven"]
+
+    def test_failed_certification_reports_the_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(epicusp.singularity, "certify_cusp", lambda *args, **kwargs: None)
+        rc, out = run_cli(capsys, "cusps", "-a", "2", "-b", "5")
+        assert rc == 1
+        assert json.loads(out)["error"] == "Unresolved"
 
 
 class TestSymmetry:

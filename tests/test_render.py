@@ -96,7 +96,7 @@ class TestSingularityDiagram:
     def test_dot_count_tracks_the_branch_structure(self):
         # 50 weights with two branch points, the transition weight with
         # four, and 150 with six
-        doc = render_singularity_diagram(1, 3, s_grid=201)
+        doc = render_singularity_diagram(1, 3)
         assert doc.count('class="udef-dot"') == 1004
 
     def test_same_input_same_bytes(self):

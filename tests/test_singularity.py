@@ -10,6 +10,7 @@ from epicusp import (
     NotSingular,
     PointKind,
     TwoTermSpec,
+    Unresolved,
     WindowTooWide,
     certify_cusp,
     classify_point,
@@ -23,8 +24,10 @@ from epicusp import (
     rotation_angle,
     undefined_derivative_set,
 )
+from epicusp import singularity
 from epicusp.curve import eval_complex
 from epicusp.singularity import (
+    _circ_dist,
     _sin_turns,
     _x_prime,
     _x_prime_coefficients,
@@ -143,9 +146,113 @@ class TestFindCusps:
         for u, v in zip(ts, ts[1:]):
             assert v - u == pytest.approx(1.0 / 3.0, abs=1e-9)
 
-    def test_rejects_coarse_grids(self):
+    # the two pairs the former 256x256 seed grid left short, (1, 130), and
+    # a stride of pairs up to b = 149
+    @pytest.mark.parametrize(
+        "a,b",
+        [(20, 41), (7, 60), (1, 130)]
+        + [(a, b) for b in range(13, 151, 17) for a in (1, b // 3, b // 2 + 1, b - 1)],
+    )
+    def test_every_locus_point_is_certified_exactly(self, a, b):
+        certs = find_cusps(a, b)
+        d = 2 * (b - a)
+        assert len(certs) == b - a
+        for h, cert in zip(range(1, d, 2), certs):
+            assert cert.s == float(Fraction(a - b, a + b))
+            assert cert.t == float(Fraction(h, d))
+            assert cert.flip_dot <= -1.0 + 1e-6
+            assert cert.proven == (a == 1)
+
+    @pytest.mark.parametrize("a,b", [(a, b) for b in range(2, 13) for a in range(1, b)])
+    def test_grid_search_finds_the_same_singular_points(self, a, b):
+        ts = [c.t for c in find_cusps(a, b)]
+        found = reference_singular_points(a, b)
+        s_bar = float(Fraction(a - b, a + b))
+        for s, t in found:
+            assert abs(s - s_bar) < 1e-6
+            assert min(_circ_dist(t, u) for u in ts) < 1e-6
+        for u in ts:
+            assert min(_circ_dist(t, u) for _, t in found) < 1e-6
+
+    def test_failed_certification_raises(self, monkeypatch):
+        monkeypatch.setattr(singularity, "certify_cusp", lambda *args, **kwargs: None)
+        with pytest.raises(Unresolved):
+            find_cusps(2, 5)
+
+    @pytest.mark.parametrize("a,b", [(True, 3), (1.5, 3), (1, 3.0), ("1", 3)])
+    def test_frequencies_must_be_integers(self, a, b):
         with pytest.raises(ValueError):
-            find_cusps(1, 3, s_grid=32)
+            predicted_cusp_locus(a, b)
+        with pytest.raises(ValueError):
+            find_cusps(a, b)
+
+    def test_numpy_integer_frequencies_are_accepted(self):
+        locus = predicted_cusp_locus(np.int64(2), np.int32(5))
+        assert locus == predicted_cusp_locus(2, 5)
+        assert find_cusps(np.int64(2), np.int64(5)) == find_cusps(2, 5)
+
+
+def _newton_refine_singular(a: int, b: int, s0: float, t0: float):
+    """Damped Newton on gamma'(s, t) = 0 from a grid seed; None if it stalls."""
+    ca, cb = 2j * np.pi * a, 2j * np.pi * b
+    dscale = 2.0 * np.pi * (a + b) * 2.0
+
+    def gprime(s, t):
+        ea = np.exp(2j * np.pi * a * t)
+        eb = np.exp(2j * np.pi * b * t)
+        return (1.0 - s) * ca * ea + (1.0 + s) * cb * eb, ea, eb
+
+    s, t = s0, t0
+    g, ea, eb = gprime(s, t)
+    for _ in range(50):
+        if abs(g) < 1e-12 * dscale:
+            return s, t % 1.0
+        dg_ds = -ca * ea + cb * eb
+        dg_dt = (1.0 - s) * ca * (2j * np.pi * a) * ea + (1.0 + s) * cb * (2j * np.pi * b) * eb
+        jac = np.array([[dg_ds.real, dg_dt.real], [dg_ds.imag, dg_dt.imag]])
+        rhs = -np.array([g.real, g.imag])
+        try:
+            step = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(jac, rhs, rcond=None)[0]
+        lam = 1.0
+        while lam > 1.0 / 64.0:
+            s_new = min(max(s + lam * step[0], -1.0 + 1e-6), 1.0 - 1e-6)
+            t_new = t + lam * step[1]
+            g_new, ea_new, eb_new = gprime(s_new, t_new)
+            if abs(g_new) < (1.0 - 0.5 * lam) * abs(g) + 1e-15:
+                s, t, g, ea, eb = s_new, t_new, g_new, ea_new, eb_new
+                break
+            lam *= 0.5
+        else:
+            return None
+    return (s, t % 1.0) if abs(g) < 1e-12 * dscale else None
+
+
+def reference_singular_points(a: int, b: int) -> list[tuple[float, float]]:
+    """Singular points found without the locus: local minima of |gamma'|^2
+    on a 256x256 (s, t) grid, refined by damped Newton.  This was
+    find_cusps' search before it listed the closed-form locus; it is kept
+    as an independent completeness oracle for small b."""
+    ss = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, 256)
+    tt = np.arange(256) / 256
+    S = ss[:, None]
+    G = (1.0 - S) * (2j * np.pi * a) * np.exp(2j * np.pi * a * tt) + (
+        1.0 + S
+    ) * (2j * np.pi * b) * np.exp(2j * np.pi * b * tt)
+    D = np.abs(G) ** 2
+    dscale = 2.0 * np.pi * (a + b) * 2.0
+    is_min = D < (0.05 * dscale) ** 2
+    for ds, dt in ((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)):
+        shifted = np.roll(D, (ds, dt), axis=(0, 1))
+        if ds == -1:
+            shifted[-1, :] = np.inf  # s does not wrap
+        elif ds == 1:
+            shifted[0, :] = np.inf
+        is_min &= D <= shifted
+    seeds = [(float(ss[i]), float(tt[j])) for i, j in zip(*np.nonzero(is_min))]
+    refined = [_newton_refine_singular(a, b, s, t) for s, t in seeds]
+    return [hit for hit in refined if hit is not None]
 
 
 class TestRotation:
@@ -262,7 +369,7 @@ def reference_x_prime_zeros(spec: TwoTermSpec) -> list[float]:
     return sorted(out)
 
 
-# the weights of render_singularity_diagram's default grid
+# the weights render_singularity_diagram draws
 DIAGRAM_WEIGHTS = [-1.0 + 2.0 * i / 200 for i in range(201)]
 
 
