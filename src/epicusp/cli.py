@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intersect", help="find self-intersections")
     _add_ab(p)
     p.add_argument("-s", type=_parse_s, required=True)
-    p.add_argument("-n", type=int, default=4096, help="sampling grid")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("plot", help="render one curve to SVG")
@@ -182,7 +181,7 @@ def _cmd_symmetry(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
-    records = geometry.self_intersections(TwoTermSpec(args.a, args.b, args.s), t_grid=args.n)
+    records = geometry.self_intersections(TwoTermSpec(args.a, args.b, args.s))
     if args.format == "csv":
         sys.stdout.write("t1,t2,x,y,on_grid\r\n")
         for r in records:

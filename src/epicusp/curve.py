@@ -167,11 +167,17 @@ def eval_complex(spec: AnySpec, t, order: int = 0) -> np.ndarray:
             return np.array(z)
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
+    e = np.empty(t.shape, dtype=complex)
     for term in c.terms:
         u = term.frequency * t
         angle = 2.0 * np.pi * (u - np.floor(u))
         factor = (2j * np.pi * term.frequency) ** order
-        out += term.weight * factor * (np.cos(angle) + 1j * np.sin(angle))
+        np.cos(angle, out=e.real)
+        np.sin(angle, out=e.imag)
+        # scalar first, as in weight * factor * e: with the operands swapped
+        # (e *= coef) numpy moves the last bits of complex-weight products
+        np.multiply(term.weight * factor, e, out=e)
+        out += e
     return out
 
 

@@ -1,38 +1,54 @@
-"""Symmetry verification and self-intersection detection.
+"""Symmetry verification and self-intersections of the two-term family.
 
 The image of gamma_{a,b}^s carries the dihedral symmetry of order b-a for
 coprime a, b: advancing the parameter by 1/(b-a) rotates the point by
 2*pi*a/(b-a), and reversing it mirrors across the x-axis.  Both identities
-are checked by direct sampling.  Self-intersections are found numerically:
-sampled points are spatially hashed, nearby non-adjacent sample pairs
-become candidates, and each candidate is polished by a damped
-Gauss-Newton iteration on gamma(t1) - gamma(t2) = 0.  For the balanced
-weight s = 0 every intersection parameter is expected on the rational grid
-j/(b^2 - a^2), except that passages through the origin may meet off that
-grid; records carry the grid flag either way.
+are checked by direct sampling.
+
+Self-intersections reduce to one-dimensional roots.  Write
+t1 = sigma/2 - u and t2 = sigma/2 + u.  Since
+exp(2*pi*i*f*t2) - exp(2*pi*i*f*t1) = 2i * exp(pi*i*f*sigma) * sin(2*pi*f*u),
+gamma(t1) = gamma(t2) holds exactly when
+
+    (1-s) sin(2 pi a u) + exp(pi i (b-a) sigma) (1+s) sin(2 pi b u) = 0.
+
+For coprime a, b, |s| < 1 and 0 < u < 1/2 the two sines never vanish
+together, so the phase factor is real: sigma = m/(b-a) for an integer m,
+and the factor is (-1)^m.  Dividing by sin(2 pi u) > 0 leaves u a root of
+
+    g_+-(u) = [(1-s) sin(2 pi a u) +- (1+s) sin(2 pi b u)] / sin(2 pi u)
+            = (1-s) U_{a-1}(cos 2 pi u) +- (1+s) U_{b-1}(cos 2 pi u)
+
+with the sign (-1)^m, U_k being the Chebyshev polynomials of the second
+kind.  A pair of distinct parameters mod 1 has exactly two representations
+(sigma/2, u) with 0 < u < 1/2, namely (sigma/2, u) and
+(sigma/2 + 1/2, 1/2 - u), so the pairs t1 = m/(2(b-a)) - u (mod 1),
+t2 = m/(2(b-a)) + u for m = 0, ..., b-a-1 and every root u of g_{(-1)^m}
+list each self-intersection exactly once.  The ends are known in closed
+form, U_{k-1}(1) = k and U_{k-1}(-1) = (-1)^(k-1) k:
+
+    g_+-(0) = (1-s) a +- (1+s) b,
+    g_+-(1/2) = (-1)^(a-1) (1-s) a +- (-1)^(b-1) (1+s) b.
+
+g_-(0) and one of the g_+-(1/2) vanish at the cusp weight
+s = (a-b)/(a+b), where the loop a cusp gives birth to still has zero size.
+
+For the balanced weight s = 0 every intersection parameter lies on the
+rational grid j/(b^2 - a^2), except that passages through the origin may
+meet off that grid; records carry the grid flag either way.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .curve import (
-    AnySpec,
-    CurveSpec,
-    PlanePoint,
-    TwoTermSpec,
-    as_curve,
-    curve_scale,
-    eval_complex,
-)
+from .curve import PlanePoint, TwoTermSpec, curve_scale, eval_complex
+from .singularity import _bisect_brackets, _circ_dist, _sin_turns
 from .winding import zeros_of_curve
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -91,236 +107,98 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
     )
 
 
-def _all_frequencies_odd(spec: CurveSpec) -> bool:
-    return all(term.frequency % 2 == 1 for term in spec.terms)
+def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
+    """Every parameter pair (t1, t2), t1 < t2 in [0, 1), with gamma(t1) = gamma(t2).
 
+    The pairs come from the roots of g_+ and g_- on (0, 1/2), as set out in
+    the module docstring.  The sign of each g is scanned on
+    u = j/(256(a+b)); its end values are taken in closed form and set to
+    exactly 0 within 1e-12 of their scale, which marks the cusp weight.  A
+    scan point where g is exactly 0 is a root (the tangential contact of
+    (1, 3, 0) at the origin is one), and the sign changes of both g are
+    bisected together down to adjacent floats.  Records are sorted by t1,
+    and their point is the mean of gamma(t1) and gamma(t2).
 
-def _refine_pair(spec: CurveSpec, t1: float, t2: float, scale: float):
-    """Damped Gauss-Newton on gamma(t1) - gamma(t2) = 0.
-
-    Solved via least squares throughout: at a tangential contact the
-    2x2 Jacobian [gamma'(t1), -gamma'(t2)] is singular and plain solve
-    would blow up.
-    """
-    def f(u1, u2):
-        return complex(eval_complex(spec, u1) - eval_complex(spec, u2))
-
-    val = f(t1, t2)
-    for _ in range(30):
-        if abs(val) < 1e-13 * scale:
-            break
-        d1 = complex(eval_complex(spec, t1, order=1))
-        d2 = complex(eval_complex(spec, t2, order=1))
-        jac = np.array([[d1.real, -d2.real], [d1.imag, -d2.imag]])
-        step = np.linalg.lstsq(jac, [-val.real, -val.imag], rcond=None)[0]
-        lam = 1.0
-        while lam > 1.0 / 256.0:
-            cand = f(t1 + lam * step[0], t2 + lam * step[1])
-            if abs(cand) <= (1.0 - 0.25 * lam) * abs(val) + 1e-16 * scale:
-                t1, t2, val = t1 + lam * step[0], t2 + lam * step[1], cand
-                break
-            lam *= 0.5
-        else:
-            break
-    return t1, t2, abs(val)
-
-
-def _polish_antipodal(spec: CurveSpec, t1: float, scale: float) -> Optional[float]:
-    """Refine t1 toward a passage of the curve through the origin.
-
-    Curves with all frequencies odd satisfy gamma(t + 1/2) = -gamma(t),
-    so a contact between antipodal passages can only happen at the
-    origin, where the two branches meet tangentially and Gauss-Newton
-    stalls a few 1e-9 short.  One-dimensional Newton toward the nearest
-    minimum of |gamma| lands on the passage parameter exactly; returns
-    None if the minimum is not an actual origin crossing.
-    """
-    for _ in range(12):
-        g = complex(eval_complex(spec, t1))
-        if abs(g) < 1e-13 * scale:
-            return t1
-        d = complex(eval_complex(spec, t1, order=1))
-        t1 -= (g.conjugate() * d).real / abs(d) ** 2
-    g = complex(eval_complex(spec, t1))
-    return t1 if abs(g) < 1e-13 * scale else None
-
-
-def _close_pairs(pts: np.ndarray, r: float) -> np.ndarray:
-    """Index pairs (i, j), i < j, of the rows of pts at most r apart.
-
-    Points are binned into square cells of side r, so a close pair lies in
-    one cell or in two adjacent ones.  Each cell is compared with itself
-    and with its four forward neighbours, which meets every adjacent pair
-    of cells exactly once.
-    """
-    cell = np.floor((pts - pts.min(axis=0)) / r).astype(np.int64)
-    # the +1 offset and the stride of max+3 keep the y neighbours -1 and
-    # +1 from aliasing into the next column of cells
-    stride = int(cell[:, 1].max()) + 3
-    key = cell[:, 0] * stride + cell[:, 1] + 1
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    rank = np.argsort(order)  # each point's position in the sorted order
-    found_i, found_j = [], []
-    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
-        target = key + dx * stride + dy
-        hi = np.searchsorted(sorted_key, target, side="right")
-        # within its own cell a point meets only the members after it
-        lo = rank + 1 if dx == dy == 0 else np.searchsorted(sorted_key, target, side="left")
-        count = hi - lo
-        at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        found_i.append(np.repeat(np.arange(len(pts)), count))
-        found_j.append(order[at])
-    i, j = np.concatenate(found_i), np.concatenate(found_j)
-    d = pts[i] - pts[j]
-    near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= r * r
-    return np.column_stack([np.minimum(i, j)[near], np.maximum(i, j)[near]])
-
-
-def self_intersections(
-    spec: AnySpec, t_grid: int = 4096, tol: float | None = None
-) -> list[IntersectionRecord]:
-    """Find parameter pairs (t1, t2), t1 < t2, with gamma(t1) = gamma(t2).
-
-    Sampled points go into a spatial hash with cells the size of the
-    longest polyline segment, so close passes of the curve to itself
-    become candidate pairs in O(n); tangential contacts are caught this
-    way too, which a crossing-only test would miss.  Candidates are
-    refined by Gauss-Newton, filtered to genuine coincidences within
-    1e-9 of the curve scale, deduplicated, and sorted by t1.
-
-    For a two-term balanced spec (s = 0) each record is tested against
-    the rational grid j/(b^2 - a^2): both parameters within 1e-9 of grid
+    For the balanced weight s = 0 each record is tested against the
+    rational grid j/(b^2 - a^2): both parameters within 1e-9 of grid
     points set on_rational_grid and the index pair.
+
+    Raises
+    ------
+    TypeError
+        If spec is not a TwoTermSpec.
+    ValueError
+        If the intersections form a continuum: a and b share a factor, or
+        s = 1, or s = -1 with a >= 2.  Each curve retraces itself.
     """
-    c = as_curve(spec)
-    if t_grid < 256:
-        raise ValueError("need t_grid >= 256")
-    scale = curve_scale(c)
-    if tol is None:
-        tol = 1e-6 * scale
-    accept_tol = 1e-9 * scale
-
-    t = np.arange(t_grid) / t_grid
-    z = eval_complex(c, t)
-    seg = np.abs(np.diff(np.append(z, z[0])))
-    capture = max(float(np.max(seg)), 2.0 * tol)
-
-    # all non-adjacent sample pairs within one segment length of each other;
-    # the capture radius must reach the longest segment or crossings sitting
-    # between samples could slip through
-    pts = np.column_stack([z.real, z.imag])
-    pairs = _close_pairs(pts, capture)
-    min_sep = max(2, t_grid // 2048)
-    candidates: list[tuple[int, int]] = []
-    if len(pairs):
-        pi, pj = pairs[:, 0], pairs[:, 1]
-        gap = np.minimum(pj - pi, t_grid - (pj - pi))
-        pi, pj = pi[gap > min_sep], pj[gap > min_sep]
-        # keep only discrete closest approaches: sliding either index (or
-        # both, for contacts where the branches run parallel) must not get
-        # closer, else every slow arc floods the refiner with duplicates
-        d = np.abs(z[pi] - z[pj])
-        keep = np.ones(len(pi), dtype=bool)
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)):
-            keep &= d <= np.abs(z[(pi + di) % t_grid] - z[(pj + dj) % t_grid])
-        candidates = sorted(zip(pi[keep].tolist(), pj[keep].tolist()))
-
-    antipodal = _all_frequencies_odd(c)
-    refined = [_refine_pair(c, float(t[i]), float(t[j]), scale) for i, j in candidates]
-    hits = []
-    dropped = 0
-    for t1, t2, resid in refined:
-        t1, t2 = t1 % 1.0, t2 % 1.0
-        if t1 > t2:
-            t1, t2 = t2, t1
-        gap = min(t2 - t1, 1.0 - (t2 - t1))
-        if gap <= 1.0 / t_grid:
-            dropped += 1
-            continue
-        if antipodal and abs((t2 - t1) - 0.5) < 1e-6:
-            polished = _polish_antipodal(c, t1, scale)
-            if polished is not None:
-                t1 = polished % 1.0
-                t2 = (t1 + 0.5) % 1.0
-                if t1 > t2:
-                    t1, t2 = t2, t1
-                resid = abs(complex(eval_complex(c, t1) - eval_complex(c, t2)))
-        if resid > accept_tol:
-            dropped += 1
-            continue
-        hits.append((t1, t2, resid))
-    if dropped:
-        log.debug("self_intersections: dropped %d unresolved candidates", dropped)
-
-    kept = _merge_duplicates(hits)
-
-    grid_n = _rational_grid_size(spec)
-    records = []
-    for t1, t2, _ in kept:
-        z1 = complex(eval_complex(c, t1))
-        z2 = complex(eval_complex(c, t2))
-        point = PlanePoint.from_complex((z1 + z2) / 2.0)
-        on_grid = False
-        pair = None
-        if grid_n is not None:
-            j1, j2 = round(t1 * grid_n), round(t2 * grid_n)
-            if abs(t1 - j1 / grid_n) < 1e-9 and abs(t2 - j2 / grid_n) < 1e-9:
-                on_grid = True
-                pair = (int(j1 % grid_n), int(j2 % grid_n))
-        records.append(
-            IntersectionRecord(
-                t1=t1, t2=t2, point=point, on_rational_grid=on_grid, grid_index_pair=pair
-            )
+    if not isinstance(spec, TwoTermSpec):
+        raise TypeError(f"self_intersections needs a TwoTermSpec, not {spec!r}")
+    a, b, s = spec.a, spec.b, spec.s
+    if math.gcd(a, b) > 1 or s == 1.0 or (s == -1.0 and a > 1):
+        raise ValueError(
+            f"({a},{b},{s}) retraces itself, so its self-intersections form a continuum"
         )
+    half_gaps = _half_gap_roots(a, b, s)
+    d = b - a
+    centre = np.concatenate([np.full(len(half_gaps[m % 2]), m / (2 * d)) for m in range(d)])
+    u = np.concatenate([half_gaps[m % 2] for m in range(d)])
+    # centre - u lies in (-1/2, 1/2); the final % 1.0 turns a tiny negative
+    # one, which rounds to 1.0 once wrapped, into 0.0
+    first = np.where(centre < u, centre - u + 1.0, centre - u) % 1.0
+    second = centre + u
+    t1, t2 = np.minimum(first, second), np.maximum(first, second)
+    order = np.lexsort((t2, t1))
+    t1, t2 = t1[order], t2[order]
+    z1, z2 = eval_complex(spec, t1), eval_complex(spec, t2)
+    x, y = 0.5 * (z1.real + z2.real), 0.5 * (z1.imag + z2.imag)
+
+    n = b * b - a * a
+    records = []
+    for r1, r2, px, py in zip(t1.tolist(), t2.tolist(), x.tolist(), y.tolist()):
+        pair = None
+        if s == 0.0:
+            j1, j2 = round(r1 * n), round(r2 * n)
+            if abs(r1 - j1 / n) < 1e-9 and abs(r2 - j2 / n) < 1e-9:
+                pair = (j1 % n, j2 % n)
+        records.append(IntersectionRecord(r1, r2, PlanePoint(px, py), pair is not None, pair))
     return records
 
 
-def _merge_duplicates(hits: list[tuple[float, float, float]]) -> list[tuple[float, float, float]]:
-    """Collapse (t1, t2, residual) hits that lie within 1e-4 of each other.
+def _half_gap_roots(a: int, b: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of g_+ and of g_- in (0, 1/2), each sorted, for |s| < 1.
 
-    Tangential contacts can leave several nearby converged copies, of which
-    the smallest residual wins.  Hits are taken in ascending order, and each
-    one merges into the first kept record, in the order kept, that lies
-    within 1e-4 in both parameters.  A kept t1 only grows, and never beyond
-    the current hit's, so only the records whose t1 is within 2e-4 of the
-    hit's can match it, plus those with t1 < 2e-4, which match across the
-    wrap at t = 1; a record that leaves that window never matches again.
+    Inside (0, 1/2) g has the sign of its numerator
+    h(u) = (1-s) sin(2 pi a u) +- (1+s) sin(2 pi b u), since sin(2 pi u) > 0,
+    so the scan and the bisection evaluate h.  At the ends h vanishes, and
+    g takes its closed-form values there.
     """
-    kept: list[tuple[float, float, float]] = []
-    near: list[int] = []  # indices of the kept records that can still match, ascending
-    for t1, t2, resid in sorted(hits):
-        near = [k for k in near if kept[k][0] >= t1 - 2e-4 or kept[k][0] < 2e-4]
-        for k in near:
-            u1, u2, ur = kept[k]
-            if _circ(t1, u1) < 1e-4 and _circ(t2, u2) < 1e-4:
-                if resid < ur:
-                    kept[k] = (t1, t2, resid)
-                break
-        else:
-            near.append(len(kept))
-            kept.append((t1, t2, resid))
-    return sorted(kept)
-
-
-def _circ(x: float, y: float) -> float:
-    d = abs(x - y) % 1.0
-    return min(d, 1.0 - d)
-
-
-def _rational_grid_size(spec: AnySpec) -> Optional[int]:
-    """b^2 - a^2 for a balanced two-term spec, else None."""
-    if isinstance(spec, TwoTermSpec):
-        if spec.s == 0:
-            return spec.b**2 - spec.a**2
-        return None
-    c = as_curve(spec)
-    if len(c.terms) != 2:
-        return None
-    (f1, w1), (f2, w2) = [(t.frequency, t.weight) for t in c.terms]
-    if abs(w1 - 1.0) < 1e-12 and abs(w2 - 1.0) < 1e-12 and 1 <= f1 < f2:
-        return f2**2 - f1**2
-    return None
+    n = 256 * (a + b)
+    u = np.arange(n // 2 + 1) / n
+    wa = 1.0 - s
+    sin_a, sin_b = _sin_turns(a, u[1:-1]), _sin_turns(b, u[1:-1])
+    grid_roots, brackets, v_lo, weights = [], [], [], []
+    for w in (1.0 + s, -(1.0 + s)):
+        ends = [wa * a + w * b, (-1) ** (a - 1) * wa * a + (-1) ** (b - 1) * w * b]
+        # an end value vanishes only at the cusp weight, which a float
+        # weight misses by a rounding
+        ends = [0.0 if abs(e) <= 1e-12 * (wa * a + abs(w) * b) else e for e in ends]
+        v = np.concatenate([ends[:1], wa * sin_a + w * sin_b, ends[1:]])
+        grid_roots.append(u[1:-1][v[1:-1] == 0.0])
+        bracket = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+        brackets.append(bracket)
+        v_lo.append(v[bracket])
+        weights.append(np.full(len(bracket), w))
+    # each bracket carries the weight of its own sign
+    wb = np.concatenate(weights)
+    bracket = np.concatenate(brackets)
+    found = _bisect_brackets(
+        lambda x: wa * _sin_turns(a, x) + wb * _sin_turns(b, x),
+        u[bracket],
+        u[bracket + 1],
+        np.concatenate(v_lo),
+    )
+    plus, minus = np.split(found, [len(brackets[0])])
+    return np.sort(np.append(grid_roots[0], plus)), np.sort(np.append(grid_roots[1], minus))
 
 
 def grid_intersection_check(a: int, b: int) -> bool:
@@ -355,7 +233,7 @@ def grid_intersection_check(a: int, b: int) -> bool:
 
     def matches(pair, reference):
         return any(
-            _circ(pair[0], q[0]) < 1e-9 and _circ(pair[1], q[1]) < 1e-9
+            _circ_dist(pair[0], q[0]) < 1e-9 and _circ_dist(pair[1], q[1]) < 1e-9
             for q in reference
         )
 

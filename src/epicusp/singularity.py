@@ -312,6 +312,26 @@ def _sin_turns(f: int, t: np.ndarray) -> np.ndarray:
     return np.sin(2.0 * np.pi * (u - np.floor(u)))
 
 
+def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, v_lo: np.ndarray) -> np.ndarray:
+    """One root of f in each sign-change bracket [lo, hi], all halved at once.
+
+    v_lo holds f(lo).  f maps an array of points, one per bracket, to its
+    values there.  Every bracket is halved until its ends are adjacent
+    floats; of the two, the end with the smaller |f| is returned, so that a
+    root which is itself a float, such as t = 1/2, comes out exactly.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        v_mid = f(mid)
+        up = live & (np.sign(v_mid) == np.sign(v_lo))
+        lo, v_lo = np.where(up, mid, lo), np.where(up, v_mid, v_lo)
+        hi = np.where(live & ~up, mid, hi)
+    return np.where(np.abs(f(lo)) <= np.abs(f(hi)), lo, hi)
+
+
 def _x_prime_coefficients(spec: TwoTermSpec) -> tuple[float, float]:
     """(c_a, c_b) with x'(t) = -c_a*sin(2*pi*a*t) - c_b*sin(2*pi*b*t).
 
@@ -363,20 +383,7 @@ def _x_prime_zeros(specs: list[TwoTermSpec]) -> list[list[float]]:
     def xp(u):
         return _x_prime(ca, cb, _sin_turns(a, u), _sin_turns(b, u))
 
-    lo, hi, v_lo = t[bracket], t[bracket + 1], np.concatenate(v_brackets)
-    # halve every bracket at once until its ends are adjacent floats
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = (lo < mid) & (mid < hi)
-        if not live.any():
-            break
-        v_mid = xp(mid)
-        up = live & (np.sign(v_mid) == np.sign(v_lo))
-        lo, v_lo = np.where(up, mid, lo), np.where(up, v_mid, v_lo)
-        hi = np.where(live & ~up, mid, hi)
-    # keep the end with the smaller |x'|, so that a zero which is itself a
-    # float, such as t = 1/2, comes out exactly
-    ends = np.where(np.abs(xp(lo)) <= np.abs(xp(hi)), lo, hi).tolist()
+    ends = _bisect_brackets(xp, t[bracket], t[bracket + 1], np.concatenate(v_brackets)).tolist()
     out_sets = []
     start = 0
     for zeros, count in zip(grid_zeros, counts):

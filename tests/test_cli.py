@@ -79,6 +79,7 @@ class TestUsageErrors:
             ("wind", "-a", "1", "-b", "3", "-s", "0.5", "--z0", "1,2,3"),
             ("wind", "-a", "1", "-b", "3", "-s", "0.5", "--z0", "nan,0"),
             ("cusps", "-a", "1", "-b", "3", "--s-grid", "64"),
+            ("intersect", "-a", "1", "-b", "3", "-s", "0", "-n", "4096"),
         ],
     )
     def test_exit_code_two(self, capsys, argv):
@@ -143,6 +144,20 @@ class TestIntersect:
             t1, t2, x, y, on_grid = line.split(",")
             assert float(t1) < float(t2)
             assert on_grid in ("true", "false")
+
+    @pytest.mark.parametrize("a,b,s", [("2", "4", "0.3"), ("1", "3", "1"), ("2", "5", "-1")])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_continuum_reports_the_error(self, capsys, a, b, s, fmt):
+        rc, out = run_cli(capsys, "intersect", "-a", a, "-b", b, "-s", s, "--format", fmt)
+        assert rc == 1
+        payload = json.loads(out)
+        assert payload["error"] == "ValueError"
+        assert "continuum" in payload["message"]
+
+    def test_the_simple_circle_has_none(self, capsys):
+        rc, out = run_cli(capsys, "intersect", "-a", "1", "-b", "3", "-s", "-1")
+        assert rc == 0
+        assert out == ""
 
 
 class TestPlotAndSweep:

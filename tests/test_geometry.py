@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from epicusp import (
     self_intersections,
     verify_symmetry,
 )
+from epicusp import geometry
 from epicusp.curve import eval_complex
-from epicusp.geometry import _circ, _close_pairs, _merge_duplicates
 
 
 class TestVerifySymmetry:
@@ -82,15 +84,6 @@ class TestSelfIntersections:
             assert abs(r.t1 - j1 / 8.0) < 1e-9
             assert abs(r.t2 - j2 / 8.0) < 1e-9
 
-    def test_generic_spec_matches_two_term_route(self):
-        generic = CurveSpec.from_pairs([(1, 1.0), (4, 1.0)])
-        a = [(r.t1, r.t2) for r in self_intersections(generic)]
-        b = [(r.t1, r.t2) for r in self_intersections(TwoTermSpec(1, 4, 0.0))]
-        assert len(a) == len(b)
-        for (u1, u2), (v1, v2) in zip(a, b):
-            assert u1 == pytest.approx(v1, abs=1e-9)
-            assert u2 == pytest.approx(v2, abs=1e-9)
-
     def test_records_are_genuine_coincidences(self):
         from epicusp import evaluate
 
@@ -124,34 +117,40 @@ class TestSelfIntersections:
         assert all(not r.on_rational_grid for r in records)
         assert all(r.grid_index_pair is None for r in records)
 
-    def test_rejects_coarse_grids(self):
-        with pytest.raises(ValueError):
-            self_intersections(TwoTermSpec(1, 3, 0.0), t_grid=128)
-
-
-class TestClosePairs:
     @pytest.mark.parametrize(
-        "spec",
-        [
-            TwoTermSpec(1, 3, 0.0),
-            TwoTermSpec(2, 7, 0.25),
-            TwoTermSpec(5, 13, -0.6),
-            CurveSpec.from_pairs([(-2, 0.7), (3, 1.0), (5, 0.3 + 0.2j)]),
-        ],
+        "a,b,s", [(2, 4, 0.3), (3, 9, 0.0), (1, 3, 1.0), (2, 5, 1.0), (2, 5, -1.0), (3, 4, -1.0)]
     )
-    @pytest.mark.parametrize("radius_in_segments", [1.0, 3.5])
-    def test_matches_the_brute_force_distance_matrix(self, spec, radius_in_segments):
-        n = 512
-        z = eval_complex(spec, np.arange(n) / n)
-        r = radius_in_segments * float(np.max(np.abs(np.diff(z))))
-        pts = np.column_stack([z.real, z.imag])
-        dx = pts[:, None, 0] - pts[None, :, 0]
-        dy = pts[:, None, 1] - pts[None, :, 1]
-        near = np.triu(dx * dx + dy * dy <= r * r, k=1)
-        expected = {tuple(p) for p in np.argwhere(near).tolist()}
-        got = _close_pairs(pts, r).tolist()
-        assert len(got) == len(expected)
-        assert {tuple(p) for p in got} == expected
+    def test_a_continuum_raises(self, a, b, s):
+        # a shared factor, s = 1 or s = -1 with a >= 2: the curve retraces itself
+        with pytest.raises(ValueError, match="continuum"):
+            self_intersections(TwoTermSpec(a, b, s))
+
+    @pytest.mark.parametrize("b", [2, 3, 7])
+    def test_the_simple_circle_has_none(self, b):
+        assert self_intersections(TwoTermSpec(1, b, -1.0)) == []
+
+    def test_needs_a_two_term_spec(self):
+        with pytest.raises(TypeError):
+            self_intersections(CurveSpec.from_pairs([(1, 1.0), (4, 1.0)]))
+
+    def test_a_pair_just_across_t_zero_stays_below_one(self, monkeypatch):
+        # for (1, 3) the odd centre is 1/4; a half gap one float above it
+        # puts t1 an ulp below 0, which wraps to 1 - 2**-54, a float 1.0
+        u = np.nextafter(0.25, 1.0)
+        monkeypatch.setattr(geometry, "_half_gap_roots", lambda a, b, s: (np.array([]), np.array([u])))
+        (r,) = self_intersections(TwoTermSpec(1, 3, 0.3))
+        assert (r.t1, r.t2) == (0.0, 0.25 + u)
+
+    @pytest.mark.parametrize(
+        "a,b,s,exact,count",
+        [(2, 3, -0.2, Fraction(-1, 5), 1), (1, 3, -0.49999, -0.49999, 2), (1, 3, -0.50001, -0.50001, 0)],
+    )
+    def test_loops_at_and_next_to_the_cusp_weight(self, a, b, s, exact, count):
+        # the float nearest the cusp weight -1/5 of (2, 3) stands for it, and
+        # the cusp itself is no intersection; just past the cusp weight of
+        # (1, 3) the two new loops are tiny but real
+        assert len(self_intersections(TwoTermSpec(a, b, s))) == count
+        assert intersection_count(a, b, exact) == count
 
 
 class TestGridCheck:
@@ -168,71 +167,156 @@ class TestGridCheck:
             grid_intersection_check(3, 2)
 
 
-def reference_merge(hits):
-    """The quadratic cluster loop that _merge_duplicates replaced, kept as
-    its reference: every hit is compared with every kept record."""
-    hits = sorted(hits)
-    kept = []
-    for t1, t2, resid in hits:
-        merged = False
-        for k, (u1, u2, ur) in enumerate(kept):
-            if _circ(t1, u1) < 1e-4 and _circ(t2, u2) < 1e-4:
-                if resid < ur:
-                    kept[k] = (t1, t2, resid)
-                merged = True
-                break
-        if not merged:
-            kept.append((t1, t2, resid))
-    kept.sort()
-    return kept
+# --- exact oracles ---------------------------------------------------------
+#
+# gamma(t1) = gamma(t2) with t1 = m/(2(b-a)) - u, t2 = m/(2(b-a)) + u and
+# 0 < u < 1/2 holds for the u with g(cos 2 pi u) = 0, where
+# g = (1-s) U_{a-1} + (-1)^m (1+s) U_{b-1} (see the geometry module), and
+# every pair arises from one m in 0..b-a-1.  The roots of g in (-1, 1) are
+# counted by a Sturm sequence in rational arithmetic.
 
 
-# parameters at the ends of [0, 1], where clusters meet across the wrap
-EDGES = st.sampled_from([0.0, 2e-5, 9e-5, 1.5e-4, 0.5, 1.0 - 1.5e-4, 1.0 - 9e-5, 1.0 - 2e-5, 1.0])
+def chebyshev_u(k: int) -> list[Fraction]:
+    """Coefficients, lowest first, of U_k, from U_{k+1} = 2x U_k - U_{k-1}."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(2)]
+    if k == 0:
+        return prev
+    for _ in range(k - 1):
+        nxt = [Fraction(0)] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
 
 
-@st.composite
-def clustered_hits(draw):
-    """(t1, t2, residual) hits in clusters of spread ~1e-4 on [0, 1]."""
-    centre = EDGES | st.floats(0.0, 1.0)
-    centres = draw(st.lists(st.tuples(centre, centre), min_size=1, max_size=4))
-    jitter = st.floats(-3e-4, 3e-4)
-    residual = st.sampled_from([0.0, 1e-12, 1e-10]) | st.floats(0.0, 1e-9)
-    hits = []
-    for _ in range(draw(st.integers(1, 40))):
-        c1, c2 = draw(st.sampled_from(centres))
-        t1 = min(max(c1 + draw(jitter), 0.0), 1.0)
-        t2 = min(max(c2 + draw(jitter), 0.0), 1.0)
-        hits.append((min(t1, t2), max(t1, t2), draw(residual)))
-    return hits
+def _trim(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
 
 
-class TestMergeDuplicates:
-    @settings(max_examples=200, deadline=None)
-    @given(clustered_hits())
-    def test_sweep_equals_the_quadratic_loop(self, hits):
-        assert repr(_merge_duplicates(hits)) == repr(reference_merge(hits))
+def _value(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
-    def test_clusters_meet_across_the_wrap(self):
-        # the last hit lies within 1e-4 of the first across t = 1 and has
-        # the smaller residual, so it replaces it
-        hits = [(2e-5, 1.0 - 1e-5, 1e-12), (0.5, 0.6, 1e-12), (1.0 - 3e-5, 1.0 - 1e-6, 1e-13)]
-        assert _merge_duplicates(hits) == reference_merge(hits) == [
-            (0.5, 0.6, 1e-12),
-            (1.0 - 3e-5, 1.0 - 1e-6, 1e-13),
-        ]
 
-    def test_the_first_kept_match_wins(self):
-        # the third hit moves record 0 past record 1 in t1; the fourth hit
-        # lies within 1e-4 of both and merges into record 0, kept first
-        hits = [(0.1, 0.2, 1e-10), (0.10005, 0.2002, 1e-10), (0.10008, 0.20005, 1e-11), (0.1001, 0.20013, 1e-13)]
-        assert _merge_duplicates(hits) == reference_merge(hits) == [
-            (0.10005, 0.2002, 1e-10),
-            (0.1001, 0.20013, 1e-13),
-        ]
+def roots_inside(p: list[Fraction]) -> int:
+    """Distinct roots of p in the open interval (-1, 1), p not zero."""
+    p = _trim(p)
+    for end in (1, -1):
+        while len(p) > 1 and _value(p, end) == 0:
+            # divide by (x - end)
+            q, carry = [Fraction(0)] * (len(p) - 1), Fraction(0)
+            for i in range(len(p) - 1, 0, -1):
+                carry = p[i] + carry * end
+                q[i - 1] = carry
+            p = q
+    if len(p) <= 1:
+        return 0
+    seq = [p, _trim([i * c for i, c in enumerate(p)][1:])]
+    while len(seq[-1]) > 1:
+        rem = list(seq[-2])
+        while len(rem) >= len(seq[-1]):
+            q, shift = rem[-1] / seq[-1][-1], len(rem) - len(seq[-1])
+            for i, c in enumerate(seq[-1]):
+                rem[i + shift] -= q * c
+            rem = _trim(rem[:-1])
+        if not rem:
+            break
+        seq.append([-c for c in rem])
 
-    def test_a_replaced_record_is_matched_at_its_new_place(self):
-        # each hit moves the record by less than 1e-4; the last one lies
-        # 2.5e-4 past where the record started
-        hits = [(0.1, 0.2, 1e-10), (0.10009, 0.2, 1e-11), (0.10018, 0.2, 1e-12), (0.10025, 0.2, 1e-13)]
-        assert _merge_duplicates(hits) == reference_merge(hits) == [(0.10025, 0.2, 1e-13)]
+    def sign_changes(x):
+        signs = [v > 0 for v in (_value(q, x) for q in seq) if v != 0]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return sign_changes(-1) - sign_changes(1)
+
+
+def intersection_count(a: int, b: int, s) -> int:
+    """The number of self-intersection pairs of (a, b, s), exactly."""
+    s = Fraction(s)
+    counts = []
+    for sign in (1, -1):
+        g = [Fraction(0)] * b
+        for i, c in enumerate(chebyshev_u(a - 1)):
+            g[i] += (1 - s) * c
+        for i, c in enumerate(chebyshev_u(b - 1)):
+            g[i] += sign * (1 + s) * c
+        counts.append(roots_inside(g))
+    d = b - a
+    return (d + 1) // 2 * counts[0] + d // 2 * counts[1]
+
+
+def check_records(spec: TwoTermSpec, records: list[IntersectionRecord]) -> None:
+    """Ordered parameters in [0, 1), genuine meetings, point = gamma(t1)."""
+    assert all(0.0 <= r.t1 < r.t2 < 1.0 for r in records)
+    t1 = np.array([r.t1 for r in records])
+    t2 = np.array([r.t2 for r in records])
+    z1, z2 = eval_complex(spec, t1), eval_complex(spec, t2)
+    scale = 2.0  # |1 - s| + |1 + s|
+    assert np.all(np.abs(z1 - z2) <= 1e-9 * scale)
+    points = np.array([r.point.as_complex() for r in records], dtype=complex)
+    assert np.all(np.abs(points - z1) <= 1e-9 * scale)
+
+
+def oracle_weights(a: int, b: int) -> list[tuple[float, Fraction]]:
+    """(weight passed in, exact weight of the answer): s = 0, +-1e-6, the cusp
+    weight, next to it, near +-1 and two random ones.  The float nearest
+    the cusp weight stands for the cusp weight itself."""
+    s_bar = Fraction(a - b, a + b)
+    near = [float(s_bar) + d for d in (1e-4, -1e-4, 1e-6)]
+    rng = random.Random(100 * a + b)
+    floats = [0.0, 1e-6, -1e-6, *near, 0.99, -0.99, 0.999999, rng.uniform(-1, 1), rng.uniform(-1, 1)]
+    return [(float(s_bar), s_bar)] + [(s, Fraction(s)) for s in floats]
+
+
+COPRIME_12 = [(a, b) for b in range(2, 13) for a in range(1, b) if math.gcd(a, b) == 1]
+COPRIME_40 = [(a, b) for b in range(2, 41) for a in range(1, b) if math.gcd(a, b) == 1]
+
+
+class TestExactOracles:
+    def test_chebyshev_u(self):
+        # U_3 = 8x^3 - 4x, and U_{k-1}(1) = k
+        assert chebyshev_u(3) == [0, -4, 0, 8]
+        assert all(_value(chebyshev_u(k - 1), 1) == k for k in range(1, 9))
+
+    def test_the_sturm_count_of_one_three(self):
+        # (1, 3, 0) meets itself three times, at the eighths
+        assert intersection_count(1, 3, 0) == 3
+
+    @pytest.mark.parametrize("a,b", COPRIME_12)
+    def test_counts_equal_the_sturm_count(self, a, b):
+        for s, exact in oracle_weights(a, b):
+            spec = TwoTermSpec(a, b, s)
+            records = self_intersections(spec)
+            assert len(records) == intersection_count(a, b, exact), s
+            check_records(spec, records)
+
+    @pytest.mark.parametrize("b", range(2, 41))
+    def test_balanced_pairs_equal_the_integer_oracle(self, b):
+        # at s = 0 two unit vectors with equal nonzero sums are the same two,
+        # so away from the origin the terms swap: a*t1 = b*t2 and b*t1 = a*t2
+        # mod 1, which puts t1, t2 on the grid j/n, n = b^2 - a^2, with
+        # j2 - j1 a multiple of b - a; the C(b-a, 2) pairs of origin
+        # passages t = h/(2(b-a)) = h(a+b)/(2n), h odd, may lie off it.
+        # Pairs are kept in units of 1/(2n).
+        for a in [a for a, bb in COPRIME_40 if bb == b]:
+            n = b * b - a * a
+            j1 = np.arange(n)[:, None]
+            j2 = j1 + (b - a) * np.arange(1, a + b + 1)[None, :]
+            hit = (j2 < n) & ((a * j1 - b * j2) % n == 0) & ((b * j1 - a * j2) % n == 0)
+            j1 = np.broadcast_to(j1, j2.shape)
+            want = set(zip((2 * j1[hit]).tolist(), (2 * j2[hit]).tolist()))
+            origin = [h * (a + b) for h in range(1, 2 * (b - a), 2)]
+            want |= {(u, v) for i, u in enumerate(origin) for v in origin[i + 1 :]}
+
+            spec = TwoTermSpec(a, b, 0.0)
+            records = self_intersections(spec)
+            check_records(spec, records)
+            got = [(round(r.t1 * 2 * n), round(r.t2 * 2 * n)) for r in records]
+            for r, (k1, k2) in zip(records, got):
+                assert abs(r.t1 - k1 / (2 * n)) < 1e-12 and abs(r.t2 - k2 / (2 * n)) < 1e-12
+            assert len(set(got)) == len(got)
+            assert set(got) == want, (a, b)
