@@ -22,7 +22,6 @@ from .errors import (
     CurveAnalysisError,
     EmptyInput,
     NearPole,
-    NoConvergence,
     NotSingular,
     OnCurve,
     Unresolved,
@@ -77,7 +76,6 @@ __all__ = [
     "IntersectionRecord",
     "KernelParams",
     "NearPole",
-    "NoConvergence",
     "NotSingular",
     "OnCurve",
     "PlanePoint",

@@ -181,6 +181,53 @@ def eval_complex(spec: AnySpec, t, order: int = 0) -> np.ndarray:
     return out
 
 
+def eval_grid(spec: AnySpec, n: int) -> np.ndarray:
+    """gamma(j/n) for j = 0..n-1, read from one table of n-th roots of unity.
+
+    exp(2*pi*i*f*j/n) is the table entry at the integer index
+    (f mod n)*j mod n, so the phase is reduced exactly and each term costs
+    a gather instead of a cos and a sin.  The table's angles are those
+    eval_complex computes for the exact fractions k/n, and the weights are
+    applied and summed in the same order, so at a power-of-two n, where
+    j/n is exact, the result has the same bits as
+    eval_complex(spec, np.arange(n) / n) for every TwoTermSpec.  At other n
+    it is the more accurate of the two, by trailing digits.
+    """
+    c = as_curve(spec)
+    table = _unit_roots(n)
+    j = np.arange(n)
+    out = np.zeros(n, dtype=complex)
+    for term in c.terms:
+        e = table[(term.frequency % n) * j % n]
+        np.multiply(term.weight, e, out=e)
+        out += e
+    return out
+
+
+_TABLE_CACHE_LIMIT = 65_536  # larger tables are built per call, not kept alive
+
+
+def _unit_roots(n: int) -> np.ndarray:
+    """The read-only table exp(2*pi*i*k/n), k = 0..n-1."""
+    if n > _TABLE_CACHE_LIMIT:
+        return _build_unit_roots(n)
+    return _cached_unit_roots(n)
+
+
+def _build_unit_roots(n: int) -> np.ndarray:
+    if n < 1:
+        raise ValueError("need n >= 1 grid points")
+    angle = 2.0 * np.pi * (np.arange(n) / n)
+    table = np.empty(n, dtype=complex)
+    np.cos(angle, out=table.real)
+    np.sin(angle, out=table.imag)
+    table.flags.writeable = False
+    return table
+
+
+_cached_unit_roots = functools.lru_cache(maxsize=16)(_build_unit_roots)
+
+
 def _eval_scalar(c: CurveSpec, t: float, order: int) -> complex | None:
     """eval_complex at one float t in Python arithmetic, or None.
 
@@ -250,7 +297,7 @@ def sample(spec: AnySpec, n: int) -> list[PlanePoint]:
     """Evaluate the curve on the uniform grid t_j = j/n, j = 0..n-1."""
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    z = eval_complex(spec, np.arange(n) / n)
+    z = eval_grid(spec, n)
     return [PlanePoint(float(v.real), float(v.imag)) for v in z]
 
 

@@ -27,7 +27,3 @@ class WindowTooWide(CurveAnalysisError):
 
 class EmptyInput(CurveAnalysisError):
     """An operation that needs at least one item received none."""
-
-
-class NoConvergence(CurveAnalysisError):
-    """Iterative refinement failed to converge."""

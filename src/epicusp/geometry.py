@@ -2,8 +2,11 @@
 
 The image of gamma_{a,b}^s carries the dihedral symmetry of order b-a for
 coprime a, b: advancing the parameter by 1/(b-a) rotates the point by
-2*pi*a/(b-a), and reversing it mirrors across the x-axis.  Both identities
-are checked by direct sampling.
+2*pi*a/(b-a), and reversing it mirrors across the x-axis.  Both are checked
+on the grid t_j = j/n: the curve is read off one table of n-th roots of
+unity, the reflection gamma(1 - t_j) = gamma(t_{(n-j) mod n}) is read off the
+same samples, and the rotation is checked against an independent
+eval_complex of the shifted parameters.
 
 Self-intersections reduce to one-dimensional roots.  Write
 t1 = sigma/2 - u and t2 = sigma/2 + u.  Since
@@ -46,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import PlanePoint, TwoTermSpec, curve_scale, eval_complex
+from .curve import PlanePoint, TwoTermSpec, curve_scale, eval_complex, eval_grid
 from .singularity import _bisect_brackets, _circ_dist, _sin_turns
 from .winding import zeros_of_curve
 
@@ -87,17 +90,22 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
     The rotation identity gamma(t + 1/(b-a)) = R_{2*pi*a/(b-a)} gamma(t)
     holds for every weight s (the weights multiply both sides equally);
     the reflection identity gamma(1-t) = conj(gamma(t)) needs only real
-    weights.  Deviations are maxima of pointwise distances.  Non-coprime
-    (a, b) get coprime=False rather than an error; |s| = 1 is flagged
-    degenerate (the image is a circle, whose symmetry group is larger).
+    weights.  Deviations are maxima of pointwise distances.  The samples
+    gamma(j/n) come from eval_grid; since 1 - j/n = (n-j)/n mod 1 the
+    reflected samples are the same array at index (n-j) mod n, with no
+    second evaluation.  The shifted samples gamma(j/n + 1/(b-a)) come from
+    eval_complex, so the rotation identity compares two independent
+    evaluations.  Non-coprime (a, b) get coprime=False rather than an
+    error; |s| = 1 is flagged degenerate (the image is a circle, whose
+    symmetry group is larger).
     """
     if n < 100:
         raise ValueError("need n >= 100")
-    t = np.arange(n) / n
-    z = eval_complex(spec, t)
-    shift = eval_complex(spec, t + 1.0 / (spec.b - spec.a))
+    j = np.arange(n)
+    z = eval_grid(spec, n)
+    shift = eval_complex(spec, j / n + 1.0 / (spec.b - spec.a))
     rot = np.exp(2j * np.pi * spec.a / (spec.b - spec.a)) * z
-    refl = eval_complex(spec, 1.0 - t)
+    refl = z[-j]
     return SymmetryReport(
         claimed_order=spec.b - spec.a,
         rotation_deviation=float(np.max(np.abs(shift - rot))),

@@ -22,6 +22,7 @@ from .curve import (
     as_curve,
     derivative_scale,
     eval_complex,
+    eval_grid,
     sample,
     spec_to_wire,
 )
@@ -227,7 +228,7 @@ def export_samples(spec: AnySpec, n: int, format: str = "csv") -> str:
         raise ValueError("need n >= 2")
     c = as_curve(spec)
     t = np.arange(n) / n
-    z = eval_complex(c, t)
+    z = eval_grid(c, n)
     if format == "csv":
         rows = ["t,x,y"]
         rows.extend(

@@ -16,10 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curve import AnySpec, PlanePoint, TwoTermSpec, curve_scale, eval_complex
+from .curve import AnySpec, PlanePoint, TwoTermSpec, curve_scale, eval_grid
 from .errors import NearPole, OnCurve, Unresolved
 
 ORIGIN = PlanePoint(0.0, 0.0)
+MAX_WINDING_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,27 +66,29 @@ def winding_numeric(spec: AnySpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> Wi
     """Winding number about z0 by argument tracking on an n-point grid.
 
     Accumulates the principal-value angle increments of gamma(t) - z0
-    between consecutive grid points and rounds the total turning to an
-    integer.  Every increment must stay below pi/2; if the grid is too
-    coarse for that, one doubling retry is attempted before giving up.
+    between consecutive grid points, the last one closing the period back
+    to t = 0, and rounds the total turning to an integer.  Every increment
+    must stay below pi/2; while some does not, the grid is doubled, up to
+    MAX_WINDING_SAMPLES points.
 
     Raises
     ------
     OnCurve
         If some grid sample comes within 1e-9 * curve scale of z0.
     Unresolved
-        If the turning steps stay too large even after doubling, or the
+        If the turning steps still exceed pi/2 on the largest grid, or the
         total turning is not close to an integer multiple of 2*pi.
     """
     if n < 64:
         raise ValueError("need n >= 64")
     z0c = z0.as_complex() if isinstance(z0, PlanePoint) else complex(z0)
     dist_tol = 1e-9 * curve_scale(spec)
-    for m in (n, 2 * n):
-        t = np.arange(m + 1) / m  # closing sample repeats t=0 at t=1
-        w = eval_complex(spec, t) - z0c
+    m = n
+    while True:
+        w = eval_grid(spec, m) - z0c
         if np.min(np.abs(w)) <= dist_tol:
             raise OnCurve("base point lies on the curve within tolerance")
+        w = np.append(w, w[0])
         steps = np.angle(w[1:] * np.conj(w[:-1]))
         if np.max(np.abs(steps)) <= np.pi / 2:
             total = float(np.sum(steps))
@@ -94,7 +97,9 @@ def winding_numeric(spec: AnySpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> Wi
             if residual >= 0.25:
                 raise Unresolved(f"total turning {total} is far from any integer")
             return WindingResult(value=value, residual=residual, samples=m)
-    raise Unresolved("turning steps exceed pi/2 even after grid doubling")
+        if 2 * m > MAX_WINDING_SAMPLES:
+            raise Unresolved(f"turning steps exceed pi/2 on {m} samples")
+        m *= 2
 
 
 def kernel_integral(p: KernelParams, n: int = 2048) -> complex:

@@ -47,6 +47,11 @@ class TestWind:
         assert rc == 0
         assert json.loads(out)["value"] == 0
 
+    def test_base_point_that_needs_a_fine_grid(self, capsys):
+        rc, out = run_cli(capsys, "wind", "-a", "7", "-b", "60", "-s", "0.2", "--z0", "0.5,0.5")
+        assert rc == 0
+        assert json.loads(out)["value"] == 36
+
     @pytest.mark.parametrize("z0", ["-1,2", "-.5,1"])
     def test_detached_negative_base_point(self, capsys, z0):
         # a detached "-1,2" must reach --z0, or its abbreviation --z, as its

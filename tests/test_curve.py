@@ -20,7 +20,7 @@ from epicusp import (
     spec_from_wire,
     spec_to_wire,
 )
-from epicusp.curve import as_curve, eval_complex
+from epicusp.curve import _unit_roots, as_curve, curve_scale, eval_complex, eval_grid
 
 
 def close(p: PlanePoint, x: float, y: float, tol: float = 1e-12) -> bool:
@@ -229,6 +229,52 @@ class TestRotate:
         back = rotate(rotate(spec, phi), -phi)
         p, q = evaluate(spec, t), evaluate(back, t)
         assert math.hypot(p.x - q.x, p.y - q.y) < 1e-12
+
+
+@st.composite
+def aliased_specs(draw):
+    """Curves with negative frequencies, frequencies past the grid size, complex weights."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    weights = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    return CurveSpec.from_pairs(
+        (draw(st.integers(min_value=-200, max_value=200)), complex(draw(weights), draw(weights)))
+        for _ in range(m)
+    )
+
+
+class TestGrid:
+    """eval_grid against eval_complex on t = j/n."""
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40),
+           st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+           st.integers(min_value=0, max_value=14))
+    @settings(deadline=None)
+    def test_two_term_specs_match_bit_for_bit_at_powers_of_two(self, a, d, s, k):
+        spec, n = TwoTermSpec(a, a + d, s), 2**k
+        assert same_bits(eval_grid(spec, n), eval_complex(spec, np.arange(n) / n))
+
+    @given(aliased_specs(), st.integers(min_value=1, max_value=3000))
+    @settings(deadline=None)
+    def test_any_curve_agrees_at_any_size(self, spec, n):
+        gap = np.max(np.abs(eval_grid(spec, n) - eval_complex(spec, np.arange(n) / n)))
+        assert gap <= 1e-12 * curve_scale(spec)
+
+    def test_the_cached_table_is_read_only(self):
+        table = _unit_roots(1000)
+        before = table.copy()
+        assert table is _unit_roots(1000)
+        with pytest.raises(ValueError):
+            table[1] = 0.0
+        z = eval_grid(CurveSpec.from_pairs([(1, 1.0)]), 1000)
+        z[1] = 0.0  # the result is the caller's own array
+        assert same_bits(table, before)
+
+    def test_large_tables_are_not_kept(self):
+        assert _unit_roots(1 << 17) is not _unit_roots(1 << 17)
+
+    def test_rejects_empty_grids(self):
+        with pytest.raises(ValueError):
+            eval_grid(TwoTermSpec(1, 3, 0.0), 0)
 
 
 class TestSample:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -53,6 +54,35 @@ class TestVerifySymmetry:
         report = verify_symmetry(TwoTermSpec(a, a + d, s), n=256)
         assert report.rotation_deviation < 1e-12
         assert report.reflection_deviation < 1e-12
+
+    def test_complex_weights_break_only_the_reflection(self):
+        report = verify_symmetry(ComplexWeights(2, 5, 0.3))
+        assert report.rotation_deviation < 1e-12
+        assert report.reflection_deviation > 0.1
+        assert not report.verified
+
+    def test_a_wrong_frequency_breaks_the_rotation(self):
+        report = verify_symmetry(WrongFrequency(2, 5, 0.3))
+        assert report.rotation_deviation > 0.1
+        assert report.reflection_deviation < 1e-12
+        assert not report.verified
+
+
+class ComplexWeights(TwoTermSpec):
+    """Both weights turned by e^{0.1i}: a rotated image, no longer mirror-symmetric."""
+
+    def lower(self) -> CurveSpec:
+        turn = cmath.exp(0.1j)
+        return CurveSpec.from_pairs(
+            [(self.a, (1.0 - self.s) * turn), (self.b, (1.0 + self.s) * turn)]
+        )
+
+
+class WrongFrequency(TwoTermSpec):
+    """Frequency b+1 in place of b, which breaks the order b-a rotation."""
+
+    def lower(self) -> CurveSpec:
+        return CurveSpec.from_pairs([(self.a, 1.0 - self.s), (self.b + 1, 1.0 + self.s)])
 
 
 def record_near(records: list[IntersectionRecord], t1: float, t2: float, tol: float = 1e-6):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from epicusp import (
     winding_numeric,
     zeros_of_curve,
 )
+from epicusp import winding
 
 ORIGIN = PlanePoint(0.0, 0.0)
 
@@ -68,7 +70,8 @@ class TestNumeric:
             winding_numeric(TwoTermSpec(1, 3, 0.4), z0, 512)
 
     def test_base_point_barely_off_curve(self):
-        # close enough that angle steps stay too coarse after one retry
+        # close enough that angle steps stay too coarse on every grid up to
+        # MAX_WINDING_SAMPLES
         p = evaluate(TwoTermSpec(1, 3, 0.4), 0.3)
         z0 = PlanePoint(p.x + 1e-7, p.y)
         with pytest.raises(Unresolved):
@@ -86,6 +89,37 @@ class TestNumeric:
     def test_samples_field_reports_grid_used(self):
         res = winding_numeric(TwoTermSpec(1, 2, 0.5), ORIGIN, 128)
         assert res.samples in (128, 256)
+
+
+def roots_inside(a: int, b: int, s: float, z0: complex) -> int:
+    """Zeros of (1+s)w^b + (1-s)w^a - z0 in |w| < 1: the winding number about z0."""
+    coeffs = np.zeros(b + 1, dtype=complex)
+    coeffs[0] = 1.0 + s
+    coeffs[b - a] = 1.0 - s
+    coeffs[b] = -z0
+    moduli = np.abs(np.roots(coeffs))
+    assert np.min(np.abs(moduli - 1.0)) > 1e-6  # no root near the circle: a sound count
+    return int(np.sum(moduli < 1.0))
+
+
+class TestGridGrowth:
+    """(7, 60, 0.2) needs grids far past 4096 points about most base points."""
+
+    def test_off_centre_base_point(self):
+        res = winding_numeric(TwoTermSpec(7, 60, 0.2), PlanePoint(0.5, 0.5))
+        assert res.value == roots_inside(7, 60, 0.2, 0.5 + 0.5j) == 36
+        assert res.samples == 131072
+
+    def test_random_base_points_match_the_root_count(self):
+        rng = np.random.default_rng(2024)
+        for x, y in rng.uniform(-2.0, 2.0, (8, 2)):
+            res = winding_numeric(TwoTermSpec(7, 60, 0.2), PlanePoint(x, y))
+            assert res.value == roots_inside(7, 60, 0.2, complex(x, y)), (x, y)
+
+    def test_gives_up_past_the_largest_grid(self, monkeypatch):
+        monkeypatch.setattr(winding, "MAX_WINDING_SAMPLES", 65536)
+        with pytest.raises(Unresolved):
+            winding_numeric(TwoTermSpec(7, 60, 0.2), PlanePoint(0.5, 0.5))
 
 
 class TestKernelIntegral:
