@@ -35,6 +35,8 @@ form, U_{k-1}(1) = k and U_{k-1}(-1) = (-1)^(k-1) k:
 
 g_-(0) and one of the g_+-(1/2) vanish at the cusp weight
 s = (a-b)/(a+b), where the loop a cusp gives birth to still has zero size.
+singularity._level_roots finds the roots from g's numerator, whose sign
+it shares inside (0, 1/2).
 
 For the balanced weight s = 0 every intersection parameter lies on the
 rational grid j/(b^2 - a^2), except that passages through the origin may
@@ -50,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .curve import PlanePoint, TwoTermSpec, curve_scale, eval_complex, eval_grid
-from .singularity import _bisect_brackets, _circ_dist, _sin_turns
+from .singularity import _circ_dist, _level_roots
 from .winding import zeros_of_curve
 
 
@@ -119,13 +121,9 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
     """Every parameter pair (t1, t2), t1 < t2 in [0, 1), with gamma(t1) = gamma(t2).
 
     The pairs come from the roots of g_+ and g_- on (0, 1/2), as set out in
-    the module docstring.  The sign of each g is scanned on
-    u = j/(256(a+b)); its end values are taken in closed form and set to
-    exactly 0 within 1e-12 of their scale, which marks the cusp weight.  A
-    scan point where g is exactly 0 is a root (the tangential contact of
-    (1, 3, 0) at the origin is one), and the sign changes of both g are
-    bisected together down to adjacent floats.  Records are sorted by t1,
-    and their point is the mean of gamma(t1) and gamma(t2).
+    the module docstring; singularity._level_roots finds them, and a
+    double root, where a loop is born or dies, is one record.  Records are
+    sorted by t1, and their point is the mean of gamma(t1) and gamma(t2).
 
     For the balanced weight s = 0 each record is tested against the
     rational grid j/(b^2 - a^2): both parameters within 1e-9 of grid
@@ -172,41 +170,9 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
     return records
 
 
-def _half_gap_roots(a: int, b: int, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of g_+ and of g_- in (0, 1/2), each sorted, for |s| < 1.
-
-    Inside (0, 1/2) g has the sign of its numerator
-    h(u) = (1-s) sin(2 pi a u) +- (1+s) sin(2 pi b u), since sin(2 pi u) > 0,
-    so the scan and the bisection evaluate h.  At the ends h vanishes, and
-    g takes its closed-form values there.
-    """
-    n = 256 * (a + b)
-    u = np.arange(n // 2 + 1) / n
-    wa = 1.0 - s
-    sin_a, sin_b = _sin_turns(a, u[1:-1]), _sin_turns(b, u[1:-1])
-    grid_roots, brackets, v_lo, weights = [], [], [], []
-    for w in (1.0 + s, -(1.0 + s)):
-        ends = [wa * a + w * b, (-1) ** (a - 1) * wa * a + (-1) ** (b - 1) * w * b]
-        # an end value vanishes only at the cusp weight, which a float
-        # weight misses by a rounding
-        ends = [0.0 if abs(e) <= 1e-12 * (wa * a + abs(w) * b) else e for e in ends]
-        v = np.concatenate([ends[:1], wa * sin_a + w * sin_b, ends[1:]])
-        grid_roots.append(u[1:-1][v[1:-1] == 0.0])
-        bracket = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
-        brackets.append(bracket)
-        v_lo.append(v[bracket])
-        weights.append(np.full(len(bracket), w))
-    # each bracket carries the weight of its own sign
-    wb = np.concatenate(weights)
-    bracket = np.concatenate(brackets)
-    found = _bisect_brackets(
-        lambda x: wa * _sin_turns(a, x) + wb * _sin_turns(b, x),
-        u[bracket],
-        u[bracket + 1],
-        np.concatenate(v_lo),
-    )
-    plus, minus = np.split(found, [len(brackets[0])])
-    return np.sort(np.append(grid_roots[0], plus)), np.sort(np.append(grid_roots[1], minus))
+def _half_gap_roots(a: int, b: int, s: float) -> list[np.ndarray]:
+    """The roots of g_+ and of g_- in (0, 1/2), each sorted, for coprime a, b."""
+    return _level_roots(a, b, 1.0, np.array([[1.0], [-1.0]]), np.full(2, s))
 
 
 def grid_intersection_check(a: int, b: int) -> bool:

@@ -14,11 +14,17 @@ the offset shrinks.  The module also carries the rotation construction
 that places a chosen cusp on the vertical axis, the closed-form parametric
 derivative in that rotated frame, and the loop-birth count that detects
 the small loop a cusp unfolds into.
+
+The zeros of x'(t) and the self-intersections (geometry.py) are both the
+roots u in (0, 1/2) of w_a*sin(2*pi*a*u) + w_b*sin(2*pi*b*u), i.e. level
+sets of R(u) = sin(2*pi*b*u) / sin(2*pi*a*u); one kernel, _level_roots,
+finds them between the breakpoints of R that _monotone_pieces lists.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -267,12 +273,9 @@ def loop_birth_count(
 def undefined_derivative_set(a: int, b: int, s: float) -> list[float]:
     """Parameters in [0, 1) where the parametric derivative is undefined.
 
-    For (a, b) = (1, 3) the set is known in closed form: t = 0 and 1/2
-    always, plus the four solutions of 4*pi*t = +-arccos((-2-s)/(3(1+s)))
-    mod pi once s >= -1/2 (they coincide in pairs exactly at s = -1/2).
-    Other frequency pairs take the zeros of x'(t): sign changes on the grid
-    t = j/(256(a+b)) bracket them, and each bracket is bisected down to
-    adjacent floats.  This is undefined_derivative_sets for one weight.
+    These are the zeros of x'(t), a multiple of (1-s)*a*sin(2*pi*a*t) +
+    (1+s)*b*sin(2*pi*b*t): t = 0, 1/2 and u, 1 - u for each root u that
+    _level_roots finds, two zeros that meet counting as one.
     """
     return undefined_derivative_sets(a, b, [s])[0]
 
@@ -280,30 +283,23 @@ def undefined_derivative_set(a: int, b: int, s: float) -> list[float]:
 def undefined_derivative_sets(a: int, b: int, weights) -> list[list[float]]:
     """undefined_derivative_set(a, b, s) for every s in weights, in order.
 
-    The weights share one t grid and one bisection of all their brackets,
-    so many weights cost little more than one; each list holds the same
-    floats as a call for its weight alone.
+    The weights share one bisection.  With g = gcd(a, b), x' is the x' of
+    (a/g, b/g) at g*t, so the zeros of that pair are divided by g and
+    repeated with period 1/g.
     """
+    a, b = _integer(a, "frequency a"), _integer(b, "frequency b")
     if not 1 <= a < b:
         raise ValueError("need 1 <= a < b")
-    weights = list(weights)
-    for s in weights:
-        if not -1.0 <= s <= 1.0:
-            raise ValueError("s must lie in [-1, 1]")
-    if (a, b) == (1, 3):
-        return [_one_three_set(s) for s in weights]
-    return _x_prime_zeros([TwoTermSpec(a, b, s) for s in weights])
-
-
-def _one_three_set(s: float) -> list[float]:
-    values = [0.0, 0.5]
-    if s >= -0.5:
-        tbar = math.acos((-2.0 - s) / (3.0 * (1.0 + s))) / (4.0 * math.pi)
-        for v in (tbar, 0.5 - tbar, 0.5 + tbar, 1.0 - tbar):
-            v %= 1.0
-            if all(abs(v - w) > 1e-12 for w in values):
-                values.append(v)
-    return sorted(values)
+    s = np.array(list(weights), dtype=float)
+    if not np.all((-1.0 <= s) & (s <= 1.0)):
+        raise ValueError("s must lie in [-1, 1]")
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    sets = []
+    for u in _level_roots(a, b, a, b, s):
+        t = np.concatenate(([0.0], u, [0.5], 1.0 - u[::-1]))
+        sets.append(((t + np.arange(g)[:, None]) / g).ravel().tolist())
+    return sets
 
 
 def _sin_turns(f: int, t: np.ndarray) -> np.ndarray:
@@ -315,10 +311,10 @@ def _sin_turns(f: int, t: np.ndarray) -> np.ndarray:
 def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, v_lo: np.ndarray) -> np.ndarray:
     """One root of f in each sign-change bracket [lo, hi], all halved at once.
 
-    v_lo holds f(lo).  f maps an array of points, one per bracket, to its
-    values there.  Every bracket is halved until its ends are adjacent
-    floats; of the two, the end with the smaller |f| is returned, so that a
-    root which is itself a float, such as t = 1/2, comes out exactly.
+    v_lo holds f(lo) or its sign.  f maps an array of points, one per
+    bracket, to its values there.  Every bracket is halved until its ends
+    are adjacent floats; of the two, the end with the smaller |f| is
+    returned, so that a root which is itself a float comes out exactly.
     """
     while True:
         mid = 0.5 * (lo + hi)
@@ -332,69 +328,67 @@ def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, v_lo: np.ndarray) -> np.
     return np.where(np.abs(f(lo)) <= np.abs(f(hi)), lo, hi)
 
 
-def _x_prime_coefficients(spec: TwoTermSpec) -> tuple[float, float]:
-    """(c_a, c_b) with x'(t) = -c_a*sin(2*pi*a*t) - c_b*sin(2*pi*b*t).
+@functools.lru_cache(maxsize=64)
+def _monotone_pieces(a: int, b: int) -> np.ndarray:
+    """0, the poles k/(2a), the zeros of R' and 1/2, sorted, for coprime a < b.
 
-    c_f is the imaginary part of the order-1 coefficient w_f*(2*pi*i*f),
-    formed as eval_complex forms it; with a real weight its real part is a
-    signed zero.
+    Between them R(u) = sin(2*pi*b*u) / sin(2*pi*a*u) is monotone.  R' is a
+    positive multiple of W(u) = (b-a) sin(2 pi (a+b) u) - (a+b) sin(2 pi (b-a) u)
+    off the poles, where W is not 0.  The sign changes of W on
+    u = j/(256(a+b)) are bisected; for b <= 200 the breakpoints lie at least
+    31 such cells apart.  The read-only array does not depend on s.
     """
-    ca, cb = ((term.weight * (2j * np.pi * term.frequency)).imag for term in spec.lower().terms)
-    return ca, cb
-
-
-def _x_prime(ca, cb, sin_a: np.ndarray, sin_b: np.ndarray) -> np.ndarray:
-    """x'(t) from its coefficients and the sines at t.
-
-    These are the roundings eval_complex(spec, t, order=1).real makes for
-    real weights (each term's real part is -c_f*sin rounded once), so the
-    bits are the same.
-    """
-    return 0.0 - ca * sin_a - cb * sin_b
-
-
-def _x_prime_zeros(specs: list[TwoTermSpec]) -> list[list[float]]:
-    """Zeros of x'(t) on [0, 1), one sorted list per spec of one (a, b).
-
-    The grid is scanned one spec at a time with shared sines, and the
-    sign-change brackets of all specs are halved together until their ends
-    are adjacent floats.
-    """
-    if not specs:
-        return []
-    a, b = specs[0].a, specs[0].b
     n = 256 * (a + b)
-    t = np.arange(n + 1) / n
-    sin_a, sin_b = _sin_turns(a, t), _sin_turns(b, t)
-    coef = np.array([_x_prime_coefficients(spec) for spec in specs])
-    grid_zeros, brackets, v_brackets = [], [], []
-    for ca, cb in coef:
-        v = _x_prime(ca, cb, sin_a, sin_b)
-        grid_zeros.append(t[:-1][v[:-1] == 0.0].tolist())
-        bracket = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
-        brackets.append(bracket)
-        v_brackets.append(v[bracket])
-    counts = [len(k) for k in brackets]
-    bracket = np.concatenate(brackets)
-    # each bracket carries the coefficients of its own spec
-    owner = np.repeat(np.arange(len(specs)), counts)
-    ca, cb = coef[owner, 0], coef[owner, 1]
+    u = np.arange(1, n // 2) / n
 
-    def xp(u):
-        return _x_prime(ca, cb, _sin_turns(a, u), _sin_turns(b, u))
+    def w(x):
+        return (b - a) * _sin_turns(a + b, x) - (a + b) * _sin_turns(b - a, x)
 
-    ends = _bisect_brackets(xp, t[bracket], t[bracket + 1], np.concatenate(v_brackets)).tolist()
-    out_sets = []
-    start = 0
-    for zeros, count in zip(grid_zeros, counts):
-        roots = sorted(zeros + ends[start : start + count])
-        start += count
-        out: list[float] = []
-        for r in roots:
-            r %= 1.0
-            # the roots are sorted and only a final 1.0 wraps to 0.0, so
-            # the nearest kept root is the last one or, across t = 0, the first
-            if not out or (_circ_dist(r, out[-1]) > 1e-9 and _circ_dist(r, out[0]) > 1e-9):
-                out.append(r)
-        out_sets.append(sorted(out))
-    return out_sets
+    v = w(u)
+    # an exact zero of W on the scan is bracketed by its neighbours
+    u, v = u[v != 0.0], v[v != 0.0]
+    k = np.nonzero(np.sign(v[:-1]) != np.sign(v[1:]))[0]
+    critical = _bisect_brackets(w, u[k], u[k + 1], v[k])
+    poles = np.arange(1, a) / (2 * a)
+    pieces = np.sort(np.concatenate(([0.0], poles, critical, [0.5])))
+    pieces.flags.writeable = False
+    return pieces
+
+
+def _level_roots(a: int, b: int, ca, cb, s) -> list[np.ndarray]:
+    """Sorted roots u in (0, 1/2) of h = wa*sin(2*pi*a*u) + wb*sin(2*pi*b*u), per s.
+
+    wa = ca*(1-s) and wb = cb*(1+s), with ca and cb scalars or columns
+    against the weights s, one row each; a < b are coprime.  Between two
+    breakpoints of _monotone_pieces h = sin(2*pi*a*u) * (wa + wb*R) has a
+    root exactly when it changes sign, and then one; all are bisected at
+    once.  At u = 0 and 1/2 the sign is that of g = h / sin(2*pi*u):
+    g(0) = wa*a + wb*b, g(1/2) = (-1)^(a-1)*wa*a + (-1)^(b-1)*wb*b.
+
+    Coalescing roots: a breakpoint value within 16*eps*(|ca|*a + |cb|*b)
+    counts as 0, a bound on what rounding s to a float and evaluating h
+    move it by.  So a level -wa/wb that meets a critical value of R gives
+    one double root at the breakpoint, listed once; a 0 at u = 0 or 1/2
+    (the cusp weight) is no root, and a 0 never makes a sign change.
+    """
+    pieces = _monotone_pieces(a, b)
+    s = np.asarray(s, dtype=float)[:, None]
+    wa, wb = ca * (1.0 - s), cb * (1.0 + s)
+    v = wa * _sin_turns(a, pieces) + wb * _sin_turns(b, pieces)
+    v[:, :1] = wa * a + wb * b
+    v[:, -1:] = (-1) ** (a - 1) * wa * a + (-1) ** (b - 1) * wb * b
+    v[np.abs(v) <= 16.0 * np.finfo(float).eps * (np.abs(ca) * a + np.abs(cb) * b)] = 0.0
+    sign = np.sign(v)
+    row_double, at = np.nonzero(sign[:, 1:-1] == 0.0)
+    row, k = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+    wa_k, wb_k = wa[row, 0], wb[row, 0]
+
+    def h(x):
+        return wa_k * _sin_turns(a, x) + wb_k * _sin_turns(b, x)
+
+    simple = _bisect_brackets(h, pieces[k], pieces[k + 1], sign[row, k])
+    rows = np.concatenate([row_double, row])
+    roots = np.concatenate([pieces[at + 1], simple])
+    order = np.lexsort((roots, rows))
+    counts = np.bincount(rows, minlength=len(s))
+    return np.split(roots[order], np.cumsum(counts))[:-1]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epicusp
 from epicusp.cli import main
@@ -163,6 +167,64 @@ class TestIntersect:
         rc, out = run_cli(capsys, "intersect", "-a", "1", "-b", "3", "-s", "-1")
         assert rc == 0
         assert out == ""
+
+    def test_loops_one_scan_cell_apart_are_all_printed(self, capsys):
+        rc, out = run_cli(capsys, "intersect", "-a", "1", "-b", "6", "-s", "-0.178659859731647")
+        assert rc == 0
+        assert len(json_lines(out)) == 15
+
+
+# argv pieces for intersect: valid pairs a < b, coprime or not, beside
+# junk frequencies (kept small: the work grows with b); weights inside and
+# outside [-1, 1], rationals and junk
+JUNK_FREQUENCIES = st.one_of(
+    st.integers(-2, 40).map(str),
+    st.sampled_from(["", "1.5", "3.0", "1e1", "0x3", "-", "--", "+3", " 4"]),
+    st.text(alphabet="ab+-./ e", max_size=3),
+)
+VALID_PAIRS = st.builds(lambda a, d: (str(a), str(a + d)), st.integers(1, 20), st.integers(1, 20))
+PAIRS = st.one_of(VALID_PAIRS, VALID_PAIRS, st.tuples(JUNK_FREQUENCIES, JUNK_FREQUENCIES))
+WEIGHTS = st.one_of(
+    st.floats(-1.0, 1.0).map(repr),
+    st.floats(-1.0, 1.0).map(repr),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-9, 9)),
+    st.floats(-3.0, 3.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "1/2/3", "", "seven", "-", "0,5"]),
+)
+FORMATS = st.sampled_from([None, "json", "csv", "csv", "xml", "", "CSV"])
+
+
+def exit_code_and_stdout(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue()
+
+
+class TestIntersectArgvFuzz:
+    @given(PAIRS, WEIGHTS, FORMATS)
+    @settings(deadline=None, max_examples=300)
+    def test_exit_code_and_stdout_keep_the_contract(self, pair, s, fmt):
+        argv = ["intersect", "-a", pair[0], "-b", pair[1], "-s", s]
+        if fmt is not None:
+            argv += ["--format", fmt]
+        rc, out = exit_code_and_stdout(argv)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert out == ""
+        elif rc == 1:
+            assert set(json_lines(out)[0]) == {"error", "message"} and out.count("\n") == 1
+        elif fmt == "csv":
+            assert out.startswith("t1,t2,x,y,on_grid\r\n") and out.endswith("\r\n")
+            for row in out.split("\r\n")[1:-1]:
+                t1, t2, x, y, on_grid = row.split(",")
+                assert 0.0 <= float(t1) < float(t2) < 1.0 and on_grid in ("true", "false")
+        else:
+            for record in json_lines(out):
+                assert 0.0 <= record["t1"] < record["t2"] < 1.0
 
 
 class TestPlotAndSweep:

@@ -18,6 +18,13 @@ from epicusp import (
 )
 from epicusp import geometry
 from epicusp.curve import eval_complex
+from exact_counts import (
+    chebyshev_u,
+    coprime_pairs,
+    intersection_count,
+    poly_value,
+    tangency_weights,
+)
 
 
 class TestVerifySymmetry:
@@ -197,88 +204,6 @@ class TestGridCheck:
             grid_intersection_check(3, 2)
 
 
-# --- exact oracles ---------------------------------------------------------
-#
-# gamma(t1) = gamma(t2) with t1 = m/(2(b-a)) - u, t2 = m/(2(b-a)) + u and
-# 0 < u < 1/2 holds for the u with g(cos 2 pi u) = 0, where
-# g = (1-s) U_{a-1} + (-1)^m (1+s) U_{b-1} (see the geometry module), and
-# every pair arises from one m in 0..b-a-1.  The roots of g in (-1, 1) are
-# counted by a Sturm sequence in rational arithmetic.
-
-
-def chebyshev_u(k: int) -> list[Fraction]:
-    """Coefficients, lowest first, of U_k, from U_{k+1} = 2x U_k - U_{k-1}."""
-    prev, cur = [Fraction(1)], [Fraction(0), Fraction(2)]
-    if k == 0:
-        return prev
-    for _ in range(k - 1):
-        nxt = [Fraction(0)] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return cur
-
-
-def _trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _value(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def roots_inside(p: list[Fraction]) -> int:
-    """Distinct roots of p in the open interval (-1, 1), p not zero."""
-    p = _trim(p)
-    for end in (1, -1):
-        while len(p) > 1 and _value(p, end) == 0:
-            # divide by (x - end)
-            q, carry = [Fraction(0)] * (len(p) - 1), Fraction(0)
-            for i in range(len(p) - 1, 0, -1):
-                carry = p[i] + carry * end
-                q[i - 1] = carry
-            p = q
-    if len(p) <= 1:
-        return 0
-    seq = [p, _trim([i * c for i, c in enumerate(p)][1:])]
-    while len(seq[-1]) > 1:
-        rem = list(seq[-2])
-        while len(rem) >= len(seq[-1]):
-            q, shift = rem[-1] / seq[-1][-1], len(rem) - len(seq[-1])
-            for i, c in enumerate(seq[-1]):
-                rem[i + shift] -= q * c
-            rem = _trim(rem[:-1])
-        if not rem:
-            break
-        seq.append([-c for c in rem])
-
-    def sign_changes(x):
-        signs = [v > 0 for v in (_value(q, x) for q in seq) if v != 0]
-        return sum(u != v for u, v in zip(signs, signs[1:]))
-
-    return sign_changes(-1) - sign_changes(1)
-
-
-def intersection_count(a: int, b: int, s) -> int:
-    """The number of self-intersection pairs of (a, b, s), exactly."""
-    s = Fraction(s)
-    counts = []
-    for sign in (1, -1):
-        g = [Fraction(0)] * b
-        for i, c in enumerate(chebyshev_u(a - 1)):
-            g[i] += (1 - s) * c
-        for i, c in enumerate(chebyshev_u(b - 1)):
-            g[i] += sign * (1 + s) * c
-        counts.append(roots_inside(g))
-    d = b - a
-    return (d + 1) // 2 * counts[0] + d // 2 * counts[1]
-
-
 def check_records(spec: TwoTermSpec, records: list[IntersectionRecord]) -> None:
     """Ordered parameters in [0, 1), genuine meetings, point = gamma(t1)."""
     assert all(0.0 <= r.t1 < r.t2 < 1.0 for r in records)
@@ -302,15 +227,15 @@ def oracle_weights(a: int, b: int) -> list[tuple[float, Fraction]]:
     return [(float(s_bar), s_bar)] + [(s, Fraction(s)) for s in floats]
 
 
-COPRIME_12 = [(a, b) for b in range(2, 13) for a in range(1, b) if math.gcd(a, b) == 1]
-COPRIME_40 = [(a, b) for b in range(2, 41) for a in range(1, b) if math.gcd(a, b) == 1]
+COPRIME_12 = coprime_pairs(12)
+COPRIME_40 = coprime_pairs(40)
 
 
 class TestExactOracles:
     def test_chebyshev_u(self):
         # U_3 = 8x^3 - 4x, and U_{k-1}(1) = k
         assert chebyshev_u(3) == [0, -4, 0, 8]
-        assert all(_value(chebyshev_u(k - 1), 1) == k for k in range(1, 9))
+        assert all(poly_value(chebyshev_u(k - 1), 1) == k for k in range(1, 9))
 
     def test_the_sturm_count_of_one_three(self):
         # (1, 3, 0) meets itself three times, at the eighths
@@ -323,6 +248,31 @@ class TestExactOracles:
             records = self_intersections(spec)
             assert len(records) == intersection_count(a, b, exact), s
             check_records(spec, records)
+
+    @pytest.mark.parametrize("a,b", [pair for pair in coprime_pairs(8) if tangency_weights(*pair)])
+    def test_counts_next_to_every_tangency_weight(self, a, b):
+        # within 1e-9 of a weight where g has a double root two roots of g
+        # lie ~3e-5 apart, closer than one cell of a uniform sign scan
+        for s0 in tangency_weights(a, b):
+            for s in [s0 + sign * 10.0**-k for k in (3, 6, 9) for sign in (-1, 1)]:
+                spec = TwoTermSpec(a, b, s)
+                records = self_intersections(spec)
+                assert len(records) == intersection_count(a, b, Fraction(s)), s
+                check_records(spec, records)
+
+    @pytest.mark.parametrize("b", [265, 282, 286])
+    def test_no_loop_at_the_cusp_weight_of_a_high_frequency(self, b):
+        # for a = 1 and s <= (1-b)/(1+b) the curve is simple; rounding that
+        # weight moves g_-(0) by up to eps*b/2, which must not give birth to
+        # b - 1 tiny loops
+        assert self_intersections(TwoTermSpec(1, b, float(Fraction(1 - b, 1 + b)))) == []
+
+    def test_two_loops_one_scan_cell_apart(self):
+        # two roots of g_+ lie within 1/(256(a+b)) of each other here
+        s = -0.178659859731647
+        records = self_intersections(TwoTermSpec(1, 6, s))
+        assert len(records) == intersection_count(1, 6, Fraction(s)) == 15
+        check_records(TwoTermSpec(1, 6, s), records)
 
     @pytest.mark.parametrize("b", range(2, 41))
     def test_balanced_pairs_equal_the_integer_oracle(self, b):

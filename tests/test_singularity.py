@@ -26,13 +26,8 @@ from epicusp import (
 )
 from epicusp import singularity
 from epicusp.curve import eval_complex
-from epicusp.singularity import (
-    _circ_dist,
-    _sin_turns,
-    _x_prime,
-    _x_prime_coefficients,
-    undefined_derivative_sets,
-)
+from epicusp.singularity import _circ_dist, _monotone_pieces, undefined_derivative_sets
+from exact_counts import chebyshev_u, coprime_pairs, fold_weights, roots_inside, x_prime_count
 
 CUSP_SPEC = TwoTermSpec(1, 3, -0.5)
 
@@ -373,30 +368,106 @@ def reference_x_prime_zeros(spec: TwoTermSpec) -> list[float]:
 DIAGRAM_WEIGHTS = [-1.0 + 2.0 * i / 200 for i in range(201)]
 
 
+def one_three_set(s: float) -> list[float]:
+    """The zeros of x' for (1, 3) in closed form: t = 0 and 1/2, plus the
+    four solutions of 4*pi*t = +-arccos((-2-s)/(3(1+s))) mod pi once
+    s >= -1/2, which coincide in pairs at s = -1/2."""
+    values = [0.0, 0.5]
+    if s >= -0.5:
+        tbar = math.acos((-2.0 - s) / (3.0 * (1.0 + s))) / (4.0 * math.pi)
+        for v in (tbar, 0.5 - tbar, 0.5 + tbar, 1.0 - tbar):
+            v %= 1.0
+            if all(abs(v - w) > 1e-12 for w in values):
+                values.append(v)
+    return sorted(values)
+
+
+def exact_weight(s: float) -> Fraction:
+    # the rational a float weight stands for: a level within rounding of a
+    # critical value of R counts as meeting it
+    return Fraction(s).limit_denominator(10**6)
+
+
+def max_x_prime(a: int, b: int, s: float, ts: list[float]) -> float:
+    """max |x'(t)| over ts, in units of its scale 2*pi*(|1-s|*a + |1+s|*b)."""
+    spec = TwoTermSpec(a, b, s)
+    scale = 2.0 * math.pi * (abs(1.0 - s) * a + abs(1.0 + s) * b)
+    return float(np.max(np.abs(eval_complex(spec, np.array(ts), order=1).real))) / scale
+
+
 class TestBatchedXPrimeZeros:
     # (1, 2) and (9, 11) include weights where zeros coalesce
     @pytest.mark.parametrize("a,b", [(2, 5), (3, 4), (3, 5), (4, 5), (1, 2), (9, 11)])
-    def test_every_diagram_weight_matches_the_per_weight_search(self, a, b):
-        expected = [repr(reference_x_prime_zeros(TwoTermSpec(a, b, s))) for s in DIAGRAM_WEIGHTS]
-        assert [repr(v) for v in undefined_derivative_sets(a, b, DIAGRAM_WEIGHTS)] == expected
-        assert [repr(undefined_derivative_set(a, b, s)) for s in DIAGRAM_WEIGHTS] == expected
-
-    @pytest.mark.parametrize("a,b", [(1, 2), (2, 5), (9, 11), (4, 17)])
-    @pytest.mark.parametrize("s", [-1.0, -0.6, -0.25, 0.0, 0.35, 1.0])
-    def test_inline_x_prime_has_the_bits_of_eval_complex(self, a, b, s):
-        n = 256 * (a + b)
-        rng = np.random.default_rng(a * 100 + b)
-        t = np.concatenate([np.arange(n + 1) / n, [0.0, 0.5, 1.0, 0.25], rng.random(200)])
-        spec = TwoTermSpec(a, b, s)
-        ca, cb = _x_prime_coefficients(spec)
-        got = _x_prime(ca, cb, _sin_turns(a, t), _sin_turns(b, t))
-        assert got.tobytes() == eval_complex(spec, t, order=1).real.tobytes()
+    def test_every_diagram_weight_has_the_exact_count(self, a, b):
+        batched = undefined_derivative_sets(a, b, DIAGRAM_WEIGHTS)
+        assert [repr(undefined_derivative_set(a, b, s)) for s in DIAGRAM_WEIGHTS] == [
+            repr(v) for v in batched
+        ]
+        for s, got in zip(DIAGRAM_WEIGHTS, batched):
+            exact = x_prime_count(a, b, exact_weight(s))
+            assert len(got) == exact, s
+            reference = reference_x_prime_zeros(TwoTermSpec(a, b, s))
+            if len(reference) == exact:
+                # the reference bisects a triple zero at t = 1/2 only to 6.2e-7
+                tol = 1e-6 if (a, b, round(s, 9)) in ((1, 2, -0.6), (3, 4, -0.28)) else 1e-9
+                assert np.max(np.abs(np.subtract(got, reference))) <= tol, s
 
     def test_one_three_keeps_its_closed_form(self):
-        weights = [-0.75, -0.5, 0.0, 1.0]
-        assert undefined_derivative_sets(1, 3, weights) == [
-            undefined_derivative_set(1, 3, s) for s in weights
-        ]
+        weights = DIAGRAM_WEIGHTS + [-0.75, -0.5, -0.4999999, 0.0, 1.0]
+        for s, got in zip(weights, undefined_derivative_sets(1, 3, weights)):
+            want = one_three_set(s)
+            assert len(got) == len(want), s
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, s
+
+    @pytest.mark.parametrize("a,b", [pair for pair in coprime_pairs(8) if fold_weights(*pair)])
+    def test_counts_next_to_every_fold_weight(self, a, b):
+        # within 1e-9 of a fold two zeros of x' lie ~3e-5 apart, closer
+        # than one cell of a uniform sign scan
+        for s0 in fold_weights(a, b):
+            for s in [s0 + sign * 10.0**-k for k in (3, 6, 9) for sign in (-1, 1)]:
+                ts = undefined_derivative_set(a, b, s)
+                assert len(ts) == x_prime_count(a, b, Fraction(s)), s
+                assert max_x_prime(a, b, s, ts) < 1e-12
+
+    def test_two_zeros_one_scan_cell_apart(self):
+        s = -0.6264917519439482
+        ts = undefined_derivative_set(1, 4, s)
+        assert len(ts) == x_prime_count(1, 4, Fraction(s)) == 8
+        assert max_x_prime(1, 4, s, ts) < 1e-12
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (1, 30), (1, 34), (2, 35), (1, 38)])
+    def test_a_triple_zero_at_one_half_is_exact(self, a, b):
+        # at s = (a^2-b^2)/(a^2+b^2), e.g. (1, 2, -0.6), x', x'' and x'''
+        # all vanish at t = 1/2; rounding s moves g(1/2) by up to
+        # eps*(a^2+b^2)/2, which must not split off two zeros next to 1/2
+        s = Fraction(a * a - b * b, a * a + b * b)
+        ts = undefined_derivative_set(a, b, float(s))
+        assert 0.5 in ts and len(ts) == x_prime_count(a, b, s)
+        assert undefined_derivative_set(1, 2, -0.6) == [0.0, 0.5]
+
+    @pytest.mark.parametrize("a,b", [(2, 4), (3, 6), (4, 6), (6, 9)])
+    def test_a_shared_factor_repeats_the_reduced_zeros(self, a, b):
+        g = math.gcd(a, b)
+        weights = [-0.9, -0.5, 0.0, 0.3, 0.5, 0.9]
+        reduced = undefined_derivative_sets(a // g, b // g, weights)
+        for s, got, base in zip(weights, undefined_derivative_sets(a, b, weights), reduced):
+            assert len(got) == x_prime_count(a, b, exact_weight(s)) == g * len(base), s
+            assert got == sorted(got) and 0.0 <= got[0] and got[-1] < 1.0
+            assert got[: len(base)] == [t / g for t in base]
+            assert max_x_prime(a, b, s, got) < 1e-12
+
+    @pytest.mark.parametrize("a,b", coprime_pairs(13))
+    def test_breakpoints_are_every_turn_of_r(self, a, b):
+        # R's critical points are the zeros of
+        # W = (b-a) sin 2 pi (a+b) u - (a+b) sin 2 pi (b-a) u, and W / sin 2 pi u
+        # is (b-a) U_{a+b-1} - (a+b) U_{b-a-1} at cos 2 pi u
+        w = [(b - a) * c for c in chebyshev_u(a + b - 1)]
+        for i, c in enumerate(chebyshev_u(b - a - 1)):
+            w[i] -= (a + b) * c
+        pieces = _monotone_pieces(a, b)
+        assert pieces[0] == 0.0 and pieces[-1] == 0.5 and np.all(np.diff(pieces) > 0.0)
+        assert len(pieces) == 2 + (a - 1) + roots_inside(w)
+        assert not pieces.flags.writeable
 
     def test_no_weights_give_no_sets(self):
         assert undefined_derivative_sets(2, 5, []) == []
