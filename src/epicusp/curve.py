@@ -193,18 +193,24 @@ def eval_grid(spec: AnySpec, n: int) -> np.ndarray:
     eval_complex(spec, np.arange(n) / n) for every TwoTermSpec.  At other n
     it is the more accurate of the two, by trailing digits.
     """
-    c = as_curve(spec)
-    table = _unit_roots(n)
-    j = np.arange(n)
-    out = np.zeros(n, dtype=complex)
+    return _grid_samples(as_curve(spec), _unit_roots(n), np.arange(n))
+
+
+def _grid_samples(c: CurveSpec, table: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """gamma(j/n) at integer indices j, gathered from the n-entry table; j wraps mod n."""
+    n = len(table)
+    out = np.zeros(len(j), dtype=complex)
     for term in c.terms:
-        e = table[(term.frequency % n) * j % n]
+        k = (term.frequency % n) * j
+        k -= k // n * n  # k mod n: numpy divides by a scalar faster than it takes remainders
+        e = table[k]
         np.multiply(term.weight, e, out=e)
         out += e
     return out
 
 
 _TABLE_CACHE_LIMIT = 65_536  # larger tables are built per call, not kept alive
+_BUILD_BLOCK = 2048  # samples per block when building a table of shifted samples
 
 
 def _unit_roots(n: int) -> np.ndarray:
@@ -226,6 +232,31 @@ def _build_unit_roots(n: int) -> np.ndarray:
 
 
 _cached_unit_roots = functools.lru_cache(maxsize=16)(_build_unit_roots)
+
+
+def _shifted_unit_roots(f: int, d: int, n: int) -> np.ndarray:
+    """The read-only exp(2*pi*i*f*(j/n + 1/d)), j = 0..n-1, from eval_complex.
+
+    The samples of one term advanced by 1/d, independent of the table.
+    They do not depend on the weights, so the few most recent are kept
+    for n <= _TABLE_CACHE_LIMIT and larger ones are built per call.
+    """
+    if n > _TABLE_CACHE_LIMIT:
+        return _build_shifted_unit_roots(f, d, n)
+    return _cached_shifted_unit_roots(f, d, n)
+
+
+def _build_shifted_unit_roots(f: int, d: int, n: int) -> np.ndarray:
+    unit = CurveSpec.from_pairs([(f, 1.0)])
+    e = np.empty(n, dtype=complex)
+    for lo in range(0, n, _BUILD_BLOCK):
+        j = np.arange(lo, min(lo + _BUILD_BLOCK, n))
+        e[lo : lo + len(j)] = eval_complex(unit, j / n + 1.0 / d)
+    e.flags.writeable = False
+    return e
+
+
+_cached_shifted_unit_roots = functools.lru_cache(maxsize=4)(_build_shifted_unit_roots)
 
 
 def _eval_scalar(c: CurveSpec, t: float, order: int) -> complex | None:

@@ -5,8 +5,11 @@ coprime a, b: advancing the parameter by 1/(b-a) rotates the point by
 2*pi*a/(b-a), and reversing it mirrors across the x-axis.  Both are checked
 on the grid t_j = j/n: the curve is read off one table of n-th roots of
 unity, the reflection gamma(1 - t_j) = gamma(t_{(n-j) mod n}) is read off the
-same samples, and the rotation is checked against an independent
-eval_complex of the shifted parameters.
+same table, and the rotation is checked against the shifted parameters
+evaluated by eval_complex, independently of the table.  Those per-term
+samples depend on the frequencies alone and are kept for the next weight.
+The grid is walked in blocks of a few thousand samples, so a check
+allocates nothing of size n beyond the unit-root and shifted-sample tables.
 
 Self-intersections reduce to one-dimensional roots.  Write
 t1 = sigma/2 - u and t2 = sigma/2 + u.  Since
@@ -51,9 +54,21 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import PlanePoint, TwoTermSpec, curve_scale, eval_complex, eval_grid
+from .curve import (
+    PlanePoint,
+    TwoTermSpec,
+    _grid_samples,
+    _shifted_unit_roots,
+    _unit_roots,
+    as_curve,
+    curve_scale,
+    eval_complex,
+)
 from .singularity import _circ_dist, _level_roots
 from .winding import zeros_of_curve
+
+
+_SYMMETRY_BLOCK = 2048  # indices j per block; with their mirrors, 64 KB per complex array
 
 
 @dataclass(frozen=True)
@@ -93,25 +108,44 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
     holds for every weight s (the weights multiply both sides equally);
     the reflection identity gamma(1-t) = conj(gamma(t)) needs only real
     weights.  Deviations are maxima of pointwise distances.  The samples
-    gamma(j/n) come from eval_grid; since 1 - j/n = (n-j)/n mod 1 the
-    reflected samples are the same array at index (n-j) mod n, with no
-    second evaluation.  The shifted samples gamma(j/n + 1/(b-a)) come from
-    eval_complex, so the rotation identity compares two independent
-    evaluations.  Non-coprime (a, b) get coprime=False rather than an
+    gamma(j/n) and, since 1 - j/n = (n-j)/n mod 1, the reflected samples
+    gamma(((n-j) mod n)/n) are gathered from one table of n-th roots of
+    unity.  The shifted samples gamma(j/n + 1/(b-a)) are weighted sums of
+    per-term samples that eval_complex computes and curve keeps per
+    (frequency, b-a, n), so the rotation identity compares two independent
+    evaluations and a sweep over s computes them once.
+
+    The grid is walked in blocks of _SYMMETRY_BLOCK indices j <= n/2, each
+    gathered with its mirror n-j, so every sample is evaluated once and
+    no temporary grows with n.  The reflection distance at n-j is that at
+    j with its real part negated, so the first half holds its maximum.
+    Running maxima are exact: the deviations have the same bits for any
+    block size.  Non-coprime (a, b) get coprime=False rather than an
     error; |s| = 1 is flagged degenerate (the image is a circle, whose
     symmetry group is larger).
     """
     if n < 100:
         raise ValueError("need n >= 100")
-    j = np.arange(n)
-    z = eval_grid(spec, n)
-    shift = eval_complex(spec, j / n + 1.0 / (spec.b - spec.a))
-    rot = np.exp(2j * np.pi * spec.a / (spec.b - spec.a)) * z
-    refl = z[-j]
+    c = as_curve(spec)
+    d = spec.b - spec.a
+    table = _unit_roots(n)
+    shifted = [(t.weight, _shifted_unit_roots(t.frequency, d, n)) for t in c.terms]
+    turn = np.exp(2j * np.pi * spec.a / d)
+    rotation, reflection = [], []
+    half = n // 2 + 1
+    for lo in range(0, half, _SYMMETRY_BLOCK):
+        j = np.arange(lo, min(lo + _SYMMETRY_BLOCK, half))
+        jj = np.concatenate([j, -j])
+        z = _grid_samples(c, table, jj)
+        shift = np.zeros(len(jj), dtype=complex)
+        for weight, e in shifted:  # weighted and summed as eval_complex does
+            shift += weight * e[jj]
+        rotation.append(np.max(np.abs(shift - turn * z)))
+        reflection.append(np.max(np.abs(z[len(j) :] - np.conj(z[: len(j)]))))
     return SymmetryReport(
-        claimed_order=spec.b - spec.a,
-        rotation_deviation=float(np.max(np.abs(shift - rot))),
-        reflection_deviation=float(np.max(np.abs(refl - np.conj(z)))),
+        claimed_order=d,
+        rotation_deviation=float(np.max(rotation)),
+        reflection_deviation=float(np.max(reflection)),
         coprime=math.gcd(spec.a, spec.b) == 1,
         degenerate=abs(spec.s) == 1.0,
     )

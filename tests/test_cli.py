@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -225,6 +226,42 @@ class TestIntersectArgvFuzz:
         else:
             for record in json_lines(out):
                 assert 0.0 <= record["t1"] < record["t2"] < 1.0
+
+
+# -n for symmetry: below the minimum of 100 samples, up to a few
+# thousand beyond the default, and junk; never large, as the work grows with n
+SIZES = st.one_of(
+    st.integers(-10, 20_000).map(str),
+    st.sampled_from(["", "1e3", "100.0", "0x100", "-", "ten", " 200"]),
+)
+REPORT_FIELDS = {"claimed_order", "rotation_deviation", "reflection_deviation",
+                 "coprime", "degenerate", "verified"}
+
+
+class TestSymmetryArgvFuzz:
+    @given(PAIRS, WEIGHTS, st.none() | SIZES)
+    @settings(deadline=None, max_examples=200)
+    def test_exit_code_and_stdout_keep_the_contract(self, pair, s, n):
+        argv = ["symmetry", "-a", pair[0], "-b", pair[1], "-s", s]
+        if n is not None:
+            argv += ["-n", n]
+        rc, out = exit_code_and_stdout(argv)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert out == ""
+            return
+        assert out.count("\n") == 1 and out.endswith("\n")
+        record = json.loads(out)
+        if rc == 1:
+            assert set(record) == {"error", "message"}
+            return
+        a, b = int(pair[0]), int(pair[1])
+        assert set(record) == REPORT_FIELDS
+        assert n is None or int(n) >= 100
+        assert record["claimed_order"] == b - a
+        assert record["coprime"] == (math.gcd(a, b) == 1)
+        assert record["verified"] == (record["coprime"] and record["rotation_deviation"] < 1e-9
+                                      and record["reflection_deviation"] < 1e-9)
 
 
 class TestPlotAndSweep:

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epicusp import (
@@ -20,7 +20,15 @@ from epicusp import (
     spec_from_wire,
     spec_to_wire,
 )
-from epicusp.curve import _unit_roots, as_curve, curve_scale, eval_complex, eval_grid
+from epicusp.curve import (
+    _TABLE_CACHE_LIMIT,
+    _shifted_unit_roots,
+    _unit_roots,
+    as_curve,
+    curve_scale,
+    eval_complex,
+    eval_grid,
+)
 
 
 def close(p: PlanePoint, x: float, y: float, tol: float = 1e-12) -> bool:
@@ -254,10 +262,18 @@ class TestGrid:
         assert same_bits(eval_grid(spec, n), eval_complex(spec, np.arange(n) / n))
 
     @given(aliased_specs(), st.integers(min_value=1, max_value=3000))
+    @example(CurveSpec.from_pairs([(38, 2.2250738585e-313j)]), 35)
     @settings(deadline=None)
     def test_any_curve_agrees_at_any_size(self, spec, n):
         gap = np.max(np.abs(eval_grid(spec, n) - eval_complex(spec, np.arange(n) / n)))
-        assert gap <= 1e-12 * curve_scale(spec)
+        # A product that lands among the subnormals is rounded to a multiple
+        # of the smallest one, an absolute error that no relative bound
+        # covers.  Per term, each part w_re*e_re - w_im*e_im of one
+        # evaluation rounds at most two products by half of it each (the
+        # difference of subnormals is exact), so the two evaluations differ
+        # by at most 2*sqrt(2) < 4 smallest subnormals per term.
+        floor = 4 * len(spec.terms) * np.finfo(float).smallest_subnormal
+        assert gap <= 1e-12 * curve_scale(spec) + floor
 
     def test_the_cached_table_is_read_only(self):
         table = _unit_roots(1000)
@@ -271,6 +287,19 @@ class TestGrid:
 
     def test_large_tables_are_not_kept(self):
         assert _unit_roots(1 << 17) is not _unit_roots(1 << 17)
+
+    def test_the_cached_shifted_samples_are_read_only(self):
+        e = _shifted_unit_roots(3, 4, 1000)
+        assert e is _shifted_unit_roots(3, 4, 1000)
+        assert _shifted_unit_roots(3, 4, _TABLE_CACHE_LIMIT) is _shifted_unit_roots(3, 4, _TABLE_CACHE_LIMIT)
+        with pytest.raises(ValueError):
+            e[1] = 0.0
+        unit = CurveSpec.from_pairs([(3, 1.0)])
+        assert same_bits(e, eval_complex(unit, np.arange(1000) / 1000 + 1.0 / 4))
+
+    def test_large_shifted_samples_are_not_kept(self):
+        n = _TABLE_CACHE_LIMIT + 1
+        assert _shifted_unit_roots(3, 4, n) is not _shifted_unit_roots(3, 4, n)
 
     def test_rejects_empty_grids(self):
         with pytest.raises(ValueError):

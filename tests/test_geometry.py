@@ -17,7 +17,8 @@ from epicusp import (
     verify_symmetry,
 )
 from epicusp import geometry
-from epicusp.curve import eval_complex
+from epicusp.curve import eval_complex, eval_grid
+from epicusp.geometry import SymmetryReport
 from exact_counts import (
     chebyshev_u,
     coprime_pairs,
@@ -75,6 +76,53 @@ class TestVerifySymmetry:
         assert not report.verified
 
 
+def reference_verify_symmetry(spec: TwoTermSpec, n: int) -> SymmetryReport:
+    """verify_symmetry on whole arrays: every sample of each identity at once."""
+    j = np.arange(n)
+    z = eval_grid(spec, n)
+    shift = eval_complex(spec, j / n + 1.0 / (spec.b - spec.a))
+    rot = np.exp(2j * np.pi * spec.a / (spec.b - spec.a)) * z
+    return SymmetryReport(
+        claimed_order=spec.b - spec.a,
+        rotation_deviation=float(np.max(np.abs(shift - rot))),
+        reflection_deviation=float(np.max(np.abs(z[-j] - np.conj(z)))),
+        coprime=math.gcd(spec.a, spec.b) == 1,
+        degenerate=abs(spec.s) == 1.0,
+    )
+
+
+# one block, a partial last block, blocks that end at n/2 or just past it,
+# and sizes at and above the cache limit
+BLOCK_EDGE_SIZES = [100, 101, 2047, 2048, 2049, 4094, 4095, 4096, 4097, 10000, 65536, 65537]
+
+
+class TestSymmetryBlocks:
+    """verify_symmetry in blocks gives the bits of the whole-array form."""
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40),
+           st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+           st.sampled_from(BLOCK_EDGE_SIZES))
+    @settings(deadline=None, max_examples=80)
+    def test_any_pair_and_weight(self, a, d, s, n):
+        spec = TwoTermSpec(a, a + d, s)
+        assert repr(verify_symmetry(spec, n)) == repr(reference_verify_symmetry(spec, n))
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize("broken", ["ComplexWeights", "WrongFrequency", "OppositeTurns"])
+    def test_broken_identities(self, broken, n):
+        cls = {"ComplexWeights": ComplexWeights, "WrongFrequency": WrongFrequency,
+               "OppositeTurns": OppositeTurns}[broken]
+        for spec in (cls(3, 7, 0.4), cls(1, 2, -0.2)):
+            assert repr(verify_symmetry(spec, n)) == repr(reference_verify_symmetry(spec, n))
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    def test_any_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(geometry, "_SYMMETRY_BLOCK", block)
+        for spec in (TwoTermSpec(2, 5, -0.3), ComplexWeights(1, 4, 0.6), WrongFrequency(3, 4, 0.1)):
+            for n in (100, 101, 128, 131):
+                assert repr(verify_symmetry(spec, n)) == repr(reference_verify_symmetry(spec, n))
+
+
 class ComplexWeights(TwoTermSpec):
     """Both weights turned by e^{0.1i}: a rotated image, no longer mirror-symmetric."""
 
@@ -82,6 +130,20 @@ class ComplexWeights(TwoTermSpec):
         turn = cmath.exp(0.1j)
         return CurveSpec.from_pairs(
             [(self.a, (1.0 - self.s) * turn), (self.b, (1.0 + self.s) * turn)]
+        )
+
+
+class OppositeTurns(TwoTermSpec):
+    """Weights turned by e^{0.1i} and e^{-0.1i}.
+
+    The reflection deviation is 2|Im w_a + Im w_b e^{-2 pi i (b-a) t}|, so
+    for b - a = 1 it is largest at t = 1/2 alone, the sample that is its
+    own mirror.
+    """
+
+    def lower(self) -> CurveSpec:
+        return CurveSpec.from_pairs(
+            [(self.a, (1.0 - self.s) * cmath.exp(0.1j)), (self.b, (1.0 + self.s) * cmath.exp(-0.1j))]
         )
 
 
