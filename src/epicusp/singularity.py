@@ -8,12 +8,13 @@ gamma'' = (2*pi*i)^2 * (1-s)*a*z^a*(a-b) is nonzero and
 gamma''' = 2*pi*i*(a+b) * gamma'', so gamma'' and gamma''' are
 perpendicular and each singular point is an ordinary (semicubical) cusp
 (Bruce & Giblin, Curves and Singularities, 1992).  find_cusps lists this
-locus and certifies each point independently: the one-sided unit tangents
-must flip direction across it, their dot product extrapolating to -1 as
-the offset shrinks.  The module also carries the rotation construction
-that places a chosen cusp on the vertical axis, the closed-form parametric
-derivative in that rotated frame, and the loop-birth count that detects
-the small loop a cusp unfolds into.
+locus and certifies each point independently, all of them in one array
+pass: the one-sided unit tangents must flip direction across it, their
+dot product extrapolating to -1 as the offset shrinks.  The module also
+carries the rotation construction that places a chosen cusp on the
+vertical axis, the closed-form parametric derivative in that rotated
+frame, and the loop-birth count that detects the small loop a cusp
+unfolds into.
 
 The zeros of x'(t) and the self-intersections (geometry.py) are both the
 roots u in (0, 1/2) of w_a*sin(2*pi*a*u) + w_b*sin(2*pi*b*u), i.e. level
@@ -60,6 +61,8 @@ class CuspCertificate:
 
     The one-sided unit tangents are limits from below and above t; at a
     cusp they point in opposite directions, so their dot product is -1.
+    find_cusps builds the certificates of all of a pair's cusps in one
+    array pass; certify_cusp builds one.
     ``proven`` records whether the curve lies in the case a = 1 that the
     paper proves; the derivation in the module docstring covers every a.
     """
@@ -95,20 +98,16 @@ def classify_point(spec: AnySpec, t: float) -> PointKind:
     return PointKind.REGULAR
 
 
-def _unit_tangent(spec: AnySpec, t: float) -> complex:
-    d = complex(eval_complex(spec, t, order=1))
-    return d / abs(d)
-
-
 def certify_cusp(spec: AnySpec, t: float, delta: float = 1e-3) -> Optional[CuspCertificate]:
     """Certify a singular point as a cusp via the unit-tangent flip.
 
     One-sided unit tangents are evaluated at t +- delta/4^k for four
-    shrinking levels.  At a genuine cusp the left/right tangent dot
-    product behaves like -cos(c*delta), so Richardson extrapolation of
-    consecutive levels must land at -1; at a smooth-but-nearly-singular
-    point it tends to +1 instead.  Returns None when certification fails
-    (for example at a higher-order singularity).
+    shrinking levels, in the one array pass of _certify_cusps.  At a
+    genuine cusp the left/right tangent dot product behaves like
+    -cos(c*delta), so Richardson extrapolation of consecutive levels must
+    land at -1; at a smooth-but-nearly-singular point it tends to +1
+    instead.  Returns None when certification fails (for example at a
+    higher-order singularity).
 
     Parameters
     ----------
@@ -125,34 +124,67 @@ def certify_cusp(spec: AnySpec, t: float, delta: float = 1e-3) -> Optional[CuspC
     """
     if not 0.0 < delta <= 1e-3:
         raise ValueError("delta must lie in (0, 1e-3]")
-    if classify_point(spec, t) is not PointKind.SINGULAR:
-        raise NotSingular(f"no singular point at t={t}")
+    return _certify_cusps(spec, [float(t)], delta)[0]
 
+
+def _certify_cusps(spec: AnySpec, ts, delta: float) -> list[Optional[CuspCertificate]]:
+    """certify_cusp at every t in ts, from one evaluation of gamma'.
+
+    gamma' is evaluated once on an array of shape (len(ts), 9): each t,
+    then t - delta/4^k and t + delta/4^k for k = 0..3.  Classification,
+    unit tangents, flips and final tangents are array operations on it,
+    written in real arithmetic so that every certificate has the bits of
+    the point-by-point computation: |d| is hypot(x, y), x and y are divided
+    separately, and the dot product of two tangents is lx*rx + ly*ry.
+
+    Returns one entry per t: its certificate, or None where the tangents
+    do not flip or a one-sided speed is 0.  The first t that is not
+    certified decides as it would one point at a time: if it is not
+    Singular, NotSingular is raised.
+    """
+    ts = np.asarray(ts, dtype=float)
     offsets = [delta / 4**k for k in range(4)]
-    left = [_unit_tangent(spec, t - d) for d in offsets]
-    right = [_unit_tangent(spec, t + d) for d in offsets]
-    flips = [(l.conjugate() * r).real for l, r in zip(left, right)]
+    # t + (-o) is exactly t - o
+    steps = np.array([0.0] + [-o for o in offsets] + offsets)
+    d = eval_complex(spec, ts[:, None] + steps, order=1)
+    tol = SINGULAR_RTOL * derivative_scale(spec)
+    singular = (np.abs(d.real[:, 0]) <= tol) & (np.abs(d.imag[:, 0]) <= tol)
 
+    # columns 0..3 are the left tangents, 4..7 the right ones
+    ux, uy = _unit(d.real[:, 1:], d.imag[:, 1:])
+    flips = ux[:, :4] * ux[:, 4:] + uy[:, :4] * uy[:, 4:]
     # flip_dot(delta) = -1 + O(delta^2): the fourth-order extrapolant of
-    # each consecutive level pair removes that error to O(delta^4)
-    for coarse, fine in zip(flips, flips[1:]):
-        if (16.0 * fine - coarse) / 15.0 > -1.0 + CUSP_FLIP_TOL:
-            return None
+    # each consecutive level pair removes that error to O(delta^4); a NaN
+    # does not fail this test
+    fails = ((16.0 * flips[:, 1:] - flips[:, :-1]) / 15.0 > -1.0 + CUSP_FLIP_TOL).any(axis=1)
+    certified = singular & ~fails & (d[:, 1:] != 0.0).all(axis=1)
+    if not certified.all():
+        first = int(np.argmin(certified))
+        if not singular[first]:
+            raise NotSingular(f"no singular point at t={ts.tolist()[first]}")
 
     # the one-sided tangent angles drift linearly in delta, so a linear
-    # Richardson step on the two smallest offsets cancels the drift
-    tl = 4.0 * left[3] - left[2]
-    tr = 4.0 * right[3] - right[2]
-    tl, tr = tl / abs(tl), tr / abs(tr)
-    a_freq = getattr(spec, "a", None)
-    return CuspCertificate(
-        s=float(getattr(spec, "s", math.nan)),
-        t=float(t),
-        tangent_left=PlanePoint.from_complex(tl),
-        tangent_right=PlanePoint.from_complex(tr),
-        flip_dot=(tl.conjugate() * tr).real,
-        proven=(a_freq == 1),
-    )
+    # Richardson step on the two smallest offsets cancels the drift;
+    # column 0 is the left tangent, column 1 the right one
+    tx, ty = _unit(4.0 * ux[:, 3::4] - ux[:, 2::4], 4.0 * uy[:, 3::4] - uy[:, 2::4])
+    flip_dot = tx[:, 0] * tx[:, 1] + ty[:, 0] * ty[:, 1]
+
+    s = float(getattr(spec, "s", math.nan))
+    proven = getattr(spec, "a", None) == 1
+    rows = zip(certified.tolist(), ts.tolist(), tx.tolist(), ty.tolist(), flip_dot.tolist())
+    return [
+        CuspCertificate(s, t, PlanePoint(x[0], y[0]), PlanePoint(x[1], y[1]), dot, proven)
+        if ok
+        else None
+        for ok, t, x, y, dot in rows
+    ]
+
+
+def _unit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) / hypot(x, y), each part divided separately; (0, 0) gives NaN."""
+    r = np.hypot(x, y)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return x / r, y / r
 
 
 def predicted_cusp_locus(a: int, b: int) -> CuspLocus:
@@ -176,9 +208,10 @@ def predicted_cusp_locus(a: int, b: int) -> CuspLocus:
 def find_cusps(a: int, b: int) -> list[CuspCertificate]:
     """Certify every cusp of the family over s in (-1, 1).
 
-    The singular points are exactly the points of predicted_cusp_locus;
-    each is certified by certify_cusp at the float nearest its exact
-    (s, t).  Certificates come back sorted by t, b - a of them.
+    The singular points are exactly the points of predicted_cusp_locus.
+    All of them are certified in one array pass, the test of certify_cusp
+    at the float nearest each exact (s, t), with the same bits as one
+    point at a time.  Certificates come back sorted by t, b - a of them.
 
     Raises
     ------
@@ -188,12 +221,10 @@ def find_cusps(a: int, b: int) -> list[CuspCertificate]:
     locus = predicted_cusp_locus(a, b)
     spec = TwoTermSpec(a, b, float(locus.s_bar))
     delta = min(1e-3, 0.01 / (a + b))
-    certs = []
-    for t in locus.t_values:
-        cert = certify_cusp(spec, float(t), delta=delta)
+    certs = _certify_cusps(spec, [float(t) for t in locus.t_values], delta)
+    for t, cert in zip(locus.t_values, certs):
         if cert is None:
             raise Unresolved(f"({a},{b}): no tangent flip at t = {t}")
-        certs.append(cert)
     return certs
 
 
@@ -203,21 +234,27 @@ def _circ_dist(x: float, y: float) -> float:
 
 
 def rotation_angle(a: int, b: int) -> float:
-    """Angle pi*(1/2 - 1/(b-a)) placing the first cusp on the vertical axis."""
+    """Angle pi*(1/2 - a/(b-a)) placing the first cusp on the vertical axis.
+
+    Cusp 0, at t = 1/(2(b-a)), lies at the angle pi*a/(b-a), so this
+    rotation takes it to pi/2 for every a.
+    """
     if not 1 <= a < b:
         raise ValueError("need 1 <= a < b")
-    return math.pi * (0.5 - 1.0 / (b - a))
+    return math.pi * (0.5 - a / (b - a))
 
 
 def rotated_param_deriv(a: int, b: int, t: float) -> float | None:
     """Closed-form slope of the rotated curve at the cusp weight s = (a-b)/(a+b).
 
-    Equals -tan(pi*(1/(b-a) - (a+b)*t)); returns None at the tangent
-    poles, where the rotated curve has a vertical tangent or cusp.
+    The curve is rotated by rotation_angle(a, b).  There gamma' is a real
+    multiple of i*exp(i*pi*(a+b)*t), so the slope equals
+    -tan(pi*(a/(b-a) - (a+b)*t)); returns None at the tangent poles,
+    where the rotated curve has a vertical tangent or cusp.
     """
     if not 1 <= a < b:
         raise ValueError("need 1 <= a < b")
-    u = 1.0 / (b - a) - (a + b) * float(t)
+    u = a / (b - a) - (a + b) * float(t)
     # pole whenever the tangent argument hits pi/2 mod pi
     frac = u - 0.5
     if abs(frac - round(frac)) < 1e-9:
@@ -236,10 +273,12 @@ def loop_birth_count(
 
     The window [t_center - half_width, t_center + half_width] is examined
     on a 1001-point grid after rotating the curve so the predicted cusp
-    inside the window sits on the vertical axis.  One sign change means
-    the curve crosses the axis once (no loop); three mean a small loop
-    has been born.  Exact zeros on the grid are skipped so the count is
-    stable at the transition weight itself.
+    inside the window sits on the vertical axis: cusp k is cusp 0 turned
+    by 2*pi*a*k/(b-a), so the rotation is rotation_angle(a, b) less that,
+    for every a.  One sign change means the curve crosses the axis once
+    (no loop); three mean a small loop has been born.  Exact zeros on the
+    grid are skipped so the count is stable at the transition weight
+    itself.
 
     Raises
     ------
@@ -302,8 +341,8 @@ def undefined_derivative_sets(a: int, b: int, weights) -> list[list[float]]:
     return sets
 
 
-def _sin_turns(f: int, t: np.ndarray) -> np.ndarray:
-    """sin(2*pi*f*t) with the phase reduction of eval_complex."""
+def _sin_turns(f, t: np.ndarray) -> np.ndarray:
+    """sin(2*pi*f*t) with the phase reduction of eval_complex; f may be a column."""
     u = f * t
     return np.sin(2.0 * np.pi * (u - np.floor(u)))
 
@@ -315,15 +354,19 @@ def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, v_lo: np.ndarray) -> np.
     bracket, to its values there.  Every bracket is halved until its ends
     are adjacent floats; of the two, the end with the smaller |f| is
     returned, so that a root which is itself a float comes out exactly.
+    lo only moves to a midpoint of its own sign, so that sign is taken once.
     """
+    sign_lo = np.sign(v_lo)
     while True:
         mid = 0.5 * (lo + hi)
+        # a bracket of adjacent floats is done and must stay put: its mid is
+        # an end, and at lo = 0, where f may be 0 while sign_lo is the
+        # sign next to it, moving hi to that mid would collapse the bracket
         live = (lo < mid) & (mid < hi)
         if not live.any():
             break
-        v_mid = f(mid)
-        up = live & (np.sign(v_mid) == np.sign(v_lo))
-        lo, v_lo = np.where(up, mid, lo), np.where(up, v_mid, v_lo)
+        up = live & (np.sign(f(mid)) == sign_lo)
+        lo = np.where(up, mid, lo)
         hi = np.where(live & ~up, mid, hi)
     return np.where(np.abs(f(lo)) <= np.abs(f(hi)), lo, hi)
 
@@ -383,8 +426,11 @@ def _level_roots(a: int, b: int, ca, cb, s) -> list[np.ndarray]:
     row, k = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
     wa_k, wb_k = wa[row, 0], wb[row, 0]
 
+    freqs = np.array([[a], [b]])
+
     def h(x):
-        return wa_k * _sin_turns(a, x) + wb_k * _sin_turns(b, x)
+        sa, sb = _sin_turns(freqs, x)
+        return wa_k * sa + wb_k * sb
 
     simple = _bisect_brackets(h, pieces[k], pieces[k + 1], sign[row, k])
     rows = np.concatenate([row_double, row])

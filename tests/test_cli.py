@@ -116,7 +116,9 @@ class TestCusps:
             assert row["proven"]
 
     def test_failed_certification_reports_the_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(epicusp.singularity, "certify_cusp", lambda *args, **kwargs: None)
+        monkeypatch.setattr(
+            epicusp.singularity, "_certify_cusps", lambda spec, ts, delta: [None] * len(ts)
+        )
         rc, out = run_cli(capsys, "cusps", "-a", "2", "-b", "5")
         assert rc == 1
         assert json.loads(out)["error"] == "Unresolved"
@@ -262,6 +264,86 @@ class TestSymmetryArgvFuzz:
         assert record["coprime"] == (math.gcd(a, b) == 1)
         assert record["verified"] == (record["coprime"] and record["rotation_deviation"] < 1e-9
                                       and record["reflection_deviation"] < 1e-9)
+
+
+# pairs for cusps and wind reach b = 200; the work grows with b only linearly
+WIDE_VALID_PAIRS = st.builds(
+    lambda a, d: (str(a), str(a + d)), st.integers(1, 100), st.integers(1, 100)
+)
+WIDE_PAIRS = st.one_of(
+    WIDE_VALID_PAIRS, WIDE_VALID_PAIRS, st.tuples(JUNK_FREQUENCIES, JUNK_FREQUENCIES)
+)
+
+
+class TestCuspsArgvFuzz:
+    @given(WIDE_PAIRS, st.booleans())
+    @settings(deadline=None, max_examples=150)
+    def test_exit_code_and_stdout_keep_the_contract(self, pair, predicted_only):
+        argv = ["cusps", "-a", pair[0], "-b", pair[1]]
+        if predicted_only:
+            argv.append("--predicted-only")
+        rc, out = exit_code_and_stdout(argv)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert out == ""
+            return
+        records = json_lines(out)
+        if rc == 1:
+            assert len(records) == 1 and set(records[0]) == {"error", "message"}
+            return
+        a, b = int(pair[0]), int(pair[1])
+        s_bar = (a - b) / (a + b)
+        if predicted_only:
+            ts = [h / (2 * (b - a)) for h in range(1, 2 * (b - a), 2)]
+            assert records == [{"s": s_bar, "t": ts, "proven": a == 1}]
+            return
+        assert len(records) == b - a
+        for h, record in zip(range(1, 2 * (b - a), 2), records):
+            assert set(record) == {"s", "t", "flip_dot", "proven"}
+            assert record["s"] == s_bar and record["t"] == h / (2 * (b - a))
+            assert record["flip_dot"] <= -1.0 + 1e-6 and record["proven"] == (a == 1)
+
+
+# base points for wind: small coordinates, on and off the curve, and junk
+POINTS = st.builds("{!r},{!r}".format, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+BASE_POINTS = st.one_of(
+    POINTS,
+    POINTS,
+    st.sampled_from(["0,0", "1,0", "-1,2", "2,0", "", "1", "1,2,3", "nan,0", "inf,1", "a,b"]),
+)
+VALID_WEIGHTS = st.floats(-1.0, 1.0).map(repr)
+
+
+class TestWindArgvFuzz:
+    @given(WIDE_PAIRS, VALID_WEIGHTS | WEIGHTS, st.none() | BASE_POINTS, st.booleans(),
+           st.none() | SIZES)
+    @settings(deadline=None, max_examples=200)
+    def test_exit_code_and_stdout_keep_the_contract(self, pair, s, z0, numeric, n):
+        argv = ["wind", "-a", pair[0], "-b", pair[1], "-s", s]
+        if z0 is not None:
+            argv += ["--z0", z0]
+        if numeric:
+            argv.append("--numeric")
+        if n is not None:
+            argv += ["-n", n]
+        rc, out = exit_code_and_stdout(argv)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert out == ""
+            return
+        assert out.count("\n") == 1 and out.endswith("\n")
+        record = json.loads(out)
+        if rc == 1:
+            assert set(record) == {"error", "message"}
+            return
+        # the winding number counts zeros of a degree-b polynomial in the disk
+        assert isinstance(record["value"], int) and 0 <= record["value"] <= int(pair[1])
+        if record["method"] == "closed_form":
+            assert set(record) == {"value", "method"} and not numeric
+        else:
+            assert record["method"] == "numeric"
+            assert set(record) == {"value", "residual", "samples", "method"}
+            assert record["residual"] < 0.25 and record["samples"] >= int(n or 4096)
 
 
 class TestPlotAndSweep:

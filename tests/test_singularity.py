@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from epicusp import (
     certify_cusp,
     classify_point,
     derivative,
+    evaluate,
     find_cusps,
     loop_birth_count,
     parametric_derivative,
@@ -25,8 +27,15 @@ from epicusp import (
     undefined_derivative_set,
 )
 from epicusp import singularity
+from epicusp.cli import main
 from epicusp.curve import eval_complex
-from epicusp.singularity import _circ_dist, _monotone_pieces, undefined_derivative_sets
+from epicusp.singularity import (
+    CUSP_FLIP_TOL,
+    _certify_cusps,
+    _circ_dist,
+    _monotone_pieces,
+    undefined_derivative_sets,
+)
 from exact_counts import chebyshev_u, coprime_pairs, fold_weights, roots_inside, x_prime_count
 
 CUSP_SPEC = TwoTermSpec(1, 3, -0.5)
@@ -90,6 +99,20 @@ class TestCertifyCusp:
         spec = flat_tangent_spec()
         assert classify_point(spec, 0.0) is PointKind.SINGULAR
         assert certify_cusp(spec, 0.0) is None
+
+    def test_a_stopped_curve_is_not_certified(self):
+        # gamma' is 0 everywhere, so there is no one-sided tangent
+        assert certify_cusp(CurveSpec.from_pairs([(0, 1.0)]), 0.0) is None
+
+    def test_the_first_failing_point_decides(self):
+        # t = 0.3 is regular, t = 0 singular without a flip: whichever
+        # comes first decides, as it would one point at a time
+        spec = flat_tangent_spec()
+        with pytest.raises(NotSingular, match="t=0.3"):
+            _certify_cusps(spec, [0.3, 0.0], 1e-3)
+        assert _certify_cusps(spec, [0.0, 0.3], 1e-3)[0] is None
+        with pytest.raises(NotSingular, match="t=0.1"):
+            _certify_cusps(CUSP_SPEC, [0.25, 0.1, 0.75], 1e-3)
 
 
 class TestPredictedLocus:
@@ -170,7 +193,7 @@ class TestFindCusps:
             assert min(_circ_dist(t, u) for _, t in found) < 1e-6
 
     def test_failed_certification_raises(self, monkeypatch):
-        monkeypatch.setattr(singularity, "certify_cusp", lambda *args, **kwargs: None)
+        monkeypatch.setattr(singularity, "_certify_cusps", lambda spec, ts, delta: [None] * len(ts))
         with pytest.raises(Unresolved):
             find_cusps(2, 5)
 
@@ -185,6 +208,78 @@ class TestFindCusps:
         locus = predicted_cusp_locus(np.int64(2), np.int32(5))
         assert locus == predicted_cusp_locus(2, 5)
         assert find_cusps(np.int64(2), np.int64(5)) == find_cusps(2, 5)
+
+
+def reference_certificate(spec, t: float, delta: float = 1e-3):
+    """certify_cusp one point at a time in Python complex arithmetic.
+
+    This was certify_cusp before the certificates of a pair were built in
+    one array pass: nine scalar evaluations of gamma', one to classify the
+    point and eight for the one-sided tangents.  It is the reference for
+    the bits of that pass.
+    """
+    if classify_point(spec, t) is not PointKind.SINGULAR:
+        raise NotSingular(f"no singular point at t={t}")
+
+    def unit_tangent(u):
+        d = complex(eval_complex(spec, u, order=1))
+        return d / abs(d)
+
+    offsets = [delta / 4**k for k in range(4)]
+    left = [unit_tangent(t - d) for d in offsets]
+    right = [unit_tangent(t + d) for d in offsets]
+    flips = [(lt.conjugate() * rt).real for lt, rt in zip(left, right)]
+    for coarse, fine in zip(flips, flips[1:]):
+        if (16.0 * fine - coarse) / 15.0 > -1.0 + CUSP_FLIP_TOL:
+            return None
+    tl = 4.0 * left[3] - left[2]
+    tr = 4.0 * right[3] - right[2]
+    tl, tr = tl / abs(tl), tr / abs(tr)
+    return singularity.CuspCertificate(
+        s=float(getattr(spec, "s", math.nan)),
+        t=float(t),
+        tangent_left=singularity.PlanePoint.from_complex(tl),
+        tangent_right=singularity.PlanePoint.from_complex(tr),
+        flip_dot=(tl.conjugate() * tr).real,
+        proven=(getattr(spec, "a", None) == 1),
+    )
+
+
+def reference_cusps(a: int, b: int) -> tuple[TwoTermSpec, float, list]:
+    """The spec, offset and per-point reference certificates find_cusps uses."""
+    locus = predicted_cusp_locus(a, b)
+    spec = TwoTermSpec(a, b, float(locus.s_bar))
+    delta = min(1e-3, 0.01 / (a + b))
+    return spec, delta, [reference_certificate(spec, float(t), delta) for t in locus.t_values]
+
+
+class TestOneArrayPass:
+    """find_cusps and certify_cusp have the bits of the per-point reference.
+
+    Both sides are computed in this process: the contract is determinism
+    on one machine, so no bytes are stored.
+    """
+
+    @pytest.mark.parametrize("b", range(2, 61))
+    def test_every_pair_up_to_sixty_has_the_reference_bits(self, b):
+        for a in range(1, b):
+            spec, delta, want = reference_cusps(a, b)
+            assert repr(find_cusps(a, b)) == repr(want), (a, b)
+            for cert in want:
+                assert repr(certify_cusp(spec, cert.t, delta=delta)) == repr(cert), (a, b, cert.t)
+
+    def test_certify_cusp_keeps_the_reference_bits_off_the_locus(self):
+        for spec, t in [(CUSP_SPEC, 0.75), (flat_tangent_spec(), 0.0),
+                        (CurveSpec.from_pairs([(1, 4.0), (4, 1.0)]), 1.0 / 6.0)]:
+            assert repr(certify_cusp(spec, t)) == repr(reference_certificate(spec, t))
+
+    def test_cli_prints_the_reference_certificates(self, capsys):
+        assert main(["cusps", "-a", "7", "-b", "60"]) == 0
+        lines = [
+            json.dumps({"s": c.s, "t": c.t, "flip_dot": c.flip_dot, "proven": c.proven}) + "\n"
+            for c in reference_cusps(7, 60)[2]
+        ]
+        assert capsys.readouterr().out == "".join(lines)
 
 
 def _newton_refine_singular(a: int, b: int, s0: float, t0: float):
@@ -284,6 +379,24 @@ class TestRotation:
             measured = parametric_derivative(spec, t)
             assert measured == pytest.approx(rotated_param_deriv(1, 5, t), abs=1e-9)
 
+    @pytest.mark.parametrize("a,b", [(2, 5), (3, 5), (2, 7), (3, 8), (3, 20), (4, 9)])
+    def test_first_cusp_lands_on_the_vertical_axis_for_every_a(self, a, b):
+        # cusp 0 lies at the angle pi*a/(b-a), not pi/(b-a)
+        spec = rotate(TwoTermSpec(a, b, (a - b) / (a + b)), rotation_angle(a, b))
+        cusp = evaluate(spec, 1.0 / (2 * (b - a)))
+        assert abs(cusp.x) < 1e-12 and cusp.y > 0.0
+
+    @pytest.mark.parametrize("a,b", [(2, 5), (3, 5), (2, 7), (3, 8)])
+    def test_slope_matches_the_rotated_curve_for_every_a(self, a, b):
+        spec = rotate(TwoTermSpec(a, b, (a - b) / (a + b)), rotation_angle(a, b))
+        for t in (0.013, 0.03, 0.2, 0.31, 0.55, 0.77):
+            want = rotated_param_deriv(a, b, t)
+            assert parametric_derivative(spec, t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("a,b", [(2, 5), (3, 8), (3, 20)])
+    def test_the_first_cusp_is_a_slope_pole_for_every_a(self, a, b):
+        assert rotated_param_deriv(a, b, 1.0 / (2 * (b - a))) is None
+
 
 class TestLoopBirth:
     def test_counts_around_the_transition(self):
@@ -296,6 +409,12 @@ class TestLoopBirth:
         s_bar = (1 - b) / (1 + b)
         pattern = tuple(loop_birth_count(1, b, s_bar + ds) for ds in (-0.005, 0.0, 0.005))
         assert pattern == (1, 1, 3)
+
+    @pytest.mark.parametrize("a,b,eps", [(2, 5, 1e-3), (2, 7, 1e-3), (3, 20, 1e-4)])
+    def test_loop_is_born_above_the_cusp_weight_for_every_a(self, a, b, eps):
+        s_bar = (a - b) / (a + b)
+        assert loop_birth_count(a, b, s_bar + eps) == 3
+        assert loop_birth_count(a, b, s_bar - eps) == 1
 
     def test_window_spanning_two_cusps_is_refused(self):
         with pytest.raises(WindowTooWide):
