@@ -192,10 +192,11 @@ def criterion_rotated_closed_forms() -> tuple[bool, str]:
         rhs = -1.0 / math.tan(4.0 * math.pi * t)
         if lhs is None or abs(lhs - rhs) >= 1e-9:
             return False, f"slope mismatch at t={t}: {lhs} vs {rhs}"
-    for s, count in ((-0.9, 2), (-0.75, 2), (-0.5, 4), (-0.25, 6), (0.0, 6), (1.0, 6)):
-        got = len(singularity.undefined_derivative_set(1, 3, s))
-        if got != count:
-            return False, f"cardinality {got} != {count} at s={s}"
+    weights, counts = (-0.9, -0.75, -0.5, -0.25, 0.0, 1.0), (2, 2, 4, 6, 6, 6)
+    sets = singularity.undefined_derivative_sets(1, 3, weights)
+    for s, count, values in zip(weights, counts, sets):
+        if len(values) != count:
+            return False, f"cardinality {len(values)} != {count} at s={s}"
     return True, "closed-form slope within 1e-9; cardinalities 2/4/6 across s = -1/2"
 
 

@@ -19,7 +19,12 @@ unfolds into.
 The zeros of x'(t) and the self-intersections (geometry.py) are both the
 roots u in (0, 1/2) of w_a*sin(2*pi*a*u) + w_b*sin(2*pi*b*u), i.e. level
 sets of R(u) = sin(2*pi*b*u) / sin(2*pi*a*u); one kernel, _level_roots,
-finds them between the breakpoints of R that _monotone_pieces lists.
+finds them between the breakpoints of R that _monotone_pieces lists.  It
+narrows every bracket with a fixed number of safeguarded Newton steps and
+bisects what is left down to adjacent floats.  Each root it returns is an
+exact zero of the computed sum, a breakpoint double root, or an end of two
+adjacent floats across which the computed sum changes sign; where that sum
+changes sign once near a root, the root has the bits of plain bisection.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ from .errors import NotSingular, Unresolved, WindowTooWide
 # |gamma'| below this fraction of its natural scale counts as vanishing
 SINGULAR_RTOL = 1e-7
 CUSP_FLIP_TOL = 1e-6
+# _newton_narrow: Newton steps per bracket, then the probe's half-width in ulps
+_NEWTON_STEPS = 8
+_PROBE_ULPS = 16
 
 
 class PointKind(enum.Enum):
@@ -343,32 +351,95 @@ def undefined_derivative_sets(a: int, b: int, weights) -> list[list[float]]:
 
 def _sin_turns(f, t: np.ndarray) -> np.ndarray:
     """sin(2*pi*f*t) with the phase reduction of eval_complex; f may be a column."""
+    return np.sin(_turns(f, t))
+
+
+def _turns(f, t: np.ndarray) -> np.ndarray:
+    """The phase 2*pi*f*t reduced as eval_complex reduces it; f may be a column."""
     u = f * t
-    return np.sin(2.0 * np.pi * (u - np.floor(u)))
+    return 2.0 * np.pi * (u - np.floor(u))
 
 
-def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, v_lo: np.ndarray) -> np.ndarray:
+def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, v_lo: np.ndarray, *params) -> np.ndarray:
     """One root of f in each sign-change bracket [lo, hi], all halved at once.
 
-    v_lo holds f(lo) or its sign.  f maps an array of points, one per
-    bracket, to its values there.  Every bracket is halved until its ends
-    are adjacent floats; of the two, the end with the smaller |f| is
-    returned, so that a root which is itself a float comes out exactly.
-    lo only moves to a midpoint of its own sign, so that sign is taken once.
+    v_lo holds f(lo) or its sign.  f(x, *params) maps an array of points,
+    one per bracket, to its values there; each of params holds one entry
+    per bracket.  Every bracket is halved until its ends are adjacent
+    floats; of the two, the end with the smaller |f| is returned, so that
+    a root which is itself a float comes out exactly.  lo only moves to a
+    midpoint of its own sign, so that sign is taken once.  A finished
+    bracket leaves the working arrays, so the rounds that one slow bracket
+    needs do not carry the others; each bracket's halvings depend on that
+    bracket alone.
     """
     sign_lo = np.sign(v_lo)
-    while True:
+    out_lo, out_hi = lo.copy(), hi.copy()
+    index, work = np.arange(len(lo)), params
+    while len(index):
         mid = 0.5 * (lo + hi)
         # a bracket of adjacent floats is done and must stay put: its mid is
         # an end, and at lo = 0, where f may be 0 while sign_lo is the
         # sign next to it, moving hi to that mid would collapse the bracket
         live = (lo < mid) & (mid < hi)
-        if not live.any():
-            break
-        up = live & (np.sign(f(mid)) == sign_lo)
+        if not live.all():
+            out_lo[index], out_hi[index] = lo, hi
+            index, lo, hi, sign_lo = index[live], lo[live], hi[live], sign_lo[live]
+            work = [p[live] for p in work]
+            continue
+        up = np.sign(f(mid, *work)) == sign_lo
         lo = np.where(up, mid, lo)
-        hi = np.where(live & ~up, mid, hi)
-    return np.where(np.abs(f(lo)) <= np.abs(f(hi)), lo, hi)
+        hi = np.where(up, hi, mid)
+    return np.where(np.abs(f(out_lo, *params)) <= np.abs(f(out_hi, *params)), out_lo, out_hi)
+
+
+def _level(freqs: np.ndarray, x: np.ndarray, wa, wb) -> np.ndarray:
+    """h = wa*sin(2*pi*a*x) + wb*sin(2*pi*b*x), freqs being the column [[a], [b]]."""
+    sa, sb = _sin_turns(freqs, x)
+    return wa * sa + wb * sb
+
+
+def _newton_narrow(freqs, wa, wb, lo, hi, sign_lo) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow sign-change brackets of h = _level(freqs, u, wa, wb) around their roots.
+
+    Safeguarded Newton (rtsafe; Press et al., Numerical Recipes, 9.4), one
+    bracket per entry, all at once.  h and h' come from the same reduced
+    phases at an iterate x, x replaces the end of [lo, hi] of its sign,
+    and the next x is the Newton step, or the midpoint where that step
+    leaves [lo, hi] or h' is 0 or NaN.  A step onto an end has converged:
+    the entry stays there for the remaining steps.  No end moves by h at
+    an end: at u = 0 and 1/2 h is 0 or rounding noise, while the sign
+    there comes from g.  After _NEWTON_STEPS steps the points _PROBE_ULPS
+    ulps either side of x move the ends once more, so that bisection of
+    the returned brackets takes a few rounds where h is not noise there.
+
+    Every end stays an end of a sign change of h, with the bits that
+    _level_roots bisects, so where h changes sign once near a root the
+    bisection finds the same adjacent floats.  The step count is fixed,
+    so each entry's iterates depend on that entry alone.
+    """
+    slope = 2.0 * np.pi * freqs * np.array([wa, wb])
+    x = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            phase = _turns(freqs, x)
+            sa, sb = np.sin(phase)
+            v = wa * sa + wb * sb
+            lo, hi = _narrow(lo, hi, sign_lo, x, v)
+            step = x - v / (slope * np.cos(phase)).sum(axis=0)
+            x = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+    probe = _PROBE_ULPS * np.spacing(x)
+    for x in (x - probe, x + probe):
+        lo, hi = _narrow(lo, hi, sign_lo, x, _level(freqs, x, wa, wb))
+    return lo, hi
+
+
+def _narrow(lo, hi, sign_lo, x, v) -> tuple[np.ndarray, np.ndarray]:
+    """Move the end of [lo, hi] that has the sign of v = h(x) to x; an x
+    outside the open bracket moves neither end."""
+    inside = (lo < x) & (x < hi)
+    up = np.sign(v) == sign_lo
+    return np.where(inside & up, x, lo), np.where(inside & ~up, x, hi)
 
 
 @functools.lru_cache(maxsize=64)
@@ -404,9 +475,18 @@ def _level_roots(a: int, b: int, ca, cb, s) -> list[np.ndarray]:
     wa = ca*(1-s) and wb = cb*(1+s), with ca and cb scalars or columns
     against the weights s, one row each; a < b are coprime.  Between two
     breakpoints of _monotone_pieces h = sin(2*pi*a*u) * (wa + wb*R) has a
-    root exactly when it changes sign, and then one; all are bisected at
-    once.  At u = 0 and 1/2 the sign is that of g = h / sin(2*pi*u):
+    root exactly when it changes sign, and then one.  All brackets are
+    narrowed at once by _newton_narrow and then bisected at once.  At
+    u = 0 and 1/2 the sign is that of g = h / sin(2*pi*u):
     g(0) = wa*a + wb*b, g(1/2) = (-1)^(a-1)*wa*a + (-1)^(b-1)*wb*b.
+
+    Root contract: each root is an exact zero of the computed h, a
+    breakpoint double root (below), or an end of two adjacent floats across
+    which the computed h changes sign.  Where the computed h changes sign
+    once near a root, that root has the bits of plain bisection of its
+    bracket; where rounding noise gives several sign changes between nearby
+    floats, it may be another of them.  Each row's roots depend on that
+    row alone.
 
     Coalescing roots: a breakpoint value within 16*eps*(|ca|*a + |cb|*b)
     counts as 0, a bound on what rounding s to a float and evaluating h
@@ -427,12 +507,9 @@ def _level_roots(a: int, b: int, ca, cb, s) -> list[np.ndarray]:
     wa_k, wb_k = wa[row, 0], wb[row, 0]
 
     freqs = np.array([[a], [b]])
-
-    def h(x):
-        sa, sb = _sin_turns(freqs, x)
-        return wa_k * sa + wb_k * sb
-
-    simple = _bisect_brackets(h, pieces[k], pieces[k + 1], sign[row, k])
+    sign_k = sign[row, k]
+    lo, hi = _newton_narrow(freqs, wa_k, wb_k, pieces[k], pieces[k + 1], sign_k)
+    simple = _bisect_brackets(functools.partial(_level, freqs), lo, hi, sign_k, wa_k, wb_k)
     rows = np.concatenate([row_double, row])
     roots = np.concatenate([pieces[at + 1], simple])
     order = np.lexsort((roots, rows))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curve import AnySpec, PlanePoint, TwoTermSpec, curve_scale, eval_grid
+from .curve import AnySpec, PlanePoint, TwoTermSpec, as_curve, curve_scale, eval_grid
 from .errors import NearPole, OnCurve, Unresolved
 
 ORIGIN = PlanePoint(0.0, 0.0)
@@ -67,7 +67,10 @@ def winding_numeric(spec: AnySpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> Wi
 
     Accumulates the principal-value angle increments of gamma(t) - z0
     between consecutive grid points, the last one closing the period back
-    to t = 0, and rounds the total turning to an integer.  Every increment
+    to t = 0, and rounds the total turning to an integer.  n is first
+    doubled until it is at least 4 times the largest |frequency|: on a
+    coarser grid a term turns by more than pi/2 per step and can alias to
+    a slower turning whose increments all look small.  Every increment
     must stay below pi/2; while some does not, the grid is doubled, up to
     MAX_WINDING_SAMPLES points.
 
@@ -76,14 +79,21 @@ def winding_numeric(spec: AnySpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> Wi
     OnCurve
         If some grid sample comes within 1e-9 * curve scale of z0.
     Unresolved
-        If the turning steps still exceed pi/2 on the largest grid, or the
-        total turning is not close to an integer multiple of 2*pi.
+        If reaching 4 times the largest |frequency| takes the grid past
+        MAX_WINDING_SAMPLES, the turning steps still exceed pi/2 on the
+        largest grid, or the total turning is not close to an integer
+        multiple of 2*pi.
     """
     if n < 64:
         raise ValueError("need n >= 64")
     z0c = z0.as_complex() if isinstance(z0, PlanePoint) else complex(z0)
     dist_tol = 1e-9 * curve_scale(spec)
+    top = max(abs(t.frequency) for t in as_curve(spec).terms)
     m = n
+    while m < 4 * top:
+        if 2 * m > MAX_WINDING_SAMPLES:
+            raise Unresolved(f"frequency {top} needs more than {m} samples")
+        m *= 2
     while True:
         w = eval_grid(spec, m) - z0c
         if np.min(np.abs(w)) <= dist_tol:

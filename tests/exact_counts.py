@@ -50,35 +50,51 @@ def poly_value(p, x):
 
 
 def roots_inside(p: list[Fraction]) -> int:
-    """Distinct roots of p in the open interval (-1, 1), p not zero."""
+    """Distinct roots of p in the open interval (-1, 1), p not zero.
+
+    A Sturm sequence in integers: p is scaled to integer coefficients, each
+    remainder is a pseudo-remainder scaled by a positive factor and divided
+    by its content, so every member keeps the signs of the rational one.
+    """
     p = _trim(p)
+    scale = math.lcm(*(Fraction(c).denominator for c in p))
+    p = [int(c * scale) for c in p]
     for end in (1, -1):
         while len(p) > 1 and poly_value(p, end) == 0:
             # divide by (x - end)
-            q, carry = [Fraction(0)] * (len(p) - 1), Fraction(0)
+            q, carry = [0] * (len(p) - 1), 0
             for i in range(len(p) - 1, 0, -1):
                 carry = p[i] + carry * end
                 q[i - 1] = carry
             p = q
     if len(p) <= 1:
         return 0
-    seq = [p, _trim([i * c for i, c in enumerate(p)][1:])]
+    seq = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
     while len(seq[-1]) > 1:
-        rem = list(seq[-2])
-        while len(rem) >= len(seq[-1]):
-            q, shift = rem[-1] / seq[-1][-1], len(rem) - len(seq[-1])
-            for i, c in enumerate(seq[-1]):
-                rem[i + shift] -= q * c
+        rem, divisor = list(seq[-2]), seq[-1]
+        lead = divisor[-1]
+        while len(rem) >= len(divisor):
+            # |lead| * rem - sign(lead) * rem[-1] * x^shift * divisor cancels rem[-1]
+            c, shift = rem[-1] if lead > 0 else -rem[-1], len(rem) - len(divisor)
+            rem = [abs(lead) * r for r in rem]
+            for i, d in enumerate(divisor):
+                rem[i + shift] -= c * d
             rem = _trim(rem[:-1])
         if not rem:
             break
-        seq.append([-c for c in rem])
+        seq.append(_primitive([-c for c in rem]))
 
     def sign_changes(x):
         signs = [v > 0 for v in (poly_value(q, x) for q in seq) if v != 0]
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
     return sign_changes(-1) - sign_changes(1)
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients, a positive integer."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
 
 
 def u_sum(a: int, b: int, wa, wb) -> list[Fraction]:

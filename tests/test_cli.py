@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import epicusp
@@ -318,6 +318,8 @@ class TestWindArgvFuzz:
     @given(WIDE_PAIRS, VALID_WEIGHTS | WEIGHTS, st.none() | BASE_POINTS, st.booleans(),
            st.none() | SIZES)
     @settings(deadline=None, max_examples=200)
+    # 64 samples alias z^49 to z^-15 unless the grid is refined first
+    @example(("1", "49"), "1.0", None, True, "64")
     def test_exit_code_and_stdout_keep_the_contract(self, pair, s, z0, numeric, n):
         argv = ["wind", "-a", pair[0], "-b", pair[1], "-s", s]
         if z0 is not None:
@@ -344,6 +346,74 @@ class TestWindArgvFuzz:
             assert record["method"] == "numeric"
             assert set(record) == {"value", "residual", "samples", "method"}
             assert record["residual"] < 0.25 and record["samples"] >= int(n or 4096)
+
+
+# -n for plot and --count for sweep: small values on both sides of the
+# minimum of 2, and junk; never large, as the document grows with them
+SAMPLES = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.sampled_from(["", "1e2", "64.0", "0x40", "-", "ten", " 64"]),
+)
+COUNTS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.sampled_from(["", "3.0", "1e1", "0x3", "-", "five", " 4"]),
+)
+# the same tmp_path serves every example; each one starts by removing the document
+FILE_PER_TEST = settings(deadline=None, max_examples=100,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def check_document(rc: int, out: str, path: Path, fields: set[str]) -> str | None:
+    """The contract shared by plot and sweep; returns the document on exit 0."""
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert out == "" and not path.exists()
+        return None
+    assert out.count("\n") == 1 and out.endswith("\n")
+    record = json.loads(out)
+    if rc == 1:
+        assert set(record) == {"error", "message"} and not path.exists()
+        return None
+    text = path.read_text(encoding="utf-8")
+    assert set(record) == fields and record["out"] == str(path)
+    assert record["bytes"] == len(text)
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
+    return text
+
+
+class TestPlotArgvFuzz:
+    @given(PAIRS, WEIGHTS, st.none() | SAMPLES)
+    @FILE_PER_TEST
+    def test_exit_code_and_stdout_keep_the_contract(self, tmp_path, pair, s, n):
+        path = tmp_path / "curve.svg"
+        path.unlink(missing_ok=True)
+        argv = ["plot", "-a", pair[0], "-b", pair[1], "-s", s, "--out", str(path)]
+        if n is not None:
+            argv += ["-n", n]
+        rc, out = exit_code_and_stdout(argv)
+        text = check_document(rc, out, path, {"out", "bytes"})
+        if text is not None:
+            assert n is None or int(n) >= 2
+            polylines = [line for line in text.splitlines() if line.startswith("<polyline")]
+            # the closed polyline repeats its first sample
+            assert len(polylines) == 1
+            assert polylines[0].count(",") == int(n or 1024) + 1
+
+
+class TestSweepArgvFuzz:
+    @given(PAIRS, st.none() | COUNTS)
+    @FILE_PER_TEST
+    def test_exit_code_and_stdout_keep_the_contract(self, tmp_path, pair, count):
+        path = tmp_path / "sweep.svg"
+        path.unlink(missing_ok=True)
+        argv = ["sweep", "-a", pair[0], "-b", pair[1], "--out", str(path)]
+        if count is not None:
+            argv += ["--count", count]
+        rc, out = exit_code_and_stdout(argv)
+        text = check_document(rc, out, path, {"out", "curves", "bytes"})
+        if text is not None:
+            assert json.loads(out)["curves"] == int(count or 21) >= 2
+            assert text.count("<polyline") == int(count or 21)
 
 
 class TestPlotAndSweep:

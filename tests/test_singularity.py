@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicusp import (
     CurveSpec,
@@ -36,7 +38,16 @@ from epicusp.singularity import (
     _monotone_pieces,
     undefined_derivative_sets,
 )
-from exact_counts import chebyshev_u, coprime_pairs, fold_weights, roots_inside, x_prime_count
+from epicusp.geometry import _half_gap_roots
+from exact_counts import (
+    chebyshev_u,
+    coprime_pairs,
+    fold_weights,
+    roots_inside,
+    tangency_weights,
+    u_sum,
+    x_prime_count,
+)
 
 CUSP_SPEC = TwoTermSpec(1, 3, -0.5)
 
@@ -595,3 +606,102 @@ class TestBatchedXPrimeZeros:
     def test_every_weight_is_checked(self, weights):
         with pytest.raises(ValueError):
             undefined_derivative_sets(2, 5, weights)
+
+
+def computed_h(a: int, b: int, wa: float, wb: float, u) -> np.ndarray:
+    """wa*sin(2*pi*a*u) + wb*sin(2*pi*b*u) with the phases reduced as
+    eval_complex reduces them: the bits the level-set kernel computes."""
+    u = np.asarray(u, dtype=float)
+    ta, tb = a * u, b * u
+    return wa * np.sin(2.0 * np.pi * (ta - np.floor(ta))) + wb * np.sin(2.0 * np.pi * (tb - np.floor(tb)))
+
+
+def plain_bisection_roots(a: int, b: int, wa: float, wb: float) -> np.ndarray:
+    """The roots of plain bisection, each bracket halved down to adjacent
+    floats, kept as the reference for the narrowed kernel.  Its brackets are
+    the sign changes between breakpoints, the ends' signs those of g; no
+    coalescing, so near a double root it may list a different count."""
+    pieces = _monotone_pieces(a, b)
+    v = computed_h(a, b, wa, wb, pieces)
+    v[0] = wa * a + wb * b
+    v[-1] = (-1) ** (a - 1) * wa * a + (-1) ** (b - 1) * wb * b
+    k = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+    lo, hi, sign = pieces[k], pieces[k + 1], np.sign(v[k])
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        up = live & (np.sign(computed_h(a, b, wa, wb, mid)) == sign)
+        lo, hi = np.where(up, mid, lo), np.where(live & ~up, mid, hi)
+    return np.where(np.abs(computed_h(a, b, wa, wb, lo)) <= np.abs(computed_h(a, b, wa, wb, hi)), lo, hi)
+
+
+COPRIME_PAIRS = st.integers(2, 40).flatmap(
+    lambda b: st.tuples(st.integers(1, b - 1), st.just(b))
+).filter(lambda pair: math.gcd(*pair) == 1)
+
+
+class TestRootContract:
+    """Every root of _level_roots is an exact zero of the computed h, a
+    breakpoint double root, or an end of two adjacent floats across which
+    the computed h changes sign; a root that differs from plain bisection
+    lies in the band where |h| is rounding noise."""
+
+    @given(COPRIME_PAIRS, st.none() | st.floats(-1.0, 1.0), st.sampled_from(["g+", "g-", "x'"]))
+    @settings(deadline=None, max_examples=150)
+    def test_every_root_is_a_sign_change_of_the_computed_h(self, pair, s, kind):
+        a, b = pair
+        if s is None:  # the cusp weight, where g vanishes at an end
+            s = (a - b) / (a + b)
+        if kind == "x'":
+            ca, cb = a, b
+            roots = singularity._level_roots(a, b, a, b, [s])[0]
+        else:
+            ca, cb = 1, (1 if kind == "g+" else -1)
+            roots = _half_gap_roots(a, b, s)[0 if kind == "g+" else 1]
+        wa, wb = ca * (1.0 - s), cb * (1.0 + s)
+        # a float that is the nearest one to a simple rational stands for it;
+        # within rounding of a weight where two roots meet, they count as one
+        exact = exact_weight(s) if float(exact_weight(s)) == s else Fraction(s)
+        meet = fold_weights(a, b) if kind == "x'" else tangency_weights(a, b)
+        if all(abs(s - w) > 1e-9 for w in meet):
+            assert len(roots) == roots_inside(u_sum(a, b, ca * (1 - exact), cb * (1 + exact)))
+        assert np.all(np.diff(roots) > 0.0) and np.all((0.0 < roots) & (roots < 0.5))
+
+        v = computed_h(a, b, wa, wb, roots)
+        below = computed_h(a, b, wa, wb, np.nextafter(roots, 0.0))
+        above = computed_h(a, b, wa, wb, np.nextafter(roots, 1.0))
+        double = np.isin(roots, _monotone_pieces(a, b))
+        assert np.all((v == 0.0) | double | (v * below < 0.0) | (v * above < 0.0))
+
+        reference = plain_bisection_roots(a, b, wa, wb)
+        if len(reference) != len(roots):
+            return
+        # within the noise band: |h - computed h| <= noise, and h has slope
+        # h' there, so two sign changes lie within 2*noise/|h'| of each other
+        noise = 8.0 * np.finfo(float).eps * (abs(wa) * a + abs(wb) * b)
+        slope = 2.0 * np.pi * (
+            wa * a * np.cos(2.0 * np.pi * a * reference) + wb * b * np.cos(2.0 * np.pi * b * reference)
+        )
+        with np.errstate(divide="ignore"):
+            band = 2.0 * noise / np.abs(slope) + 2.0 * np.spacing(reference)
+        moved = (roots != reference) & ~double
+        assert np.all(np.abs(roots - reference)[moved] <= band[moved])
+
+    def test_a_point_outside_the_open_bracket_moves_no_end(self):
+        # probes may fall outside a bracket, and h at u = 0 or 1/2 is noise
+        lo, hi, sign_lo = np.array([0.0, 0.1]), np.array([0.5, 0.2]), np.array([1.0, -1.0])
+        for x in (lo, hi, lo - 0.01, hi + 0.01):
+            for v in (-1.0, 0.0, 1.0):
+                got = singularity._narrow(lo, hi, sign_lo, x, np.full(2, v))
+                assert np.array_equal(got[0], lo) and np.array_equal(got[1], hi)
+
+    def test_a_root_in_rounding_noise_is_one_of_its_sign_changes(self):
+        # (4, 7, 0): g_+ vanishes at u = 1/6; on the five floats around it
+        # the computed h reads -, +, -, 0, +, so bisection alone returns the
+        # exact zero above float(1/6) and the narrowed kernel the sign
+        # change below it
+        roots = _half_gap_roots(4, 7, 0.0)[0]
+        sixth = roots[np.argmin(np.abs(roots - 1.0 / 6.0))]
+        assert sixth in (np.nextafter(1.0 / 6.0, 0.0), np.nextafter(1.0 / 6.0, 1.0))

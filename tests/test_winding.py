@@ -122,6 +122,30 @@ class TestGridGrowth:
             winding_numeric(TwoTermSpec(7, 60, 0.2), PlanePoint(0.5, 0.5))
 
 
+class TestAliasing:
+    """Below 4 samples per turn of the fastest term, a term can alias to a
+    slow turning whose steps all stay under pi/2."""
+
+    def test_a_coarse_grid_is_refined_before_the_first_pass(self):
+        # on 64 points, z^49 turns like z^(49-64) = z^-15
+        res = winding_numeric(TwoTermSpec(1, 49, 1.0), ORIGIN, 64)
+        assert res.value == 49 and res.samples == 256
+
+    @pytest.mark.parametrize("n", [64, 100, 128])
+    def test_every_pair_on_a_small_grid(self, n):
+        for b in range(2, 61):
+            for a in range(1, b):
+                for s in (-0.5, 0.9, 1.0):
+                    res = winding_numeric(TwoTermSpec(a, b, s), ORIGIN, n)
+                    assert res.value == (a if s < 0 else b), (a, b, s)
+                    assert res.samples >= 4 * b
+
+    def test_a_frequency_past_the_largest_grid_is_refused(self):
+        spec = CurveSpec.from_pairs([(winding.MAX_WINDING_SAMPLES // 2, 1.0)])
+        with pytest.raises(Unresolved):
+            winding_numeric(spec, ORIGIN, 64)
+
+
 class TestKernelIntegral:
     def test_dominant_constant(self):
         v = kernel_integral(KernelParams(alpha=1.0, beta=2.0), 512)
