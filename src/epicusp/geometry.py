@@ -192,16 +192,20 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
     z1, z2 = eval_complex(spec, t1), eval_complex(spec, t2)
     x, y = 0.5 * (z1.real + z2.real), 0.5 * (z1.imag + z2.imag)
 
-    n = b * b - a * a
-    records = []
-    for r1, r2, px, py in zip(t1.tolist(), t2.tolist(), x.tolist(), y.tolist()):
-        pair = None
-        if s == 0.0:
-            j1, j2 = round(r1 * n), round(r2 * n)
-            if abs(r1 - j1 / n) < 1e-9 and abs(r2 - j2 / n) < 1e-9:
-                pair = (j1 % n, j2 % n)
-        records.append(IntersectionRecord(r1, r2, PlanePoint(px, py), pair is not None, pair))
-    return records
+    pairs = [None] * len(t1)
+    if s == 0.0:
+        # np.rint rounds half to even as round() does; j / n is correctly
+        # rounded, as int / int is
+        n = b * b - a * a
+        j1, j2 = np.rint(t1 * n).astype(np.int64), np.rint(t2 * n).astype(np.int64)
+        on = (np.abs(t1 - j1 / n) < 1e-9) & (np.abs(t2 - j2 / n) < 1e-9)
+        grid = zip((j1 % n).tolist(), (j2 % n).tolist())
+        pairs = [pair if ok else None for ok, pair in zip(on.tolist(), grid)]
+    rows = zip(t1.tolist(), t2.tolist(), x.tolist(), y.tolist(), pairs)
+    return [
+        IntersectionRecord(r1, r2, PlanePoint(px, py), pair is not None, pair)
+        for r1, r2, px, py, pair in rows
+    ]
 
 
 def _half_gap_roots(a: int, b: int, s: float) -> list[np.ndarray]:

@@ -6,6 +6,13 @@ plotting toolkit.  Curves are drawn as closed polylines, parametric
 derivative graphs are split at their poles, and the singularity diagram
 shows where the parametric derivative is undefined across the weight
 range with the predicted cusps overlaid as bold markers.
+
+Curve polylines and the diagram's dots are formatted in bulk.  Their
+pixel coordinates are the float operations of one point at a time, done
+elementwise on arrays, so they have the same bits.  Each polyline, and
+each run of up to 256 of a diagram's dots, is one % format over a repeated
+"%.3f" template; "%.3f" % v gives the bytes of f"{v:.3f}" for every float,
+-0.000 included, so the documents are those of formatting point by point.
 """
 
 from __future__ import annotations
@@ -23,15 +30,18 @@ from .curve import (
     derivative_scale,
     eval_complex,
     eval_grid,
-    sample,
     spec_to_wire,
 )
 from .errors import EmptyInput
-from .singularity import predicted_cusp_locus, undefined_derivative_sets
+from .singularity import _undefined_derivative_rows, predicted_cusp_locus
 
 SVG_NS = 'xmlns="http://www.w3.org/2000/svg"'
 # weights on the uniform grid over [-1, 1] that the singularity diagram draws
 DIAGRAM_WEIGHT_COUNT = 201
+_UDEF_DOT = '<circle class="udef-dot" cx="%.3f" cy="%.3f" r="1.2" fill="#000000"/>'
+# dots per % format: each piece stays ~18 KB, so malloc reuses its memory; a
+# diagram's ~130 KB of dots in one piece is mapped and trimmed on every call
+_DOTS_PER_FORMAT = 256
 
 
 @dataclass(frozen=True)
@@ -71,18 +81,19 @@ def render_curve(specs: list[AnySpec], plot: PlotSpec = PlotSpec()) -> str:
     """Render one closed polyline per spec into an SVG document."""
     if not specs:
         raise EmptyInput("nothing to render")
-    curves = [as_curve(s) for s in specs]
-    pts = [sample(c, plot.samples) for c in curves]
+    if plot.samples < 2:
+        raise ValueError("need n >= 2 samples")
+    zs = [eval_grid(as_curve(s), plot.samples) for s in specs]
 
     extent = plot.viewbox
-    top = max(max(max(abs(p.x), abs(p.y)) for p in ps) for ps in pts)
+    top = max(float(np.max(np.maximum(np.abs(z.real), np.abs(z.imag)))) for z in zs)
     if top > extent:
         extent = 1.1 * top
 
-    def to_px(p: PlanePoint) -> tuple[float, float]:
+    def to_px(x, y):
         return (
-            (p.x + extent) / (2 * extent) * plot.width,
-            (extent - p.y) / (2 * extent) * plot.height,
+            (x + extent) / (2 * extent) * plot.width,
+            (extent - y) / (2 * extent) * plot.height,
         )
 
     lines = [
@@ -90,21 +101,27 @@ def render_curve(specs: list[AnySpec], plot: PlotSpec = PlotSpec()) -> str:
         f'viewBox="0 0 {plot.width} {plot.height}">',
         f'<rect width="{plot.width}" height="{plot.height}" fill="#ffffff"/>',
     ]
-    for i, ps in enumerate(pts):
-        closed = list(ps) + [ps[0]]
-        coords = " ".join("%s,%s" % (_px(x), _px(y)) for x, y in map(to_px, closed))
+    points = " ".join(["%.3f,%.3f"] * (plot.samples + 1))
+    for i, z in enumerate(zs):
+        closed = np.append(z, z[:1])
+        coords = points % _interleave(*to_px(closed.real, closed.imag))
         lines.append(
             f'<polyline points="{coords}" fill="none" '
-            f'stroke="{_color_ramp(i, len(pts))}" stroke-width="{plot.stroke_width}"/>'
+            f'stroke="{_color_ramp(i, len(zs))}" stroke-width="{plot.stroke_width}"/>'
         )
     for point, label in plot.markers:
-        x, y = to_px(point)
+        x, y = to_px(point.x, point.y)
         lines.append(
             f'<circle class="overlay-marker" cx="{_px(x)}" cy="{_px(y)}" r="4" '
             f'fill="#000000"><title>{label}</title></circle>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def _interleave(x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
+    """x0, y0, x1, y1, ... as Python floats, the arguments of one % format."""
+    return tuple(np.stack((x, y), axis=1).ravel().tolist())
 
 
 def render_param_derivative(spec: TwoTermSpec, plot: PlotSpec = PlotSpec()) -> str:
@@ -165,7 +182,7 @@ def render_singularity_diagram(a: int, b: int) -> str:
     s_lo, s_hi = -1.0, 1.0
     t_lo, t_hi = -0.08, 1.08
 
-    def to_px(s: float, t: float) -> tuple[float, float]:
+    def to_px(s, t):
         x = (s - s_lo + 0.1) / (s_hi - s_lo + 0.2) * width
         y = (t_hi - t) / (t_hi - t_lo) * height
         return x, y
@@ -196,14 +213,12 @@ def render_singularity_diagram(a: int, b: int) -> str:
         )
 
     n = DIAGRAM_WEIGHT_COUNT
-    weights = [s_lo + (s_hi - s_lo) * i / (n - 1) for i in range(n)]
-    for s, ts in zip(weights, undefined_derivative_sets(a, b, weights)):
-        for t in ts:
-            x, y = to_px(s, t)
-            lines.append(
-                f'<circle class="udef-dot" cx="{_px(x)}" cy="{_px(y)}" r="1.2" '
-                f'fill="#000000"/>'
-            )
+    weights = s_lo + (s_hi - s_lo) * np.arange(n) / (n - 1)
+    t, sizes = _undefined_derivative_rows(a, b, weights)
+    xy = _interleave(*to_px(np.repeat(weights, sizes), t))
+    for i in range(0, len(xy), 2 * _DOTS_PER_FORMAT):
+        part = xy[i : i + 2 * _DOTS_PER_FORMAT]
+        lines.append("\n".join([_UDEF_DOT] * (len(part) // 2)) % part)
 
     locus = predicted_cusp_locus(a, b)
     for t_frac in locus.t_values:

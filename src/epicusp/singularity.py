@@ -195,6 +195,14 @@ def _unit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x / r, y / r
 
 
+def _check_pair(a, b) -> tuple[int, int]:
+    """Frequencies as plain ints, with 1 <= a < b."""
+    a, b = _integer(a, "frequency a"), _integer(b, "frequency b")
+    if not 1 <= a < b:
+        raise ValueError("need 1 <= a < b")
+    return a, b
+
+
 def predicted_cusp_locus(a: int, b: int) -> CuspLocus:
     """Cusp parameters: s = (a-b)/(a+b), t = h/(2(b-a)), h odd.
 
@@ -202,9 +210,7 @@ def predicted_cusp_locus(a: int, b: int) -> CuspLocus:
     cusp, for every a (see the module docstring).  The proven flag records
     whether a = 1, the case the paper proves.
     """
-    a, b = _integer(a, "frequency a"), _integer(b, "frequency b")
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
+    a, b = _check_pair(a, b)
     d = 2 * (b - a)
     return CuspLocus(
         s_bar=Fraction(a - b, a + b),
@@ -220,19 +226,22 @@ def find_cusps(a: int, b: int) -> list[CuspCertificate]:
     All of them are certified in one array pass, the test of certify_cusp
     at the float nearest each exact (s, t), with the same bits as one
     point at a time.  Certificates come back sorted by t, b - a of them.
+    Those floats are (a-b)/(a+b) and h/d: true division of integers is
+    correctly rounded, so they are float(Fraction) of the locus.
 
     Raises
     ------
     Unresolved
         If a locus point fails certification.
     """
-    locus = predicted_cusp_locus(a, b)
-    spec = TwoTermSpec(a, b, float(locus.s_bar))
+    a, b = _check_pair(a, b)
+    d = 2 * (b - a)
+    spec = TwoTermSpec(a, b, (a - b) / (a + b))
     delta = min(1e-3, 0.01 / (a + b))
-    certs = _certify_cusps(spec, [float(t) for t in locus.t_values], delta)
-    for t, cert in zip(locus.t_values, certs):
+    certs = _certify_cusps(spec, np.arange(1, d, 2) / d, delta)
+    for h, cert in zip(range(1, d, 2), certs):
         if cert is None:
-            raise Unresolved(f"({a},{b}): no tangent flip at t = {t}")
+            raise Unresolved(f"({a},{b}): no tangent flip at t = {Fraction(h, d)}")
     return certs
 
 
@@ -277,24 +286,31 @@ def loop_birth_count(
     t_center: float | None = None,
     half_width: float | None = None,
 ) -> int:
-    """Sign changes of the rotated x-component near one predicted cusp.
+    """Axis crossings of the rotated x-component near one predicted cusp.
 
-    The window [t_center - half_width, t_center + half_width] is examined
-    on a 1001-point grid after rotating the curve so the predicted cusp
-    inside the window sits on the vertical axis: cusp k is cusp 0 turned
-    by 2*pi*a*k/(b-a), so the rotation is rotation_angle(a, b) less that,
-    for every a.  One sign change means the curve crosses the axis once
-    (no loop); three mean a small loop has been born.  Exact zeros on the
-    grid are skipped so the count is stable at the transition weight
-    itself.
+    The curve is rotated so that the predicted cusp t_k nearest t_center
+    sits on the vertical axis: cusp k is cusp 0 turned by 2*pi*a*k/(b-a),
+    and rotation_angle(a, b) puts cusp 0 there.  At t = t_k + v the
+    rotated x-component is then -/+[(1-s) sin(2 pi a v) - (1+s) sin(2 pi b v)],
+    the numerator of g_- at u = v (geometry.py).  That numerator is odd
+    with period 1, so its zeros are v = 0, 1/2 and +-u for the roots u of
+    g_- in (0, 1/2), which _level_roots finds, and their shifts by whole
+    periods.  The count is the number of those zeros in the window
+    [t_center - half_width, t_center + half_width]; for a window centred
+    on the cusp it is 1 + 2 * #{u <= half_width}.  One means the curve
+    crosses the axis once (no loop); three mean a loop has been born,
+    however small.  A double root of g_-, where two crossings meet, counts
+    as both.  With g = gcd(a, b), gamma_{a,b}(t) = gamma_{a/g,b/g}(g*t), so
+    the zeros are those of the reduced pair divided by g.
 
     Raises
     ------
     WindowTooWide
         If two or more predicted cusp parameters fall inside the window.
     """
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
+    a, b = _check_pair(a, b)
+    if not -1.0 <= s <= 1.0:
+        raise ValueError("s must lie in [-1, 1]")
     if t_center is None:
         t_center = 1.0 / (2 * (b - a))
     if half_width is None:
@@ -305,16 +321,14 @@ def loop_birth_count(
     if len(inside) >= 2:
         raise WindowTooWide(f"{len(inside)} predicted cusps in the window")
 
-    # rotate so the nearest predicted cusp lands on the vertical axis;
-    # cusp k is the rotation of cusp 0 by 2*pi*a*k/(b-a)
     k = min(range(b - a), key=lambda i: _circ_dist(predicted[i], t_center))
-    phi = rotation_angle(a, b) - 2.0 * math.pi * a * k / (b - a)
-
-    t = np.linspace(t_center - half_width, t_center + half_width, 1001)
-    x = (eval_complex(TwoTermSpec(a, b, s), t) * np.exp(1j * phi)).real
-    signs = np.sign(x)
-    signs = signs[signs != 0.0]
-    return int(np.sum(signs[:-1] != signs[1:]))
+    offset = (t_center - predicted[k] + 0.5) % 1.0 - 0.5
+    g = math.gcd(a, b)
+    u = _level_roots(a // g, b // g, 1.0, -1.0, [s])[0]
+    zeros = np.concatenate(([0.0, 0.5], u, 1.0 - u))
+    # zeros + j inside [lo, hi] for integers j, in the reduced parameter g*v
+    lo, hi = g * (offset - half_width), g * (offset + half_width)
+    return int(np.sum(np.floor(hi - zeros) - np.ceil(lo - zeros) + 1.0))
 
 
 def undefined_derivative_set(a: int, b: int, s: float) -> list[float]:
@@ -334,19 +348,33 @@ def undefined_derivative_sets(a: int, b: int, weights) -> list[list[float]]:
     (a/g, b/g) at g*t, so the zeros of that pair are divided by g and
     repeated with period 1/g.
     """
-    a, b = _integer(a, "frequency a"), _integer(b, "frequency b")
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
+    t, sizes = _undefined_derivative_rows(a, b, weights)
+    flat, ends = t.tolist(), np.cumsum(sizes).tolist()
+    return [flat[i:j] for i, j in zip([0] + ends, ends)]
+
+
+def _undefined_derivative_rows(a: int, b: int, weights) -> tuple[np.ndarray, np.ndarray]:
+    """undefined_derivative_sets as one flat array and the length of each set.
+
+    Each set is 0, its row's roots u, 1/2 and their mirrors 1 - u, each of
+    these t then copied to (t + k) / g for k = 0..g-1, all in ascending
+    order.  The values of every row are built at once and sorted by row
+    and value; rounding keeps that order, so each set has the values and
+    the order of building it on its own.
+    """
+    a, b = _check_pair(a, b)
     s = np.array(list(weights), dtype=float)
     if not np.all((-1.0 <= s) & (s <= 1.0)):
         raise ValueError("s must lie in [-1, 1]")
     g = math.gcd(a, b)
     a, b = a // g, b // g
-    sets = []
-    for u in _level_roots(a, b, a, b, s):
-        t = np.concatenate(([0.0], u, [0.5], 1.0 - u[::-1]))
-        sets.append(((t + np.arange(g)[:, None]) / g).ravel().tolist())
-    return sets
+    u, counts = _level_root_rows(a, b, a, b, s)
+    rows = np.arange(len(s))
+    row = np.repeat(rows, counts)
+    t = np.concatenate([np.zeros(len(s)), u, np.full(len(s), 0.5), 1.0 - u])
+    t = ((t + np.arange(g)[:, None]) / g).ravel()
+    key = np.tile(np.concatenate([rows, row, rows, row]), g)
+    return t[np.lexsort((t, key))], g * (2 * counts + 2)
 
 
 def _sin_turns(f, t: np.ndarray) -> np.ndarray:
@@ -470,14 +498,21 @@ def _monotone_pieces(a: int, b: int) -> np.ndarray:
 
 
 def _level_roots(a: int, b: int, ca, cb, s) -> list[np.ndarray]:
+    """The roots of _level_root_rows, one sorted array per row."""
+    roots, counts = _level_root_rows(a, b, ca, cb, s)
+    return np.split(roots, np.cumsum(counts))[:-1]
+
+
+def _level_root_rows(a: int, b: int, ca, cb, s) -> tuple[np.ndarray, np.ndarray]:
     """Sorted roots u in (0, 1/2) of h = wa*sin(2*pi*a*u) + wb*sin(2*pi*b*u), per s.
 
-    wa = ca*(1-s) and wb = cb*(1+s), with ca and cb scalars or columns
-    against the weights s, one row each; a < b are coprime.  Between two
-    breakpoints of _monotone_pieces h = sin(2*pi*a*u) * (wa + wb*R) has a
-    root exactly when it changes sign, and then one.  All brackets are
-    narrowed at once by _newton_narrow and then bisected at once.  At
-    u = 0 and 1/2 the sign is that of g = h / sin(2*pi*u):
+    The roots come back in one array, row after row, with the number of
+    roots in each row.  wa = ca*(1-s) and wb = cb*(1+s), with ca and cb
+    scalars or columns against the weights s, one row each; a < b are
+    coprime.  Between two breakpoints of _monotone_pieces
+    h = sin(2*pi*a*u) * (wa + wb*R) has a root exactly when it changes
+    sign, and then one.  All brackets are narrowed at once by
+    _newton_narrow and then bisected at once.  At u = 0 and 1/2 the sign is that of g = h / sin(2*pi*u):
     g(0) = wa*a + wb*b, g(1/2) = (-1)^(a-1)*wa*a + (-1)^(b-1)*wb*b.
 
     Root contract: each root is an exact zero of the computed h, a
@@ -513,5 +548,4 @@ def _level_roots(a: int, b: int, ca, cb, s) -> list[np.ndarray]:
     rows = np.concatenate([row_double, row])
     roots = np.concatenate([pieces[at + 1], simple])
     order = np.lexsort((roots, rows))
-    counts = np.bincount(rows, minlength=len(s))
-    return np.split(roots[order], np.cumsum(counts))[:-1]
+    return roots[order], np.bincount(rows, minlength=len(s))

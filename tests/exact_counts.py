@@ -49,9 +49,10 @@ def poly_value(p, x):
     return acc
 
 
-def roots_inside(p: list[Fraction]) -> int:
-    """Distinct roots of p in the open interval (-1, 1), p not zero.
+def roots_inside(p: list[Fraction], lo=-1, hi=1) -> int:
+    """Distinct roots of p in the open interval (lo, hi), p not zero.
 
+    -1 <= lo < hi <= 1, and an end inside (-1, 1) must not be a root.
     A Sturm sequence in integers: p is scaled to integer coefficients, each
     remainder is a pseudo-remainder scaled by a positive factor and divided
     by its content, so every member keeps the signs of the rational one.
@@ -88,7 +89,7 @@ def roots_inside(p: list[Fraction]) -> int:
         signs = [v > 0 for v in (poly_value(q, x) for q in seq) if v != 0]
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
-    return sign_changes(-1) - sign_changes(1)
+    return sign_changes(Fraction(lo)) - sign_changes(Fraction(hi))
 
 
 def _primitive(p: list[int]) -> list[int]:

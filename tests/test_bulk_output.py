@@ -1,0 +1,120 @@
+"""The array builders against the outputs built one item at a time (per_item.py)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import per_item
+from epicusp import (
+    CurveSpec,
+    PlanePoint,
+    PlotSpec,
+    TwoTermSpec,
+    find_cusps,
+    render_curve,
+    render_singularity_diagram,
+    self_intersections,
+)
+from epicusp.render import _interleave, _px
+from epicusp.singularity import undefined_derivative_sets
+from exact_counts import coprime_pairs
+
+WEIGHTS = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+PAIRS = st.integers(1, 14).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 15)))
+COPRIME_PAIRS = st.sampled_from(coprime_pairs(20))
+
+
+@st.composite
+def curves(draw):
+    if draw(st.booleans()):
+        a, b = draw(PAIRS)
+        return TwoTermSpec(a, b, draw(WEIGHTS))
+    # complex weights, negative and repeated frequencies
+    parts = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+    terms = st.tuples(st.integers(-12, 12), st.builds(complex, parts, parts))
+    return CurveSpec.from_pairs(draw(st.lists(terms, min_size=1, max_size=4)))
+
+
+MARKERS = st.lists(
+    st.tuples(st.builds(PlanePoint, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), st.just("m")),
+    max_size=3,
+).map(tuple)
+
+
+class TestRenderCurve:
+    @given(
+        st.lists(curves(), min_size=1, max_size=9),
+        st.sampled_from([2, 3, 255, 256, 1000, 1024]),
+        st.sampled_from([0.3, 2.2, 8.0]),
+        MARKERS,
+    )
+    @settings(deadline=None, max_examples=60)
+    # wider than the viewbox, and a negative frequency with a complex weight
+    @example([CurveSpec.from_pairs([(3, 1.0), (-7, 2.0 - 1.5j)])], 1024, 2.2, ())
+    def test_bytes_match_point_by_point(self, specs, n, viewbox, markers):
+        plot = PlotSpec(samples=n, viewbox=viewbox, markers=markers)
+        assert render_curve(specs, plot) == per_item.render_curve(specs, plot)
+
+    def test_marker_that_rounds_to_minus_zero(self):
+        # a marker just left of the window's edge sits at x = -1.8e-5 px
+        plot = PlotSpec(markers=((PlanePoint(-2.2 - 1e-7, 0.0), "edge"),))
+        doc = render_curve([TwoTermSpec(1, 3, 0.0)], plot)
+        assert 'cx="-0.000"' in doc
+        assert doc == per_item.render_curve([TwoTermSpec(1, 3, 0.0)], plot)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)))
+    @example([-0.0, -1e-300, -0.0004999, -0.0005, 0.0005, -123.4565, 2.5e-4])
+    def test_one_format_gives_the_bytes_of_each_value(self, values):
+        # "%.3f" % v and f"{v:.3f}" round alike, -0.000 included
+        half = len(values) // 2
+        x, y = values[:half], values[half : 2 * half]
+        got = " ".join(["%.3f,%.3f"] * half) % _interleave(np.array(x), np.array(y))
+        assert got == " ".join(f"{_px(u)},{_px(v)}" for u, v in zip(x, y))
+
+    def test_too_few_samples_are_refused(self):
+        with pytest.raises(ValueError):
+            render_curve([TwoTermSpec(1, 3, 0.0)], PlotSpec(samples=1))
+
+
+class TestSingularityDiagram:
+    @pytest.mark.parametrize("b", range(2, 16))
+    def test_bytes_match_point_by_point(self, b):
+        # every a < b, the pairs with a shared factor such as (2,4), (3,6)
+        # and (6,9) included
+        for a in range(1, b):
+            assert render_singularity_diagram(a, b) == per_item.render_singularity_diagram(a, b)
+
+    @given(PAIRS, st.lists(WEIGHTS, max_size=12))
+    @settings(deadline=None, max_examples=80)
+    @example((2, 5), [])
+    @example((3, 6), [-1.0, 1.0, -1 / 3])
+    def test_sets_match_set_by_set(self, pair, weights):
+        got = undefined_derivative_sets(*pair, weights)
+        assert repr(got) == repr(per_item.undefined_derivative_sets(*pair, weights))
+
+
+class TestResultLists:
+    @given(COPRIME_PAIRS, st.sampled_from(["zero", "cusp", "any"]), WEIGHTS)
+    @settings(deadline=None, max_examples=120)
+    def test_records_match_record_by_record(self, pair, where, s):
+        a, b = pair
+        s = {"zero": 0.0, "cusp": (a - b) / (a + b), "any": s}[where]
+        if abs(s) == 1.0:
+            s = 0.5 * s
+        spec = TwoTermSpec(a, b, s)
+        assert repr(self_intersections(spec)) == repr(per_item.self_intersections(spec))
+
+    @pytest.mark.parametrize("b", [15, 29, 40, 60])
+    def test_grid_flags_at_the_balanced_weight(self, b):
+        for a in range(1, b, 2 if b > 15 else 1):
+            if math.gcd(a, b) == 1:
+                spec = TwoTermSpec(a, b, 0.0)
+                assert repr(self_intersections(spec)) == repr(per_item.self_intersections(spec))
+
+    @pytest.mark.parametrize("b", [2, 7, 16, 41, 60])
+    def test_cusps_match_the_fraction_locus(self, b):
+        for a in range(1, b):
+            assert repr(find_cusps(a, b)) == repr(per_item.find_cusps(a, b))

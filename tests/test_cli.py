@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import epicusp
@@ -414,6 +414,42 @@ class TestSweepArgvFuzz:
         if text is not None:
             assert json.loads(out)["curves"] == int(count or 21) >= 2
             assert text.count("<polyline") == int(count or 21)
+
+
+# extra argv for verify: words, flags of the other commands, their values
+EXTRA_ARGS = st.lists(
+    st.one_of(
+        st.text(max_size=6),
+        st.sampled_from(["-a", "1", "-b", "3", "-s", "-1/2", "--out", "x.svg", "-n", "--z0",
+                         "-v", "--verbose", "--trace", "verify", "--", "-", "-x", "=", "--=1"]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def asks_for_help(arg: str) -> bool:
+    # -h, and --help or any abbreviation of it, print the usage and exit 0
+    return arg.startswith("-h") or (len(arg) > 2 and "--help".startswith(arg.split("=")[0]))
+
+
+class TestVerifyArgvFuzz:
+    @given(EXTRA_ARGS)
+    @settings(deadline=None, max_examples=60)
+    @example([])
+    def test_exit_code_and_stdout_keep_the_contract(self, extra):
+        assume(not any(asks_for_help(arg) for arg in extra))
+        # argparse versions differ on a bare trailing "--"
+        assume(set(extra) != {"--"})
+        rc, out = exit_code_and_stdout(["verify", *extra])
+        if extra:
+            assert (rc, out) == (2, "")
+            return
+        rows = json_lines(out)
+        assert rc == 0 and len(rows) == 12
+        assert [row["criterion"] for row in rows[:-1]] == list(range(1, 12))
+        assert all(row["passed"] for row in rows[:-1])
+        assert rows[-1] == {"total": 11, "failed": 0}
 
 
 class TestPlotAndSweep:

@@ -431,6 +431,62 @@ class TestLoopBirth:
         with pytest.raises(WindowTooWide):
             loop_birth_count(1, 3, -0.5, t_center=0.5, half_width=0.3)
 
+    @given(
+        st.sampled_from([pair for pair in coprime_pairs(15) if pair[0] >= 2]),
+        st.sampled_from([1e-3, 1e-5, 1e-8, 1e-10, 1e-12]),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_loops_smaller_than_any_grid_cell_for_every_a(self, pair, eps, sign):
+        # 1 + 2 * (the exact number of roots of g_- in (0, half_width)):
+        # u < w is cos(2 pi u) > cos(2 pi w)
+        a, b = pair
+        s = (a - b) / (a + b) + sign * eps
+        half_width = 0.75 / (2 * (b - a) * (a + b))
+        g_minus = u_sum(a, b, 1 - Fraction(s), -(1 + Fraction(s)))
+        exact = roots_inside(g_minus, lo=math.cos(2.0 * math.pi * half_width))
+        count = loop_birth_count(a, b, s)
+        assert count == 1 + 2 * exact
+        if eps <= 1e-8:
+            # the loop born at the cusp weight is far inside the window
+            assert count == (3 if sign > 0 else 1)
+
+    @pytest.mark.parametrize("a,b", [(1, 3), (2, 5), (3, 8)])
+    def test_a_loop_ten_to_the_minus_eight_above_the_cusp_weight(self, a, b):
+        # the loop is ~1e-4 of a period across, far inside one cell of a
+        # 1,001-point window
+        s_bar = (a - b) / (a + b)
+        assert [loop_birth_count(a, b, s_bar + ds) for ds in (-1e-8, 0.0, 1e-8)] == [1, 1, 3]
+
+    @pytest.mark.parametrize("a,b,g", [(2, 4, 2), (2, 6, 2), (4, 10, 2), (3, 9, 3), (6, 9, 3)])
+    def test_a_shared_factor_reduces_the_pair(self, a, b, g):
+        # gamma_{a,b}(t) = gamma_{a/g,b/g}(g t): the window of half-width w
+        # is one of half-width g*w for the reduced pair
+        s_bar = (a - b) / (a + b)
+        half_width = 0.75 / (2 * (b - a) * (a + b))
+        for ds in (-1e-3, 1e-6, 1e-3, 0.2):
+            s = s_bar + ds
+            g_minus = u_sum(a // g, b // g, 1 - Fraction(s), -(1 + Fraction(s)))
+            exact = roots_inside(g_minus, lo=math.cos(2.0 * math.pi * g * half_width))
+            assert loop_birth_count(a, b, s) == 1 + 2 * exact
+
+    @pytest.mark.parametrize(
+        "a,b,s,t_center,half_width",
+        [(1, 3, -0.3, 0.27, 0.05), (2, 5, -0.2, 0.15, 0.05), (1, 4, 0.1, 0.2, 0.1), (3, 5, -0.2, 0.3, 0.2)],
+    )
+    def test_an_off_centre_window_counts_the_sign_changes(self, a, b, s, t_center, half_width):
+        # a fine sign scan of the rotated x-component resolves these windows
+        k = round((t_center * 2 * (b - a) - 1) / 2) % (b - a)
+        phi = rotation_angle(a, b) - 2.0 * math.pi * a * k / (b - a)
+        t = np.linspace(t_center - half_width, t_center + half_width, 200_001)
+        x = (eval_complex(TwoTermSpec(a, b, s), t) * np.exp(1j * phi)).real
+        signs = np.sign(x[x != 0.0])
+        assert loop_birth_count(a, b, s, t_center, half_width) == np.sum(signs[:-1] != signs[1:])
+
+    def test_weights_outside_the_family_are_refused(self):
+        with pytest.raises(ValueError):
+            loop_birth_count(1, 3, 1.5)
+
 
 class TestUndefinedDerivativeSet:
     def test_small_weight_has_only_the_fixed_pair(self):
