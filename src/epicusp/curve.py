@@ -182,30 +182,31 @@ def eval_complex(spec: AnySpec, t, order: int = 0) -> np.ndarray:
 
 
 def eval_grid(spec: AnySpec, n: int) -> np.ndarray:
-    """gamma(j/n) for j = 0..n-1, read from one table of n-th roots of unity.
+    """gamma(j/n) for j = 0..n-1, summed from per-frequency grid samples.
 
-    exp(2*pi*i*f*j/n) is the table entry at the integer index
-    (f mod n)*j mod n, so the phase is reduced exactly and each term costs
-    a gather instead of a cos and a sin.  The table's angles are those
-    eval_complex computes for the exact fractions k/n, and the weights are
-    applied and summed in the same order, so at a power-of-two n, where
-    j/n is exact, the result has the same bits as
-    eval_complex(spec, np.arange(n) / n) for every TwoTermSpec.  At other n
-    it is the more accurate of the two, by trailing digits.
+    exp(2*pi*i*f*j/n) is the entry (f mod n)*j mod n of one table of n-th
+    roots of unity, so the phase is reduced exactly and each term costs a
+    gather instead of a cos and a sin.  The gathered samples depend on the
+    frequency and n alone and _term_samples keeps the most recent, so a
+    sweep over the weights gathers once (above _TABLE_CACHE_LIMIT every
+    term gathers from one table built for the call).  Each weight
+    multiplies its term's samples and the products are summed in term
+    order into zeros, as a gather per call would do, so at every n the
+    result has the same bits as that gather.  The table's angles are those
+    eval_complex computes for the exact fractions k/n, so at a power-of-two
+    n, where j/n is exact, the result has the same bits as
+    eval_complex(spec, np.arange(n) / n) for every TwoTermSpec.  At other
+    n it is the more accurate of the two, by trailing digits.
     """
-    return _grid_samples(as_curve(spec), _unit_roots(n), np.arange(n))
-
-
-def _grid_samples(c: CurveSpec, table: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """gamma(j/n) at integer indices j, gathered from the n-entry table; j wraps mod n."""
-    n = len(table)
-    out = np.zeros(len(j), dtype=complex)
-    for term in c.terms:
-        k = (term.frequency % n) * j
-        k -= k // n * n  # k mod n: numpy divides by a scalar faster than it takes remainders
-        e = table[k]
-        np.multiply(term.weight, e, out=e)
-        out += e
+    out = np.zeros(n, dtype=complex)
+    # above the limit nothing is kept, so the terms gather from one table
+    table = _unit_roots(n) if n > _TABLE_CACHE_LIMIT else None
+    for term in as_curve(spec).terms:
+        if table is None:
+            e = _term_samples(term.frequency, n)
+        else:
+            e = _gather(table, term.frequency)
+        out += term.weight * e
     return out
 
 
@@ -213,14 +214,28 @@ _TABLE_CACHE_LIMIT = 65_536  # larger tables are built per call, not kept alive
 _BUILD_BLOCK = 2048  # samples per block when building a table of shifted samples
 
 
+def _kept(maxsize: int):
+    """Keep the maxsize most recent results of build(..., n) for n <= _TABLE_CACHE_LIMIT.
+
+    The results are read-only arrays that do not depend on the weights;
+    larger ones are built per call, so no cache holds a long array alive.
+    """
+
+    def wrap(build):
+        cached = functools.lru_cache(maxsize=maxsize)(build)
+
+        @functools.wraps(build)
+        def get(*args):
+            return build(*args) if args[-1] > _TABLE_CACHE_LIMIT else cached(*args)
+
+        return get
+
+    return wrap
+
+
+@_kept(16)
 def _unit_roots(n: int) -> np.ndarray:
     """The read-only table exp(2*pi*i*k/n), k = 0..n-1."""
-    if n > _TABLE_CACHE_LIMIT:
-        return _build_unit_roots(n)
-    return _cached_unit_roots(n)
-
-
-def _build_unit_roots(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need n >= 1 grid points")
     angle = 2.0 * np.pi * (np.arange(n) / n)
@@ -231,22 +246,28 @@ def _build_unit_roots(n: int) -> np.ndarray:
     return table
 
 
-_cached_unit_roots = functools.lru_cache(maxsize=16)(_build_unit_roots)
+@_kept(4)
+def _term_samples(f: int, n: int) -> np.ndarray:
+    """The read-only exp(2*pi*i*f*j/n), j = 0..n-1: one term's grid samples, unit weight."""
+    e = _gather(_unit_roots(n), f)
+    e.flags.writeable = False
+    return e
 
 
+def _gather(table: np.ndarray, f: int) -> np.ndarray:
+    """The entries (f mod n)*j mod n, j = 0..n-1, of the n-entry table."""
+    n = len(table)
+    k = (f % n) * np.arange(n)
+    k -= k // n * n  # k mod n: numpy divides by a scalar faster than it takes remainders
+    return table[k]
+
+
+@_kept(4)
 def _shifted_unit_roots(f: int, d: int, n: int) -> np.ndarray:
     """The read-only exp(2*pi*i*f*(j/n + 1/d)), j = 0..n-1, from eval_complex.
 
     The samples of one term advanced by 1/d, independent of the table.
-    They do not depend on the weights, so the few most recent are kept
-    for n <= _TABLE_CACHE_LIMIT and larger ones are built per call.
     """
-    if n > _TABLE_CACHE_LIMIT:
-        return _build_shifted_unit_roots(f, d, n)
-    return _cached_shifted_unit_roots(f, d, n)
-
-
-def _build_shifted_unit_roots(f: int, d: int, n: int) -> np.ndarray:
     unit = CurveSpec.from_pairs([(f, 1.0)])
     e = np.empty(n, dtype=complex)
     for lo in range(0, n, _BUILD_BLOCK):
@@ -254,9 +275,6 @@ def _build_shifted_unit_roots(f: int, d: int, n: int) -> np.ndarray:
         e[lo : lo + len(j)] = eval_complex(unit, j / n + 1.0 / d)
     e.flags.writeable = False
     return e
-
-
-_cached_shifted_unit_roots = functools.lru_cache(maxsize=4)(_build_shifted_unit_roots)
 
 
 def _eval_scalar(c: CurveSpec, t: float, order: int) -> complex | None:

@@ -3,13 +3,15 @@
 The image of gamma_{a,b}^s carries the dihedral symmetry of order b-a for
 coprime a, b: advancing the parameter by 1/(b-a) rotates the point by
 2*pi*a/(b-a), and reversing it mirrors across the x-axis.  Both are checked
-on the grid t_j = j/n: the curve is read off one table of n-th roots of
-unity, the reflection gamma(1 - t_j) = gamma(t_{(n-j) mod n}) is read off the
-same table, and the rotation is checked against the shifted parameters
-evaluated by eval_complex, independently of the table.  Those per-term
-samples depend on the frequencies alone and are kept for the next weight.
-The grid is walked in blocks of a few thousand samples, so a check
-allocates nothing of size n beyond the unit-root and shifted-sample tables.
+on the grid t_j = j/n.  Each term's grid samples exp(2*pi*i*f*j/n) are
+gathered once from one table of n-th roots of unity, and the curve is
+their weighted sum; the reflection gamma(1 - t_j) = gamma(t_{(n-j) mod n})
+reads the same samples at the mirrored indices.  The rotation is checked
+against the shifted parameters evaluated by eval_complex, independently
+of the table.  Both kinds of per-term samples depend on the frequency and
+n alone, so curve keeps them for the next weight.  The grid is walked in
+blocks of a few thousand samples, read as slices, so a check allocates
+nothing of size n beyond the kept samples.
 
 Self-intersections reduce to one-dimensional roots.  Write
 t1 = sigma/2 - u and t2 = sigma/2 + u.  Since
@@ -57,18 +59,17 @@ import numpy as np
 from .curve import (
     PlanePoint,
     TwoTermSpec,
-    _grid_samples,
     _shifted_unit_roots,
-    _unit_roots,
+    _term_samples,
     as_curve,
     curve_scale,
     eval_complex,
 )
-from .singularity import _circ_dist, _level_roots
+from .singularity import _level_roots
 from .winding import zeros_of_curve
 
 
-_SYMMETRY_BLOCK = 2048  # indices j per block; with their mirrors, 64 KB per complex array
+_SYMMETRY_BLOCK = 4096  # indices j per block, and as many mirrors: 64 KB per complex array
 
 
 @dataclass(frozen=True)
@@ -107,18 +108,22 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
     The rotation identity gamma(t + 1/(b-a)) = R_{2*pi*a/(b-a)} gamma(t)
     holds for every weight s (the weights multiply both sides equally);
     the reflection identity gamma(1-t) = conj(gamma(t)) needs only real
-    weights.  Deviations are maxima of pointwise distances.  The samples
-    gamma(j/n) and, since 1 - j/n = (n-j)/n mod 1, the reflected samples
-    gamma(((n-j) mod n)/n) are gathered from one table of n-th roots of
-    unity.  The shifted samples gamma(j/n + 1/(b-a)) are weighted sums of
-    per-term samples that eval_complex computes and curve keeps per
-    (frequency, b-a, n), so the rotation identity compares two independent
-    evaluations and a sweep over s computes them once.
+    weights.  Deviations are maxima of pointwise distances.  Both sides
+    are weighted sums of per-term samples that curve keeps per frequency:
+    the grid samples exp(2*pi*i*f*j/n), gathered once from the table of
+    n-th roots of unity, and the shifted samples exp(2*pi*i*f*(j/n +
+    1/(b-a))), which eval_complex computes independently of the table.
+    So the rotation identity compares two independent evaluations, and a
+    sweep over s gathers and evaluates them once.  Since 1 - j/n =
+    (n-j)/n mod 1, the reflected samples are the grid samples at n-j.
 
-    The grid is walked in blocks of _SYMMETRY_BLOCK indices j <= n/2, each
-    gathered with its mirror n-j, so every sample is evaluated once and
-    no temporary grows with n.  The reflection distance at n-j is that at
-    j with its real part negated, so the first half holds its maximum.
+    The grid is walked in blocks of _SYMMETRY_BLOCK indices j <= n/2.  A
+    block reads the samples at j and at their mirrors n-j as two
+    contiguous slices, weights and sums them in term order, and pairs each
+    j with n-j by reversing one side of the reflection difference; j = 0
+    is its own mirror.  Every sample is evaluated once, no
+    temporary grows with n, and the reflection distance at n-j is that
+    at j with its real part negated, so the first half holds its maximum.
     Running maxima are exact: the deviations have the same bits for any
     block size.  Non-coprime (a, b) get coprime=False rather than an
     error; |s| = 1 is flagged degenerate (the image is a circle, whose
@@ -128,20 +133,25 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
         raise ValueError("need n >= 100")
     c = as_curve(spec)
     d = spec.b - spec.a
-    table = _unit_roots(n)
+    grid = [(t.weight, _term_samples(t.frequency, n)) for t in c.terms]
     shifted = [(t.weight, _shifted_unit_roots(t.frequency, d, n)) for t in c.terms]
     turn = np.exp(2j * np.pi * spec.a / d)
     rotation, reflection = [], []
     half = n // 2 + 1
     for lo in range(0, half, _SYMMETRY_BLOCK):
-        j = np.arange(lo, min(lo + _SYMMETRY_BLOCK, half))
-        jj = np.concatenate([j, -j])
-        z = _grid_samples(c, table, jj)
-        shift = np.zeros(len(jj), dtype=complex)
-        for weight, e in shifted:  # weighted and summed as eval_complex does
-            shift += weight * e[jj]
-        rotation.append(np.max(np.abs(shift - turn * z)))
-        reflection.append(np.max(np.abs(z[len(j) :] - np.conj(z[: len(j)]))))
+        hi = min(lo + _SYMMETRY_BLOCK, half)
+        # the mirrors n-j of j = lo..hi-1 in increasing order; j = 0 is its own
+        mirror = (n + 1 - hi, n + 1 - max(lo, 1))
+        z = _weighted_sum(grid, lo, hi)
+        z_mirror = _weighted_sum(grid, *mirror)
+        for zs, span in ((z, (lo, hi)), (z_mirror, mirror)):
+            shift = _weighted_sum(shifted, *span)
+            rotation.append(np.abs(shift - turn * zs).max(initial=0.0))
+        # z_mirror[i] is the mirror of z[-1 - i]
+        paired = np.conj(z[::-1][: len(z_mirror)])
+        reflection.append(np.abs(z_mirror - paired).max(initial=0.0))
+        if lo == 0:
+            reflection.append(np.abs(z[0] - np.conj(z[0])))
     return SymmetryReport(
         claimed_order=d,
         rotation_deviation=float(np.max(rotation)),
@@ -149,6 +159,20 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
         coprime=math.gcd(spec.a, spec.b) == 1,
         degenerate=abs(spec.s) == 1.0,
     )
+
+
+def _weighted_sum(terms: list[tuple[complex, np.ndarray]], lo: int, hi: int) -> np.ndarray:
+    """The sum of weight * samples[lo:hi] over (weight, samples), in term order.
+
+    eval_grid adds the first product to zeros, which turns a -0.0 part
+    into 0.0.  Starting from the first product instead changes at most
+    the sign of a zero part of the sum, which no distance sees.
+    """
+    (weight, samples), *rest = terms
+    out = weight * samples[lo:hi]
+    for weight, samples in rest:
+        out += weight * samples[lo:hi]
+    return out
 
 
 def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
@@ -221,6 +245,8 @@ def grid_intersection_check(a: int, b: int) -> bool:
     two-way match within 1e-9: every oracle pair is found and every
     found pair is either a grid pair or a meeting of two origin passages
     (those lie at t = h/(2(b-a)), which leaves the grid when a+b is odd).
+    Both the oracle and the matching compare whole blocks of rows at once,
+    each block holding about _PAIR_BLOCK comparisons.
     """
     if not 1 <= a < b:
         raise ValueError("need 1 <= a < b")
@@ -228,31 +254,38 @@ def grid_intersection_check(a: int, b: int) -> bool:
         raise ValueError("need coprime a, b")
     spec = TwoTermSpec(a, b, 0.0)
     n = b * b - a * a
-    scale = curve_scale(spec)
+    tol = 1e-12 * curve_scale(spec)
     pts = eval_complex(spec, np.arange(n) / n)
-    oracle = set()
-    for j1 in range(n):
-        for j2 in range(j1 + 1, n):
-            if abs(pts[j1] - pts[j2]) < 1e-12 * scale:
-                oracle.add((j1 / n, j2 / n))
+    rows = max(1, _PAIR_BLOCK // n)
+    oracle = []
+    for lo in range(0, n, rows):
+        near = np.abs(pts[lo : lo + rows, None] - pts) < tol
+        j1, j2 = np.nonzero(np.triu(near, k=lo + 1))  # j2 > j1 only
+        oracle.append(np.column_stack((j1 + lo, j2)) / n)
+    oracle = np.concatenate(oracle)
 
-    origin_ts = [float(f) for f in zeros_of_curve(a, b)]
-    origin_pairs = {
-        (u1, u2) for i, u1 in enumerate(origin_ts) for u2 in origin_ts[i + 1 :]
-    }
+    origin_ts = np.array([float(f) for f in zeros_of_curve(a, b)])
+    i, k = np.triu_indices(len(origin_ts), 1)
+    origin_pairs = np.column_stack((origin_ts[i], origin_ts[k]))
 
-    found = [(r.t1, r.t2) for r in self_intersections(spec)]
+    found = np.array([(r.t1, r.t2) for r in self_intersections(spec)]).reshape(-1, 2)
+    if not _matched(oracle, found).all():
+        return False
+    return bool((_matched(found, oracle) | _matched(found, origin_pairs)).all())
 
-    def matches(pair, reference):
-        return any(
-            _circ_dist(pair[0], q[0]) < 1e-9 and _circ_dist(pair[1], q[1]) < 1e-9
-            for q in reference
-        )
 
-    for pair in oracle:
-        if not matches(pair, found):
-            return False
-    for pair in found:
-        if not matches(pair, oracle) and not matches(pair, origin_pairs):
-            return False
-    return True
+_PAIR_BLOCK = 1 << 18  # comparisons per block in grid_intersection_check
+
+
+def _matched(pairs: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Per row (t1, t2) of pairs: is some reference row within 1e-9 of both, mod 1?"""
+    hit = np.zeros(len(pairs), dtype=bool)
+    rows = max(1, _PAIR_BLOCK // max(len(reference), 1))
+    for lo in range(0, len(pairs), rows):
+        block = pairs[lo : lo + rows]
+        near = np.ones((len(block), len(reference)), dtype=bool)
+        for col in (0, 1):
+            d = np.abs(block[:, col, None] - reference[:, col]) % 1.0  # as _circ_dist
+            near &= np.minimum(d, 1.0 - d) < 1e-9
+        hit[lo : lo + rows] = near.any(axis=1)
+    return hit

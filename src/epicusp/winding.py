@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curve import AnySpec, PlanePoint, TwoTermSpec, as_curve, curve_scale, eval_grid
+from .curve import AnySpec, PlanePoint, TwoTermSpec, _kept, as_curve, curve_scale, eval_grid
 from .errors import NearPole, OnCurve, Unresolved
 
 ORIGIN = PlanePoint(0.0, 0.0)
@@ -119,17 +119,31 @@ def kernel_integral(p: KernelParams, n: int = 2048) -> complex:
     rule (the mean over a uniform grid) converges spectrally.  The exact
     value is 1/beta for beta > |alpha| and 0 for beta < |alpha|.
 
+    The grid samples e^{2*pi*i*j/n} do not depend on p; the few most
+    recent grids are kept.
+
     Raises
     ------
+    ValueError
+        If n < 1.
     NearPole
         If beta is within 1e-6 (relative) of |alpha|, where the integrand
         has a pole on the contour.
     """
+    if n < 1:
+        raise ValueError("need n >= 1 grid points")
     span = max(p.beta, abs(p.alpha))
     if abs(p.beta - abs(p.alpha)) < 1e-6 * span:
         raise NearPole("beta too close to |alpha|")
-    t = np.arange(n) / n
-    return complex(np.mean(1.0 / (p.beta + p.alpha * np.exp(2j * np.pi * t))))
+    return complex(np.mean(1.0 / (p.beta + p.alpha * _circle_samples(n))))
+
+
+@_kept(4)
+def _circle_samples(n: int) -> np.ndarray:
+    """The read-only exp(2*pi*i*j/n), j = 0..n-1, as kernel_integral computes it."""
+    e = np.exp(2j * np.pi * (np.arange(n) / n))
+    e.flags.writeable = False
+    return e
 
 
 def winding_decomposition_check(spec: TwoTermSpec, n: int = 4096) -> tuple[complex, complex]:
@@ -147,10 +161,14 @@ def winding_decomposition_check(spec: TwoTermSpec, n: int = 4096) -> tuple[compl
 
     Raises
     ------
+    ValueError
+        If n < 1.
     OnCurve
         If s = 0 (the denominators vanish on the grid and the winding
         number itself is undefined).
     """
+    if n < 1:
+        raise ValueError("need n >= 1 grid points")
     if spec.s == 0:
         raise OnCurve("decomposition undefined at s=0")
     s = spec.s

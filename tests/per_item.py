@@ -6,17 +6,32 @@ from arrays.  These are the same outputs built point by point, set by
 set and record by record from the library's own kernels: a Python float
 per coordinate, an f-string per dot, a round() per grid flag.  The array
 builders must match them byte for byte.
+
+grid_samples gathers gamma(j/n) from the unit-root table at computed
+indices, term by term, as eval_grid did before it kept per-frequency
+samples; eval_grid must match it bit for bit.  grid_intersection_check
+compares every grid pair and every record in Python loops; the array
+form must give the same verdict.
 """
 
 import math
 
 import numpy as np
 
-from epicusp import singularity
-from epicusp.curve import PlanePoint, TwoTermSpec, as_curve, eval_complex, sample
+from epicusp import geometry, singularity
+from epicusp.curve import (
+    PlanePoint,
+    TwoTermSpec,
+    _unit_roots,
+    as_curve,
+    curve_scale,
+    eval_complex,
+    sample,
+)
 from epicusp.geometry import IntersectionRecord, _half_gap_roots
 from epicusp.render import DIAGRAM_WEIGHT_COUNT, SVG_NS, PlotSpec, _color_ramp, _px
-from epicusp.singularity import predicted_cusp_locus
+from epicusp.singularity import _circ_dist, predicted_cusp_locus
+from epicusp.winding import zeros_of_curve
 
 
 def render_curve(specs, plot: PlotSpec = PlotSpec()) -> str:
@@ -154,3 +169,50 @@ def find_cusps(a: int, b: int):
     spec = TwoTermSpec(a, b, float(locus.s_bar))
     ts = [float(t) for t in locus.t_values]
     return singularity._certify_cusps(spec, ts, min(1e-3, 0.01 / (a + b)))
+
+
+def grid_samples(spec, j: np.ndarray, n: int) -> np.ndarray:
+    """gamma(j/n) at integer indices j, gathered from the n-entry table; j wraps mod n."""
+    table = _unit_roots(n)
+    out = np.zeros(len(j), dtype=complex)
+    for term in as_curve(spec).terms:
+        k = (term.frequency % n) * j
+        k -= k // n * n
+        e = table[k]
+        np.multiply(term.weight, e, out=e)
+        out += e
+    return out
+
+
+def grid_intersection_check(a: int, b: int) -> bool:
+    spec = TwoTermSpec(a, b, 0.0)
+    n = b * b - a * a
+    scale = curve_scale(spec)
+    pts = eval_complex(spec, np.arange(n) / n)
+    oracle = set()
+    for j1 in range(n):
+        for j2 in range(j1 + 1, n):
+            if abs(pts[j1] - pts[j2]) < 1e-12 * scale:
+                oracle.add((j1 / n, j2 / n))
+
+    origin_ts = [float(f) for f in zeros_of_curve(a, b)]
+    origin_pairs = {
+        (u1, u2) for i, u1 in enumerate(origin_ts) for u2 in origin_ts[i + 1 :]
+    }
+
+    # looked up at call time, so that a test can replace the detector
+    found = [(r.t1, r.t2) for r in geometry.self_intersections(spec)]
+
+    def matches(pair, reference):
+        return any(
+            _circ_dist(pair[0], q[0]) < 1e-9 and _circ_dist(pair[1], q[1]) < 1e-9
+            for q in reference
+        )
+
+    for pair in oracle:
+        if not matches(pair, found):
+            return False
+    for pair in found:
+        if not matches(pair, oracle) and not matches(pair, origin_pairs):
+            return False
+    return True

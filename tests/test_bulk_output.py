@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import per_item
+from epicusp import geometry
 from epicusp import (
     CurveSpec,
     PlanePoint,
@@ -118,3 +119,24 @@ class TestResultLists:
     def test_cusps_match_the_fraction_locus(self, b):
         for a in range(1, b):
             assert repr(find_cusps(a, b)) == repr(per_item.find_cusps(a, b))
+
+
+class TestGridIntersectionCheck:
+    """The blocked array comparisons against the pair loops."""
+
+    def test_same_verdict_on_every_small_grid(self):
+        pairs = [(a, b) for a, b in coprime_pairs(150) if b * b - a * a <= 300]
+        assert len(pairs) == 319
+        for a, b in pairs:
+            assert geometry.grid_intersection_check(a, b) == per_item.grid_intersection_check(a, b)
+
+    @pytest.mark.parametrize("a,b", [(1, 3), (2, 5), (3, 8), (4, 9), (7, 12)])
+    @pytest.mark.parametrize("drop", [0, -1])
+    def test_same_verdict_with_a_record_missing(self, monkeypatch, a, b, drop):
+        records = self_intersections(TwoTermSpec(a, b, 0.0))
+        short = records[:drop] + records[drop:][1:]
+        monkeypatch.setattr(geometry, "self_intersections", lambda spec: short)
+        verdict = geometry.grid_intersection_check(a, b)
+        assert verdict == per_item.grid_intersection_check(a, b)
+        # a dropped grid pair leaves an oracle pair unmatched
+        assert verdict == (records[drop].grid_index_pair is None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import per_item
 from epicusp import (
     CurveSpec,
     ExponentialTerm,
@@ -23,6 +24,7 @@ from epicusp import (
 from epicusp.curve import (
     _TABLE_CACHE_LIMIT,
     _shifted_unit_roots,
+    _term_samples,
     _unit_roots,
     as_curve,
     curve_scale,
@@ -304,6 +306,44 @@ class TestGrid:
     def test_rejects_empty_grids(self):
         with pytest.raises(ValueError):
             eval_grid(TwoTermSpec(1, 3, 0.0), 0)
+
+    def test_the_cached_term_samples_are_read_only(self):
+        e = _term_samples(3, 1000)
+        assert e is _term_samples(3, 1000)
+        assert same_bits(_term_samples(1003, 1000), e)  # the same frequency mod n
+        assert _term_samples(3, _TABLE_CACHE_LIMIT) is _term_samples(3, _TABLE_CACHE_LIMIT)
+        with pytest.raises(ValueError):
+            e[1] = 0.0
+        before = e.copy()
+        z = eval_grid(CurveSpec.from_pairs([(3, 1.0)]), 1000)
+        z[1] = 0.0  # the result is the caller's own array
+        assert same_bits(e, before)
+        assert same_bits(e, per_item.grid_samples(CurveSpec.from_pairs([(3, 1.0)]), np.arange(1000), 1000))
+
+    def test_large_term_samples_are_not_kept(self):
+        n = _TABLE_CACHE_LIMIT + 1
+        assert _term_samples(3, n) is not _term_samples(3, n)
+
+
+class TestGridGather:
+    """eval_grid against per-call gathers from the unit-root table (per_item.grid_samples)."""
+
+    @given(aliased_specs(), st.integers(min_value=1, max_value=3000))
+    @example(CurveSpec.from_pairs([(10**15 + 7, 0.5 - 2j), (-(10**12), 1.5j)]), 4096)
+    @example(CurveSpec.from_pairs([(-3, 1.0 - 1.0j), (2**40, -0.25 + 0.75j)]), _TABLE_CACHE_LIMIT)
+    @example(CurveSpec.from_pairs([(5, 0.3 + 0.1j), (-(2**33) - 1, 1.0)]), _TABLE_CACHE_LIMIT + 1)
+    @example(TwoTermSpec(3, 10, -0.4), 10_000)
+    @settings(deadline=None)
+    def test_same_bits_at_every_size(self, spec, n):
+        assert same_bits(eval_grid(spec, n), per_item.grid_samples(spec, np.arange(n), n))
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40),
+           st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+           st.integers(min_value=1, max_value=20_000))
+    @settings(deadline=None, max_examples=60)
+    def test_two_term_specs_at_every_size(self, a, d, s, n):
+        spec = TwoTermSpec(a, a + d, s)
+        assert same_bits(eval_grid(spec, n), per_item.grid_samples(spec, np.arange(n), n))
 
 
 class TestSample:

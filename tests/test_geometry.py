@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import per_item
 from epicusp import (
     CurveSpec,
     IntersectionRecord,
@@ -17,7 +18,7 @@ from epicusp import (
     verify_symmetry,
 )
 from epicusp import geometry
-from epicusp.curve import eval_complex, eval_grid
+from epicusp.curve import eval_complex
 from epicusp.geometry import SymmetryReport
 from exact_counts import (
     chebyshev_u,
@@ -77,23 +78,28 @@ class TestVerifySymmetry:
 
 
 def reference_verify_symmetry(spec: TwoTermSpec, n: int) -> SymmetryReport:
-    """verify_symmetry on whole arrays: every sample of each identity at once."""
+    """verify_symmetry on whole arrays: every sample of each identity at once.
+
+    The grid samples and their mirrors are gathered term by term at j and
+    -j mod n (per_item.grid_samples), not read from eval_grid.
+    """
     j = np.arange(n)
-    z = eval_grid(spec, n)
+    z, z_mirror = per_item.grid_samples(spec, j, n), per_item.grid_samples(spec, -j, n)
     shift = eval_complex(spec, j / n + 1.0 / (spec.b - spec.a))
     rot = np.exp(2j * np.pi * spec.a / (spec.b - spec.a)) * z
     return SymmetryReport(
         claimed_order=spec.b - spec.a,
         rotation_deviation=float(np.max(np.abs(shift - rot))),
-        reflection_deviation=float(np.max(np.abs(z[-j] - np.conj(z)))),
+        reflection_deviation=float(np.max(np.abs(z_mirror - np.conj(z)))),
         coprime=math.gcd(spec.a, spec.b) == 1,
         degenerate=abs(spec.s) == 1.0,
     )
 
 
-# one block, a partial last block, blocks that end at n/2 or just past it,
-# and sizes at and above the cache limit
-BLOCK_EDGE_SIZES = [100, 101, 2047, 2048, 2049, 4094, 4095, 4096, 4097, 10000, 65536, 65537]
+# one block, a partial last block, blocks of 2048 or 4096 that end at n/2 or
+# just past it, and sizes at and above the cache limit
+BLOCK_EDGE_SIZES = [100, 101, 2047, 2048, 2049, 4094, 4095, 4096, 4097, 8190, 8191, 8192, 8193,
+                    10000, 65536, 65537]
 
 
 class TestSymmetryBlocks:

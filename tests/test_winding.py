@@ -22,6 +22,7 @@ from epicusp import (
     zeros_of_curve,
 )
 from epicusp import winding
+from epicusp.curve import _TABLE_CACHE_LIMIT
 
 ORIGIN = PlanePoint(0.0, 0.0)
 
@@ -169,6 +170,30 @@ class TestKernelIntegral:
             KernelParams(alpha=1.0, beta=0.0)
 
     @given(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+           st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
+           st.sampled_from([1, 2, 7, 512, 2048, 3000, _TABLE_CACHE_LIMIT + 1]))
+    @settings(deadline=None, max_examples=100)
+    def test_the_cached_grid_gives_the_bits_of_the_expression(self, alpha, beta, n):
+        assume(abs(beta - abs(alpha)) >= 1e-6 * max(beta, abs(alpha)))
+        t = np.arange(n) / n
+        expected = complex(np.mean(1.0 / (beta + alpha * np.exp(2j * np.pi * t))))
+        got = kernel_integral(KernelParams(alpha, beta), n)
+        assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+
+    def test_the_cached_grid_is_read_only(self):
+        e = winding._circle_samples(2048)
+        assert e is winding._circle_samples(2048)
+        with pytest.raises(ValueError):
+            e[0] = 0.0
+        n = _TABLE_CACHE_LIMIT + 1
+        assert winding._circle_samples(n) is not winding._circle_samples(n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_grids_are_refused(self, n):
+        with pytest.raises(ValueError):
+            kernel_integral(KernelParams(alpha=1.0, beta=2.0), n)
+
+    @given(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
            st.floats(min_value=0.05, max_value=3.0, allow_nan=False))
     @settings(deadline=None, max_examples=200)
     def test_dichotomy(self, alpha, beta):
@@ -202,6 +227,11 @@ class TestDecomposition:
     def test_balanced_curve_refused(self):
         with pytest.raises(OnCurve):
             winding_decomposition_check(TwoTermSpec(1, 3, 0.0), 1024)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_grids_are_refused(self, n):
+        with pytest.raises(ValueError):
+            winding_decomposition_check(TwoTermSpec(1, 3, 0.5), n)
 
 
 class TestOriginPassages:
