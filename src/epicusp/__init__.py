@@ -3,114 +3,97 @@
 The family gamma_{a,b}^s(t) = (1-s) e^{2 pi i a t} + (1+s) e^{2 pi i b t}
 is analyzed for winding numbers, cusp singularities, dihedral symmetry and
 self-intersection structure, with deterministic SVG rendering and a CLI.
+
+Importing the package loads none of its submodules and no numpy.  Each
+public name is imported from the submodule that defines it on first access
+(PEP 562), so ``from epicusp import TwoTermSpec`` loads only the numpy-free
+spec module, while ``epicusp.find_cusps`` loads singularity and numpy.
+Submodules are reachable as attributes too: ``epicusp.geometry`` imports
+geometry.
 """
 
-from .curve import (
-    CurveSpec,
-    ExponentialTerm,
-    PlanePoint,
-    TwoTermSpec,
-    derivative,
-    evaluate,
-    parametric_derivative,
-    rotate,
-    sample,
-    spec_from_wire,
-    spec_to_wire,
-)
-from .errors import (
-    CurveAnalysisError,
-    EmptyInput,
-    NearPole,
-    NotSingular,
-    OnCurve,
-    Unresolved,
-    WindowTooWide,
-)
-from .geometry import (
-    IntersectionRecord,
-    SymmetryReport,
-    grid_intersection_check,
-    self_intersections,
-    verify_symmetry,
-)
-from .render import (
-    PlotSpec,
-    export_samples,
-    render_curve,
-    render_param_derivative,
-    render_singularity_diagram,
-)
-from .singularity import (
-    CuspCertificate,
-    CuspLocus,
-    PointKind,
-    certify_cusp,
-    classify_point,
-    find_cusps,
-    loop_birth_count,
-    predicted_cusp_locus,
-    rotated_param_deriv,
-    rotation_angle,
-    undefined_derivative_set,
-)
-from .winding import (
-    KernelParams,
-    WindingResult,
-    kernel_integral,
-    winding_closed_form,
-    winding_decomposition_check,
-    winding_numeric,
-    zeros_of_curve,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CurveAnalysisError",
-    "CurveSpec",
-    "CuspCertificate",
-    "CuspLocus",
-    "EmptyInput",
-    "ExponentialTerm",
-    "IntersectionRecord",
-    "KernelParams",
-    "NearPole",
-    "NotSingular",
-    "OnCurve",
-    "PlanePoint",
-    "PlotSpec",
-    "PointKind",
-    "SymmetryReport",
-    "TwoTermSpec",
-    "Unresolved",
-    "WindingResult",
-    "WindowTooWide",
-    "certify_cusp",
-    "classify_point",
-    "derivative",
-    "evaluate",
-    "export_samples",
-    "find_cusps",
-    "grid_intersection_check",
-    "kernel_integral",
-    "loop_birth_count",
-    "parametric_derivative",
-    "predicted_cusp_locus",
-    "render_curve",
-    "render_param_derivative",
-    "render_singularity_diagram",
-    "rotate",
-    "rotated_param_deriv",
-    "rotation_angle",
-    "sample",
-    "self_intersections",
-    "spec_from_wire",
-    "spec_to_wire",
-    "undefined_derivative_set",
-    "verify_symmetry",
-    "winding_closed_form",
-    "winding_decomposition_check",
-    "winding_numeric",
-    "zeros_of_curve",
-]
+# the public names, by the submodule that defines them
+_EXPORTS = {
+    "curve": (
+        "derivative",
+        "evaluate",
+        "parametric_derivative",
+        "rotate",
+        "sample",
+        "spec_from_wire",
+        "spec_to_wire",
+    ),
+    "errors": (
+        "CurveAnalysisError",
+        "EmptyInput",
+        "NearPole",
+        "NotSingular",
+        "OnCurve",
+        "Unresolved",
+        "WindowTooWide",
+    ),
+    "geometry": (
+        "IntersectionRecord",
+        "SymmetryReport",
+        "grid_intersection_check",
+        "self_intersections",
+        "verify_symmetry",
+    ),
+    "render": (
+        "PlotSpec",
+        "export_samples",
+        "render_curve",
+        "render_param_derivative",
+        "render_singularity_diagram",
+    ),
+    "singularity": (
+        "CuspCertificate",
+        "PointKind",
+        "certify_cusp",
+        "classify_point",
+        "find_cusps",
+        "loop_birth_count",
+        "rotated_param_deriv",
+        "rotation_angle",
+        "undefined_derivative_set",
+    ),
+    "spec": (
+        "CurveSpec",
+        "CuspLocus",
+        "ExponentialTerm",
+        "PlanePoint",
+        "TwoTermSpec",
+        "predicted_cusp_locus",
+        "winding_closed_form",
+        "zeros_of_curve",
+    ),
+    "winding": (
+        "KernelParams",
+        "WindingResult",
+        "kernel_integral",
+        "winding_decomposition_check",
+        "winding_numeric",
+    ),
+}
+_SUBMODULES = frozenset(_EXPORTS) | {"acceptance", "cli"}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from . import geometry, render, singularity, winding
-from .curve import TwoTermSpec, eval_complex
+from .curve import eval_complex
+from .spec import TwoTermSpec
 from .winding import KernelParams
 
 

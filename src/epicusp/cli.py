@@ -4,6 +4,11 @@ Every analysis result goes to stdout as JSON (or JSON lines); anything
 human-facing goes to stderr.  Exit codes: 0 success, 1 analysis error
 (with a JSON error object on stdout), 2 usage error, 3 verification
 failure.
+
+Only the standard library, errors and the numpy-free spec module are
+imported up front.  Each handler imports the module it calls, so a cold
+`epicusp wind` without --numeric or --z0 and `epicusp cusps
+--predicted-only` never load numpy.
 """
 
 from __future__ import annotations
@@ -14,10 +19,8 @@ import math
 import sys
 from fractions import Fraction
 
-from . import acceptance, geometry, render, singularity, winding
-from .curve import PlanePoint, TwoTermSpec
 from .errors import CurveAnalysisError
-from .render import PlotSpec
+from .spec import PlanePoint, TwoTermSpec, predicted_cusp_locus, winding_closed_form
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -123,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_wind(args) -> int:
     spec = TwoTermSpec(args.a, args.b, args.s)
     if args.numeric or args.z0 != (0.0, 0.0):
+        from . import winding
+
         result = winding.winding_numeric(spec, args.z0, n=args.n)
         payload = {
             "value": result.value,
@@ -131,14 +136,14 @@ def _cmd_wind(args) -> int:
             "method": "numeric",
         }
     else:
-        payload = {"value": winding.winding_closed_form(spec), "method": "closed_form"}
+        payload = {"value": winding_closed_form(spec), "method": "closed_form"}
     print(json.dumps(payload))
     return EXIT_OK
 
 
 def _cmd_cusps(args) -> int:
-    locus = singularity.predicted_cusp_locus(args.a, args.b)
     if args.predicted_only:
+        locus = predicted_cusp_locus(args.a, args.b)
         print(
             json.dumps(
                 {
@@ -149,6 +154,8 @@ def _cmd_cusps(args) -> int:
             )
         )
         return EXIT_OK
+    from . import singularity
+
     for cert in singularity.find_cusps(args.a, args.b):
         print(
             json.dumps(
@@ -164,6 +171,8 @@ def _cmd_cusps(args) -> int:
 
 
 def _cmd_symmetry(args) -> int:
+    from . import geometry
+
     report = geometry.verify_symmetry(TwoTermSpec(args.a, args.b, args.s), n=args.n)
     print(
         json.dumps(
@@ -181,6 +190,8 @@ def _cmd_symmetry(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
+    from . import geometry
+
     records = geometry.self_intersections(TwoTermSpec(args.a, args.b, args.s))
     if args.format == "csv":
         sys.stdout.write("t1,t2,x,y,on_grid\r\n")
@@ -207,8 +218,10 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from . import render
+
     doc = render.render_curve(
-        [TwoTermSpec(args.a, args.b, args.s)], PlotSpec(samples=args.n)
+        [TwoTermSpec(args.a, args.b, args.s)], render.PlotSpec(samples=args.n)
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)
@@ -217,11 +230,13 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import render
+
     if args.count < 2:
         raise CurveAnalysisError("need at least 2 weights in the sweep")
     weights = [-1.0 + 2.0 * i / (args.count - 1) for i in range(args.count)]
     specs = [TwoTermSpec(args.a, args.b, s) for s in weights]
-    doc = render.render_curve(specs, PlotSpec())
+    doc = render.render_curve(specs, render.PlotSpec())
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)
     print(json.dumps({"out": args.out, "curves": len(specs), "bytes": len(doc)}))
@@ -229,6 +244,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_all()
     for r in results:
         print(

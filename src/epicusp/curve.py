@@ -1,15 +1,12 @@
-"""Curve model and pointwise evaluation.
+"""Pointwise and grid evaluation of curves.
 
 A curve is a finite sum of complex exponentials,
 
     gamma(t) = sum_j w_j * exp(2*pi*i * a_j * t),
 
 with integer frequencies a_j and complex weights w_j, traced over one period
-t in [0, 1).  The central special case is the two-term family
-
-    gamma_{a,b}^s(t) = (1-s) * exp(2*pi*i*a*t) + (1+s) * exp(2*pi*i*b*t)
-
-with 1 <= a < b and a weight parameter s in [-1, 1].
+t in [0, 1).  The specification types (CurveSpec, TwoTermSpec, ...) are
+defined in spec, which needs no numpy; this module re-exports them.
 """
 
 from __future__ import annotations
@@ -17,112 +14,22 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
+# TwoTermSpec and _integer are only re-exported: they were defined here
+from .spec import (
+    AnySpec,
+    CurveSpec,
+    ExponentialTerm,
+    PlanePoint,
+    TwoTermSpec,
+    _integer,
+    as_curve,
+)
 
-class PlanePoint(NamedTuple):
-    """A point (x, y) of the plane, also read as the complex number x + iy."""
-
-    x: float
-    y: float
-
-    @staticmethod
-    def from_complex(z: complex) -> "PlanePoint":
-        return PlanePoint(z.real, z.imag)
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-
-def _integer(value, name: str) -> int:
-    """An integer frequency as a plain int; numpy integers pass, bools do not."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, not a bool")
-    try:
-        return operator.index(value)
-    except TypeError as exc:
-        raise ValueError(f"{name} must be an integer") from exc
-
-
-@dataclass(frozen=True)
-class ExponentialTerm:
-    """One summand w * exp(2*pi*i * frequency * t)."""
-
-    frequency: int
-    weight: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frequency", _integer(self.frequency, "frequency"))
-        weight = complex(self.weight)
-        if not cmath.isfinite(weight):
-            raise ValueError("weight must be finite")
-        object.__setattr__(self, "weight", weight)
-
-
-@dataclass(frozen=True)
-class CurveSpec:
-    """An exponential sum given by an ordered list of terms."""
-
-    terms: tuple[ExponentialTerm, ...]
-
-    def __post_init__(self) -> None:
-        terms = tuple(self.terms)
-        if len(terms) < 1:
-            raise ValueError("a curve needs at least one term")
-        object.__setattr__(self, "terms", terms)
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, complex]]) -> "CurveSpec":
-        return CurveSpec(tuple(ExponentialTerm(f, w) for f, w in pairs))
-
-
-@dataclass(frozen=True)
-class TwoTermSpec:
-    """The two-term family with frequencies 1 <= a < b and weights 1-s, 1+s."""
-
-    a: int
-    b: int
-    s: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _integer(self.a, "frequency a"))
-        object.__setattr__(self, "b", _integer(self.b, "frequency b"))
-        if not 1 <= self.a < self.b:
-            raise ValueError("need 1 <= a < b")
-        if not -1.0 <= self.s <= 1.0:
-            raise ValueError("s must lie in [-1, 1]")
-        object.__setattr__(self, "s", float(self.s))
-
-    def lower(self) -> CurveSpec:
-        """The generic form, built once per instance."""
-        return self._lowered
-
-    @functools.cached_property
-    def _lowered(self) -> CurveSpec:
-        return CurveSpec.from_pairs([(self.a, 1.0 - self.s), (self.b, 1.0 + self.s)])
-
-    def __getstate__(self) -> dict:
-        # the cached lowering is derived, not state: pickles hold the fields only
-        return {"a": self.a, "b": self.b, "s": self.s}
-
-
-AnySpec = Union[CurveSpec, TwoTermSpec]
-
-
-def as_curve(spec: AnySpec) -> CurveSpec:
-    """Lower a TwoTermSpec to its generic form; pass CurveSpec through."""
-    if isinstance(spec, TwoTermSpec):
-        return spec.lower()
-    if isinstance(spec, CurveSpec):
-        return spec
-    raise TypeError(f"not a curve spec: {spec!r}")
+# the most samples winding_numeric, verify_symmetry and render_curve take: 16 MB per complex array
+MAX_GRID_SAMPLES = 1 << 20
 
 
 def curve_scale(spec: AnySpec) -> float:

@@ -56,17 +56,9 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import (
-    PlanePoint,
-    TwoTermSpec,
-    _shifted_unit_roots,
-    _term_samples,
-    as_curve,
-    curve_scale,
-    eval_complex,
-)
+from .curve import MAX_GRID_SAMPLES, _shifted_unit_roots, _term_samples, curve_scale, eval_complex
 from .singularity import _level_roots
-from .winding import zeros_of_curve
+from .spec import PlanePoint, TwoTermSpec, as_curve, zeros_of_curve
 
 
 _SYMMETRY_BLOCK = 4096  # indices j per block, and as many mirrors: 64 KB per complex array
@@ -127,10 +119,13 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
     Running maxima are exact: the deviations have the same bits for any
     block size.  Non-coprime (a, b) get coprime=False rather than an
     error; |s| = 1 is flagged degenerate (the image is a circle, whose
-    symmetry group is larger).
+    symmetry group is larger).  n must lie in [100, MAX_GRID_SAMPLES];
+    ValueError is raised before any sample is built.
     """
     if n < 100:
         raise ValueError("need n >= 100")
+    if n > MAX_GRID_SAMPLES:
+        raise ValueError(f"need n <= {MAX_GRID_SAMPLES}")
     c = as_curve(spec)
     d = spec.b - spec.a
     grid = [(t.weight, _term_samples(t.frequency, n)) for t in c.terms]

@@ -22,18 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import (
-    AnySpec,
-    PlanePoint,
-    TwoTermSpec,
-    as_curve,
-    derivative_scale,
-    eval_complex,
-    eval_grid,
-    spec_to_wire,
-)
+from .curve import MAX_GRID_SAMPLES, derivative_scale, eval_complex, eval_grid, spec_to_wire
 from .errors import EmptyInput
-from .singularity import _undefined_derivative_rows, predicted_cusp_locus
+from .singularity import _undefined_derivative_rows
+from .spec import AnySpec, PlanePoint, TwoTermSpec, as_curve, predicted_cusp_locus
 
 SVG_NS = 'xmlns="http://www.w3.org/2000/svg"'
 # weights on the uniform grid over [-1, 1] that the singularity diagram draws
@@ -78,11 +70,17 @@ def _color_ramp(i: int, count: int) -> str:
 
 
 def render_curve(specs: list[AnySpec], plot: PlotSpec = PlotSpec()) -> str:
-    """Render one closed polyline per spec into an SVG document."""
+    """Render one closed polyline per spec into an SVG document.
+
+    Each curve is sampled at plot.samples points, which must lie in
+    [2, MAX_GRID_SAMPLES]; ValueError is raised before any sampling.
+    """
     if not specs:
         raise EmptyInput("nothing to render")
     if plot.samples < 2:
         raise ValueError("need n >= 2 samples")
+    if plot.samples > MAX_GRID_SAMPLES:
+        raise ValueError(f"need n <= {MAX_GRID_SAMPLES} samples")
     zs = [eval_grid(as_curve(s), plot.samples) for s in specs]
 
     extent = plot.viewbox

@@ -38,15 +38,10 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import (
-    AnySpec,
-    PlanePoint,
-    TwoTermSpec,
-    _integer,
-    derivative_scale,
-    eval_complex,
-)
+from .curve import derivative_scale, eval_complex
 from .errors import NotSingular, Unresolved, WindowTooWide
+# the cusp locus is defined in spec and re-exported here
+from .spec import AnySpec, CuspLocus, PlanePoint, TwoTermSpec, _check_pair, predicted_cusp_locus
 
 # |gamma'| below this fraction of its natural scale counts as vanishing
 SINGULAR_RTOL = 1e-7
@@ -81,15 +76,6 @@ class CuspCertificate:
     tangent_right: PlanePoint
     flip_dot: float
     proven: bool = False
-
-
-@dataclass(frozen=True)
-class CuspLocus:
-    """Predicted cusp parameters of the family for fixed (a, b)."""
-
-    s_bar: Fraction
-    t_values: tuple[Fraction, ...]
-    proven: bool
 
 
 def classify_point(spec: AnySpec, t: float) -> PointKind:
@@ -193,30 +179,6 @@ def _unit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.hypot(x, y)
     with np.errstate(invalid="ignore", divide="ignore"):
         return x / r, y / r
-
-
-def _check_pair(a, b) -> tuple[int, int]:
-    """Frequencies as plain ints, with 1 <= a < b."""
-    a, b = _integer(a, "frequency a"), _integer(b, "frequency b")
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
-    return a, b
-
-
-def predicted_cusp_locus(a: int, b: int) -> CuspLocus:
-    """Cusp parameters: s = (a-b)/(a+b), t = h/(2(b-a)), h odd.
-
-    These are all the singular points of the family, each an ordinary
-    cusp, for every a (see the module docstring).  The proven flag records
-    whether a = 1, the case the paper proves.
-    """
-    a, b = _check_pair(a, b)
-    d = 2 * (b - a)
-    return CuspLocus(
-        s_bar=Fraction(a - b, a + b),
-        t_values=tuple(Fraction(h, d) for h in range(1, d, 2)),
-        proven=(a == 1),
-    )
 
 
 def find_cusps(a: int, b: int) -> list[CuspCertificate]:

@@ -1,0 +1,198 @@
+"""Curve specifications and the closed forms that need no arrays.
+
+A curve is a finite sum of complex exponentials,
+
+    gamma(t) = sum_j w_j * exp(2*pi*i * a_j * t),
+
+with integer frequencies a_j and complex weights w_j, traced over one period
+t in [0, 1).  The central special case is the two-term family
+
+    gamma_{a,b}^s(t) = (1-s) * exp(2*pi*i*a*t) + (1+s) * exp(2*pi*i*b*t)
+
+with 1 <= a < b and a weight parameter s in [-1, 1].
+
+The paper's two headline results are closed forms in a, b and s alone: the
+winding number about the origin (winding_closed_form) and the cusp locus
+(predicted_cusp_locus), together with the origin passages of the balanced
+curve (zeros_of_curve).  They live here, beside the specification types,
+because this module imports nothing beyond the standard library and
+errors: `epicusp wind` without --numeric or --z0 and `epicusp cusps
+--predicted-only` load it and never numpy.  curve, winding and singularity
+re-export every name they used to define, so their import paths and
+pickles written under them still resolve.
+"""
+
+from __future__ import annotations
+
+import cmath
+import functools
+import math
+import operator
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Union
+
+from .errors import OnCurve
+
+
+class PlanePoint(NamedTuple):
+    """A point (x, y) of the plane, also read as the complex number x + iy."""
+
+    x: float
+    y: float
+
+    @staticmethod
+    def from_complex(z: complex) -> "PlanePoint":
+        return PlanePoint(z.real, z.imag)
+
+    def as_complex(self) -> complex:
+        return complex(self.x, self.y)
+
+    def norm(self) -> float:
+        return math.hypot(self.x, self.y)
+
+
+def _integer(value, name: str) -> int:
+    """An integer frequency as a plain int; numpy integers pass, bools do not."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ValueError(f"{name} must be an integer") from exc
+
+
+@dataclass(frozen=True)
+class ExponentialTerm:
+    """One summand w * exp(2*pi*i * frequency * t)."""
+
+    frequency: int
+    weight: complex
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "frequency", _integer(self.frequency, "frequency"))
+        weight = complex(self.weight)
+        if not cmath.isfinite(weight):
+            raise ValueError("weight must be finite")
+        object.__setattr__(self, "weight", weight)
+
+
+@dataclass(frozen=True)
+class CurveSpec:
+    """An exponential sum given by an ordered list of terms."""
+
+    terms: tuple[ExponentialTerm, ...]
+
+    def __post_init__(self) -> None:
+        terms = tuple(self.terms)
+        if len(terms) < 1:
+            raise ValueError("a curve needs at least one term")
+        object.__setattr__(self, "terms", terms)
+
+    @staticmethod
+    def from_pairs(pairs: Iterable[tuple[int, complex]]) -> "CurveSpec":
+        return CurveSpec(tuple(ExponentialTerm(f, w) for f, w in pairs))
+
+
+@dataclass(frozen=True)
+class TwoTermSpec:
+    """The two-term family with frequencies 1 <= a < b and weights 1-s, 1+s."""
+
+    a: int
+    b: int
+    s: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", _integer(self.a, "frequency a"))
+        object.__setattr__(self, "b", _integer(self.b, "frequency b"))
+        if not 1 <= self.a < self.b:
+            raise ValueError("need 1 <= a < b")
+        if not -1.0 <= self.s <= 1.0:
+            raise ValueError("s must lie in [-1, 1]")
+        object.__setattr__(self, "s", float(self.s))
+
+    def lower(self) -> CurveSpec:
+        """The generic form, built once per instance."""
+        return self._lowered
+
+    @functools.cached_property
+    def _lowered(self) -> CurveSpec:
+        return CurveSpec.from_pairs([(self.a, 1.0 - self.s), (self.b, 1.0 + self.s)])
+
+    def __getstate__(self) -> dict:
+        # the cached lowering is derived, not state: pickles hold the fields only
+        return {"a": self.a, "b": self.b, "s": self.s}
+
+
+AnySpec = Union[CurveSpec, TwoTermSpec]
+
+
+def as_curve(spec: AnySpec) -> CurveSpec:
+    """Lower a TwoTermSpec to its generic form; pass CurveSpec through."""
+    if isinstance(spec, TwoTermSpec):
+        return spec.lower()
+    if isinstance(spec, CurveSpec):
+        return spec
+    raise TypeError(f"not a curve spec: {spec!r}")
+
+
+def winding_closed_form(spec: TwoTermSpec) -> int:
+    """Winding number of the two-term curve about the origin.
+
+    Returns a for s < 0 and b for s > 0, including the endpoint weights
+    s = -1 and s = 1 where the curve degenerates to a circle traced a
+    or b times.
+
+    Raises
+    ------
+    OnCurve
+        If s = 0: the curve passes through the origin and the winding
+        number is undefined there.
+    """
+    if spec.s == 0:
+        raise OnCurve("curve passes through the origin at s=0")
+    return spec.a if spec.s < 0 else spec.b
+
+
+def zeros_of_curve(a: int, b: int) -> list[Fraction]:
+    """Parameters where the balanced curve (s=0) passes through the origin.
+
+    These are exactly t = h/(2(b-a)) for odd h, giving b-a values in [0, 1).
+    """
+    if not 1 <= a < b:
+        raise ValueError("need 1 <= a < b")
+    d = 2 * (b - a)
+    return [Fraction(h, d) for h in range(1, d, 2)]
+
+
+@dataclass(frozen=True)
+class CuspLocus:
+    """Predicted cusp parameters of the family for fixed (a, b)."""
+
+    s_bar: Fraction
+    t_values: tuple[Fraction, ...]
+    proven: bool
+
+
+def _check_pair(a, b) -> tuple[int, int]:
+    """Frequencies as plain ints, with 1 <= a < b."""
+    a, b = _integer(a, "frequency a"), _integer(b, "frequency b")
+    if not 1 <= a < b:
+        raise ValueError("need 1 <= a < b")
+    return a, b
+
+
+def predicted_cusp_locus(a: int, b: int) -> CuspLocus:
+    """Cusp parameters: s = (a-b)/(a+b), t = h/(2(b-a)), h odd.
+
+    These are all the singular points of the family, each an ordinary
+    cusp, for every a (see the singularity module docstring).  The proven
+    flag records whether a = 1, the case the paper proves.
+    """
+    a, b = _check_pair(a, b)
+    d = 2 * (b - a)
+    return CuspLocus(
+        s_bar=Fraction(a - b, a + b),
+        t_values=tuple(Fraction(h, d) for h in range(1, d, 2)),
+        proven=(a == 1),
+    )

@@ -6,21 +6,23 @@ s = 0, where the winding number is undefined).  The numerical route tracks
 the argument of gamma(t) - z0 around one period and rounds the total
 turning; the residual of that rounding is reported as a diagnostic.  A
 trapezoidal kernel integral provides an independent oracle for the two
-integrals appearing in the closed form's derivation.
+integrals appearing in the closed form's derivation.  The closed form
+itself is defined in spec, which needs no numpy, and re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .curve import AnySpec, PlanePoint, TwoTermSpec, _kept, as_curve, curve_scale, eval_grid
+from .curve import MAX_GRID_SAMPLES, _kept, curve_scale, eval_grid
 from .errors import NearPole, OnCurve, Unresolved
+# the closed forms are defined in spec and re-exported here
+from .spec import AnySpec, PlanePoint, TwoTermSpec, as_curve, winding_closed_form, zeros_of_curve
 
 ORIGIN = PlanePoint(0.0, 0.0)
-MAX_WINDING_SAMPLES = 1 << 20
+MAX_WINDING_SAMPLES = MAX_GRID_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -44,24 +46,6 @@ class KernelParams:
             raise ValueError("beta must be strictly positive")
 
 
-def winding_closed_form(spec: TwoTermSpec) -> int:
-    """Winding number of the two-term curve about the origin.
-
-    Returns a for s < 0 and b for s > 0, including the endpoint weights
-    s = -1 and s = 1 where the curve degenerates to a circle traced a
-    or b times.
-
-    Raises
-    ------
-    OnCurve
-        If s = 0: the curve passes through the origin and the winding
-        number is undefined there.
-    """
-    if spec.s == 0:
-        raise OnCurve("curve passes through the origin at s=0")
-    return spec.a if spec.s < 0 else spec.b
-
-
 def winding_numeric(spec: AnySpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> WindingResult:
     """Winding number about z0 by argument tracking on an n-point grid.
 
@@ -76,6 +60,8 @@ def winding_numeric(spec: AnySpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> Wi
 
     Raises
     ------
+    ValueError
+        If n < 64 or n > MAX_WINDING_SAMPLES.
     OnCurve
         If some grid sample comes within 1e-9 * curve scale of z0.
     Unresolved
@@ -86,6 +72,8 @@ def winding_numeric(spec: AnySpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> Wi
     """
     if n < 64:
         raise ValueError("need n >= 64")
+    if n > MAX_WINDING_SAMPLES:
+        raise ValueError(f"need n <= {MAX_WINDING_SAMPLES}")
     z0c = z0.as_complex() if isinstance(z0, PlanePoint) else complex(z0)
     dist_tol = 1e-9 * curve_scale(spec)
     top = max(abs(t.frequency) for t in as_curve(spec).terms)
@@ -180,14 +168,3 @@ def winding_decomposition_check(spec: TwoTermSpec, n: int = 4096) -> tuple[compl
         1.0 / ((1.0 - s) * np.exp(2j * np.pi * (spec.a - spec.b) * t) + (1.0 + s))
     )
     return complex(first), complex(second)
-
-
-def zeros_of_curve(a: int, b: int) -> list[Fraction]:
-    """Parameters where the balanced curve (s=0) passes through the origin.
-
-    These are exactly t = h/(2(b-a)) for odd h, giving b-a values in [0, 1).
-    """
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
-    d = 2 * (b - a)
-    return [Fraction(h, d) for h in range(1, d, 2)]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import epicusp
 from epicusp.cli import main
+from epicusp.curve import MAX_GRID_SAMPLES
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -122,6 +123,29 @@ class TestCusps:
         rc, out = run_cli(capsys, "cusps", "-a", "2", "-b", "5")
         assert rc == 1
         assert json.loads(out)["error"] == "Unresolved"
+
+
+class TestSampleBound:
+    """-n one past the largest grid is refused like -n below the minimum:
+    exit 1 with the JSON error object, before any sample is built."""
+
+    @pytest.mark.parametrize(
+        "command, too_few",
+        [(("wind", "--numeric"), 63), (("symmetry",), 99), (("plot",), 1)],
+        ids=["wind", "symmetry", "plot"],
+    )
+    def test_one_past_the_largest_grid_is_an_analysis_error(self, capsys, tmp_path, command, too_few):
+        path = tmp_path / "curve.svg"
+        argv = [command[0], "-a", "1", "-b", "3", "-s", "0.5", *command[1:]]
+        if command[0] == "plot":
+            argv += ["--out", str(path)]
+        for n in (too_few, MAX_GRID_SAMPLES + 1):
+            rc, out = run_cli(capsys, *argv, "-n", str(n))
+            assert rc == 1
+            record = json.loads(out)
+            assert record["error"] == "ValueError" and set(record) == {"error", "message"}
+            assert not path.exists()
+        assert str(MAX_GRID_SAMPLES) in record["message"]
 
 
 class TestSymmetry:
@@ -243,6 +267,7 @@ REPORT_FIELDS = {"claimed_order", "rotation_deviation", "reflection_deviation",
 class TestSymmetryArgvFuzz:
     @given(PAIRS, WEIGHTS, st.none() | SIZES)
     @settings(deadline=None, max_examples=200)
+    @example(pair=("1", "3"), s="0.5", n=str(MAX_GRID_SAMPLES + 1))
     def test_exit_code_and_stdout_keep_the_contract(self, pair, s, n):
         argv = ["symmetry", "-a", pair[0], "-b", pair[1], "-s", s]
         if n is not None:
@@ -259,7 +284,7 @@ class TestSymmetryArgvFuzz:
             return
         a, b = int(pair[0]), int(pair[1])
         assert set(record) == REPORT_FIELDS
-        assert n is None or int(n) >= 100
+        assert n is None or 100 <= int(n) <= MAX_GRID_SAMPLES
         assert record["claimed_order"] == b - a
         assert record["coprime"] == (math.gcd(a, b) == 1)
         assert record["verified"] == (record["coprime"] and record["rotation_deviation"] < 1e-9
@@ -320,6 +345,7 @@ class TestWindArgvFuzz:
     @settings(deadline=None, max_examples=200)
     # 64 samples alias z^49 to z^-15 unless the grid is refined first
     @example(("1", "49"), "1.0", None, True, "64")
+    @example(("1", "3"), "0.5", None, True, str(MAX_GRID_SAMPLES + 1))
     def test_exit_code_and_stdout_keep_the_contract(self, pair, s, z0, numeric, n):
         argv = ["wind", "-a", pair[0], "-b", pair[1], "-s", s]
         if z0 is not None:
@@ -346,6 +372,7 @@ class TestWindArgvFuzz:
             assert record["method"] == "numeric"
             assert set(record) == {"value", "residual", "samples", "method"}
             assert record["residual"] < 0.25 and record["samples"] >= int(n or 4096)
+            assert record["samples"] <= MAX_GRID_SAMPLES
 
 
 # -n for plot and --count for sweep: small values on both sides of the
@@ -384,6 +411,7 @@ def check_document(rc: int, out: str, path: Path, fields: set[str]) -> str | Non
 class TestPlotArgvFuzz:
     @given(PAIRS, WEIGHTS, st.none() | SAMPLES)
     @FILE_PER_TEST
+    @example(pair=("1", "3"), s="0.5", n=str(MAX_GRID_SAMPLES + 1))
     def test_exit_code_and_stdout_keep_the_contract(self, tmp_path, pair, s, n):
         path = tmp_path / "curve.svg"
         path.unlink(missing_ok=True)
@@ -393,7 +421,7 @@ class TestPlotArgvFuzz:
         rc, out = exit_code_and_stdout(argv)
         text = check_document(rc, out, path, {"out", "bytes"})
         if text is not None:
-            assert n is None or int(n) >= 2
+            assert n is None or 2 <= int(n) <= MAX_GRID_SAMPLES
             polylines = [line for line in text.splitlines() if line.startswith("<polyline")]
             # the closed polyline repeats its first sample
             assert len(polylines) == 1

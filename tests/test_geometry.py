@@ -18,7 +18,7 @@ from epicusp import (
     verify_symmetry,
 )
 from epicusp import geometry
-from epicusp.curve import eval_complex
+from epicusp.curve import MAX_GRID_SAMPLES, eval_complex
 from epicusp.geometry import SymmetryReport
 from exact_counts import (
     chebyshev_u,
@@ -54,6 +54,14 @@ class TestVerifySymmetry:
     def test_rejects_small_sample_counts(self):
         with pytest.raises(ValueError):
             verify_symmetry(TwoTermSpec(1, 3, 0.0), n=99)
+
+    def test_rejects_a_grid_past_the_largest_before_sampling(self, monkeypatch):
+        def no_samples(f, n):
+            raise AssertionError(f"sampled {n} points")
+
+        monkeypatch.setattr(geometry, "_term_samples", no_samples)
+        with pytest.raises(ValueError, match="need n <="):
+            verify_symmetry(TwoTermSpec(1, 3, 0.5), n=MAX_GRID_SAMPLES + 1)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
            st.floats(min_value=-0.95, max_value=0.95, allow_nan=False))

@@ -16,6 +16,8 @@ from epicusp import (
     sample,
     spec_from_wire,
 )
+from epicusp import render
+from epicusp.curve import MAX_GRID_SAMPLES
 
 POINTS_RE = re.compile(r'<polyline[^>]* points="([^"]+)"')
 MARKER_RE = re.compile(r'class="cusp-marker"[^>]*data-s="([^"]+)" data-t="([^"]+)"')
@@ -70,6 +72,15 @@ class TestRenderCurve:
         assert all(0.0 <= v <= 800.0 for xy in coords for v in xy)
         # the start point gamma(0) = 3 sits at 6.3/6.6 of the width
         assert coords[0] == (pytest.approx(763.636, abs=1e-3), pytest.approx(400.0, abs=1e-3))
+
+    def test_rejects_a_curve_past_the_largest_grid_before_sampling(self, monkeypatch):
+        def no_grid(spec, n):
+            raise AssertionError(f"sampled {n} points")
+
+        monkeypatch.setattr(render, "eval_grid", no_grid)
+        plot = PlotSpec(samples=MAX_GRID_SAMPLES + 1)
+        with pytest.raises(ValueError, match="need n <="):
+            render_curve([TwoTermSpec(1, 3, 0.5)], plot)
 
 
 class TestRenderParamDerivative:

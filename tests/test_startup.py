@@ -1,0 +1,143 @@
+"""What a cold process loads: the package, the closed-form commands and the
+names the package re-exports.
+
+Each load check runs in a fresh interpreter, since this test process has
+long since imported numpy and every submodule.
+"""
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import epicusp
+from epicusp import curve, singularity, spec, winding
+
+PKG_ROOT = str(Path(epicusp.__file__).resolve().parent.parent)
+SUBMODULES = ("acceptance", "cli", "curve", "errors", "geometry", "render", "singularity",
+              "spec", "winding")
+
+
+def loaded_after(code: str) -> tuple[list[str], str]:
+    """The numpy and epicusp modules a fresh interpreter holds after code, and its stdout."""
+    report = (
+        "\nimport sys as _sys, json as _json"
+        "\nprint(_json.dumps(sorted(m for m in _sys.modules"
+        " if m.split('.')[0] in ('numpy', 'epicusp'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code + report], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": PKG_ROOT},
+    )
+    assert proc.returncode == 0, proc.stderr
+    *output, modules = proc.stdout.splitlines()
+    return json.loads(modules), "\n".join(output)
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    modules, _ = loaded_after("import epicusp")
+    assert modules == ["epicusp"]
+
+
+def test_a_spec_name_loads_only_spec():
+    modules, _ = loaded_after("from epicusp import TwoTermSpec, predicted_cusp_locus")
+    assert modules == ["epicusp", "epicusp.errors", "epicusp.spec"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["wind", "-a", "1", "-b", "3", "-s", "0.5"], {"value": 3, "method": "closed_form"}),
+        (["wind", "-a", "1", "-b", "3", "-s", "-1/2"], {"value": 1, "method": "closed_form"}),
+        (["cusps", "-a", "2", "-b", "5", "--predicted-only"],
+         {"s": -3 / 7, "t": [1 / 6, 0.5, 5 / 6], "proven": False}),
+    ],
+)
+def test_closed_form_commands_load_no_numpy(argv, stdout):
+    modules, out = loaded_after(f"from epicusp.cli import main; main({argv!r})")
+    assert json.loads(out) == stdout
+    assert modules == ["epicusp", "epicusp.cli", "epicusp.errors", "epicusp.spec"]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listing = dir(epicusp)
+    for name in epicusp.__all__:
+        assert getattr(epicusp, name) is not None
+        assert name in listing
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from epicusp import *", namespace)
+    assert set(epicusp.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(epicusp, name) for name in epicusp.__all__)
+
+
+def test_submodules_are_attributes():
+    for name in SUBMODULES:
+        assert getattr(epicusp, name).__name__ == f"epicusp.{name}"
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'find_cusp'"):
+        epicusp.find_cusp
+    assert not hasattr(epicusp, "numpy")
+
+
+@pytest.mark.parametrize(
+    "module, names",
+    [
+        (curve, ("PlanePoint", "_integer", "ExponentialTerm", "CurveSpec", "TwoTermSpec",
+                 "AnySpec", "as_curve")),
+        (winding, ("winding_closed_form", "zeros_of_curve")),
+        (singularity, ("CuspLocus", "predicted_cusp_locus", "_check_pair")),
+    ],
+)
+def test_moved_names_are_the_same_objects(module, names):
+    for name in names:
+        assert getattr(module, name) is getattr(spec, name)
+
+
+# pickles written while these classes were defined in curve and singularity
+OLD_PICKLES = [
+    (
+        b"\x80\x04\x95B\x00\x00\x00\x00\x00\x00\x00\x8c\repicusp.curve\x94\x8c\x0bTwoTermSpec"
+        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x01a\x94K\x02\x8c\x01b\x94K\x05\x8c\x01s\x94G\xbf\xd0"
+        b"\x00\x00\x00\x00\x00\x00ub.",
+        spec.TwoTermSpec(2, 5, -0.25),
+    ),
+    (
+        b"\x80\x04\x956\x00\x00\x00\x00\x00\x00\x00\x8c\repicusp.curve\x94\x8c\nPlanePoint\x94"
+        b"\x93\x94G?\xe0\x00\x00\x00\x00\x00\x00G\xbf\xf0\x00\x00\x00\x00\x00\x00\x86\x94\x81"
+        b"\x94.",
+        spec.PlanePoint(0.5, -1.0),
+    ),
+    (
+        b"\x80\x04\x95\xba\x00\x00\x00\x00\x00\x00\x00\x8c\repicusp.curve\x94\x8c\tCurveSpec\x94"
+        b"\x93\x94)\x81\x94}\x94\x8c\x05terms\x94h\x00\x8c\x0fExponentialTerm\x94\x93\x94)\x81"
+        b"\x94}\x94(\x8c\tfrequency\x94K\x01\x8c\x06weight\x94\x8c\x08builtins\x94\x8c\x07complex"
+        b"\x94\x93\x94G?\xf0\x00\x00\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00\x86\x94R"
+        b"\x94ubh\x07)\x81\x94}\x94(h\nK\x03h\x0bh\x0eG\x00\x00\x00\x00\x00\x00\x00\x00G?\xe0"
+        b"\x00\x00\x00\x00\x00\x00\x86\x94R\x94ub\x86\x94sb.",
+        spec.CurveSpec.from_pairs([(1, 1.0), (3, 0.5j)]),
+    ),
+    (
+        b"\x80\x04\x95\x84\x00\x00\x00\x00\x00\x00\x00\x8c\x13epicusp.singularity\x94\x8c\t"
+        b"CuspLocus\x94\x93\x94)\x81\x94}\x94(\x8c\x05s_bar\x94\x8c\tfractions\x94\x8c\x08"
+        b"Fraction\x94\x93\x94J\xff\xff\xff\xffK\x02\x86\x94R\x94\x8c\x08t_values\x94h\x08K\x01"
+        b"K\x04\x86\x94R\x94h\x08K\x03K\x04\x86\x94R\x94\x86\x94\x8c\x06proven\x94\x88ub.",
+        spec.predicted_cusp_locus(1, 3),
+    ),
+]
+
+
+@pytest.mark.parametrize("data, expected", OLD_PICKLES)
+def test_pickles_from_the_old_modules_load_back_equal(data, expected):
+    back = pickle.loads(data)
+    assert type(back) is type(expected) and back == expected
+    assert pickle.loads(pickle.dumps(back)) == expected
+

@@ -141,6 +141,14 @@ class TestAliasing:
                     assert res.value == (a if s < 0 else b), (a, b, s)
                     assert res.samples >= 4 * b
 
+    def test_a_grid_past_the_largest_is_refused_before_sampling(self, monkeypatch):
+        def no_grid(spec, n):
+            raise AssertionError(f"sampled {n} points")
+
+        monkeypatch.setattr(winding, "eval_grid", no_grid)
+        with pytest.raises(ValueError, match="need n <="):
+            winding_numeric(TwoTermSpec(1, 3, 0.5), ORIGIN, winding.MAX_WINDING_SAMPLES + 1)
+
     def test_a_frequency_past_the_largest_grid_is_refused(self):
         spec = CurveSpec.from_pairs([(winding.MAX_WINDING_SAMPLES // 2, 1.0)])
         with pytest.raises(Unresolved):
