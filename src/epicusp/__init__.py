@@ -18,15 +18,7 @@ __version__ = "0.1.0"
 
 # the public names, by the submodule that defines them
 _EXPORTS = {
-    "curve": (
-        "derivative",
-        "evaluate",
-        "parametric_derivative",
-        "rotate",
-        "sample",
-        "spec_from_wire",
-        "spec_to_wire",
-    ),
+    "curve": ("eval_complex",),
     "errors": (
         "CurveAnalysisError",
         "EmptyInput",
@@ -45,16 +37,12 @@ _EXPORTS = {
     ),
     "render": (
         "PlotSpec",
-        "export_samples",
         "render_curve",
-        "render_param_derivative",
         "render_singularity_diagram",
     ),
     "singularity": (
         "CuspCertificate",
-        "PointKind",
         "certify_cusp",
-        "classify_point",
         "find_cusps",
         "loop_birth_count",
         "rotated_param_deriv",
@@ -75,7 +63,6 @@ _EXPORTS = {
         "KernelParams",
         "WindingResult",
         "kernel_integral",
-        "winding_decomposition_check",
         "winding_numeric",
     ),
 }

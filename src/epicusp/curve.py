@@ -1,23 +1,27 @@
-"""Pointwise and grid evaluation of curves.
+"""Evaluation of curves: at any parameters, and on the uniform grid.
 
 A curve is a finite sum of complex exponentials,
 
     gamma(t) = sum_j w_j * exp(2*pi*i * a_j * t),
 
 with integer frequencies a_j and complex weights w_j, traced over one period
-t in [0, 1).  The specification types (CurveSpec, TwoTermSpec, ...) are
-defined in spec, which needs no numpy; this module re-exports them.
+t in [0, 1).  eval_complex, the package's one public evaluation entry
+point, gives gamma or any t-derivative at a float or an array of floats;
+a point, a tangent or a rotated curve is one complex operation away from
+it.  eval_grid and the sample caches below serve the analyses that sweep
+the grid t = j/n.  The specification types (CurveSpec, TwoTermSpec, ...)
+are defined in spec, which needs no numpy; this module re-exports them.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
 import numpy as np
 
-# TwoTermSpec and _integer are only re-exported: they were defined here
+# ExponentialTerm, PlanePoint, TwoTermSpec and _integer are only re-exported:
+# they were defined here
 from .spec import (
     AnySpec,
     CurveSpec,
@@ -28,7 +32,8 @@ from .spec import (
     as_curve,
 )
 
-# the most samples winding_numeric, verify_symmetry and render_curve take: 16 MB per complex array
+# the most samples winding_numeric, kernel_integral, verify_symmetry and render_curve
+# take: 16 MB per complex array
 MAX_GRID_SAMPLES = 1 << 20
 
 
@@ -201,80 +206,3 @@ def _eval_scalar(c: CurveSpec, t: float, order: int) -> complex | None:
         factor = (2j * math.pi * term.frequency) ** order
         out += term.weight * factor * (math.cos(angle) + 1j * math.sin(angle))
     return out
-
-
-def evaluate(spec: AnySpec, t: float) -> PlanePoint:
-    """Evaluate the curve at parameter t (reduced mod 1 internally)."""
-    z = complex(eval_complex(spec, float(t)))
-    return PlanePoint.from_complex(z)
-
-
-def derivative(spec: AnySpec, t: float, order: int = 1) -> PlanePoint:
-    """Evaluate the order-th t-derivative of the curve at t.
-
-    Parameters
-    ----------
-    order : int
-        Must be >= 1; order 1 is the tangent vector.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    z = complex(eval_complex(spec, float(t), order=order))
-    return PlanePoint.from_complex(z)
-
-
-def parametric_derivative(spec: AnySpec, t: float) -> float | None:
-    """Slope y'(t)/x'(t) of the curve, or None where x'(t) vanishes.
-
-    None covers both vertical tangents (y' != 0) and singular points
-    (y' == 0 as well); classification of which is which lives in the
-    singularity module.
-    """
-    d = complex(eval_complex(spec, float(t), order=1))
-    # relative threshold so widely scaled frequency pairs behave uniformly
-    tol = 1e-9 * derivative_scale(spec)
-    if abs(d.real) <= tol:
-        return None
-    return d.imag / d.real
-
-
-def rotate(spec: AnySpec, phi: float) -> CurveSpec:
-    """Rotate the curve about the origin by phi radians.
-
-    Every weight is multiplied by exp(i*phi); the image of the rotated
-    curve is the rotated image of the original.
-    """
-    c = as_curve(spec)
-    ph = cmath.exp(1j * float(phi))
-    return CurveSpec(tuple(ExponentialTerm(t.frequency, t.weight * ph) for t in c.terms))
-
-
-def sample(spec: AnySpec, n: int) -> list[PlanePoint]:
-    """Evaluate the curve on the uniform grid t_j = j/n, j = 0..n-1."""
-    if n < 2:
-        raise ValueError("need n >= 2 samples")
-    z = eval_grid(spec, n)
-    return [PlanePoint(float(v.real), float(v.imag)) for v in z]
-
-
-def spec_to_wire(spec: AnySpec) -> dict:
-    """Serialize a curve as {"terms": [{"freq", "w_re", "w_im"}, ...]}."""
-    c = as_curve(spec)
-    return {
-        "terms": [
-            {"freq": t.frequency, "w_re": t.weight.real, "w_im": t.weight.imag}
-            for t in c.terms
-        ]
-    }
-
-
-def spec_from_wire(data: dict) -> CurveSpec:
-    """Parse the wire format emitted by spec_to_wire; ValueError for anything else."""
-    try:
-        terms = data["terms"]
-        pairs = [(t["freq"], complex(float(t["w_re"]), float(t["w_im"]))) for t in terms]
-    except (TypeError, KeyError) as exc:
-        raise ValueError("wire format needs a 'terms' list of freq, w_re, w_im") from exc
-    except OverflowError as exc:  # an integer weight beyond the float range
-        raise ValueError("weight must be finite") from exc
-    return CurveSpec.from_pairs(pairs)

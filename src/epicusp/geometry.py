@@ -58,7 +58,7 @@ import numpy as np
 
 from .curve import MAX_GRID_SAMPLES, _shifted_unit_roots, _term_samples, curve_scale, eval_complex
 from .singularity import _level_roots
-from .spec import PlanePoint, TwoTermSpec, as_curve, zeros_of_curve
+from .spec import PlanePoint, TwoTermSpec, _check_pair, as_curve, zeros_of_curve
 
 
 _SYMMETRY_BLOCK = 4096  # indices j per block, and as many mirrors: 64 KB per complex array
@@ -243,8 +243,7 @@ def grid_intersection_check(a: int, b: int) -> bool:
     Both the oracle and the matching compare whole blocks of rows at once,
     each block holding about _PAIR_BLOCK comparisons.
     """
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
+    a, b = _check_pair(a, b)
     if math.gcd(a, b) != 1:
         raise ValueError("need coprime a, b")
     spec = TwoTermSpec(a, b, 0.0)

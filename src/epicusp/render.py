@@ -1,11 +1,10 @@
-"""Deterministic SVG and sample-table emission.
+"""Deterministic SVG documents: curve plots and the singularity diagram.
 
 All documents are built by plain string formatting from sampled values, so
 identical inputs give byte-identical output; there is no dependency on a
-plotting toolkit.  Curves are drawn as closed polylines, parametric
-derivative graphs are split at their poles, and the singularity diagram
-shows where the parametric derivative is undefined across the weight
-range with the predicted cusps overlaid as bold markers.
+plotting toolkit.  Curves are drawn as closed polylines, and the
+singularity diagram shows where the parametric derivative is undefined
+across the weight range with the predicted cusps overlaid as bold markers.
 
 Curve polylines and the diagram's dots are formatted in bulk.  Their
 pixel coordinates are the float operations of one point at a time, done
@@ -17,15 +16,14 @@ each run of up to 256 of a diagram's dots, is one % format over a repeated
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import MAX_GRID_SAMPLES, derivative_scale, eval_complex, eval_grid, spec_to_wire
+from .curve import MAX_GRID_SAMPLES, eval_grid
 from .errors import EmptyInput
 from .singularity import _undefined_derivative_rows
-from .spec import AnySpec, PlanePoint, TwoTermSpec, as_curve, predicted_cusp_locus
+from .spec import AnySpec, PlanePoint, as_curve, predicted_cusp_locus
 
 SVG_NS = 'xmlns="http://www.w3.org/2000/svg"'
 # weights on the uniform grid over [-1, 1] that the singularity diagram draws
@@ -122,51 +120,6 @@ def _interleave(x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
     return tuple(np.stack((x, y), axis=1).ravel().tolist())
 
 
-def render_param_derivative(spec: TwoTermSpec, plot: PlotSpec = PlotSpec()) -> str:
-    """Graph the slope y'(t)/x'(t) over one period, split at the poles.
-
-    The graph is clipped to |slope| <= viewbox; the polyline breaks
-    wherever the slope is undefined or runs off the clip range, so no
-    stroke ever crosses a pole.
-    """
-    n = plot.samples
-    d = eval_complex(spec, np.arange(n + 1) / n, order=1)
-    tol = 1e-9 * derivative_scale(spec)
-    clip = plot.viewbox
-
-    def to_px(t: float, v: float) -> tuple[float, float]:
-        return (t * plot.width, (clip - v) / (2 * clip) * plot.height)
-
-    lines = [
-        f'<svg {SVG_NS} width="{plot.width}" height="{plot.height}" '
-        f'viewBox="0 0 {plot.width} {plot.height}">',
-        f'<rect width="{plot.width}" height="{plot.height}" fill="#ffffff"/>',
-        f'<line x1="0" y1="{_px(plot.height / 2)}" x2="{plot.width}" '
-        f'y2="{_px(plot.height / 2)}" stroke="#bbbbbb" stroke-width="1"/>',
-    ]
-    run: list[tuple[float, float]] = []
-    runs: list[list[tuple[float, float]]] = []
-    for j in range(n + 1):
-        xp, yp = d[j].real, d[j].imag
-        value = None if abs(xp) <= tol else yp / xp
-        if value is None or abs(value) > clip:
-            if len(run) >= 2:
-                runs.append(run)
-            run = []
-        else:
-            run.append(to_px(j / n, value))
-    if len(run) >= 2:
-        runs.append(run)
-    for pts in runs:
-        coords = " ".join("%s,%s" % (_px(x), _px(y)) for x, y in pts)
-        lines.append(
-            f'<polyline class="deriv-branch" points="{coords}" fill="none" '
-            f'stroke="#000000" stroke-width="{plot.stroke_width}"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
 def render_singularity_diagram(a: int, b: int) -> str:
     """Diagram of undefined-derivative parameters across the weight range.
 
@@ -228,30 +181,3 @@ def render_singularity_diagram(a: int, b: int) -> str:
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def export_samples(spec: AnySpec, n: int, format: str = "csv") -> str:
-    """Sample table t, x, y with full float precision.
-
-    CSV uses CRLF line endings and the exact header ``t,x,y``; JSON
-    carries the curve's wire form alongside the samples so the document
-    round-trips through the spec parser.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    c = as_curve(spec)
-    t = np.arange(n) / n
-    z = eval_grid(c, n)
-    if format == "csv":
-        rows = ["t,x,y"]
-        rows.extend(
-            "%.17g,%.17g,%.17g" % (t[i], z[i].real, z[i].imag) for i in range(n)
-        )
-        return "\r\n".join(rows) + "\r\n"
-    if format == "json":
-        payload = {
-            "spec": spec_to_wire(c),
-            "samples": [[float(t[i]), float(z[i].real), float(z[i].imag)] for i in range(n)],
-        }
-        return json.dumps(payload, separators=(",", ":")) + "\n"
-    raise ValueError(f"unknown format: {format!r}")

@@ -10,7 +10,9 @@ perpendicular and each singular point is an ordinary (semicubical) cusp
 (Bruce & Giblin, Curves and Singularities, 1992).  find_cusps lists this
 locus and certifies each point independently, all of them in one array
 pass: the one-sided unit tangents must flip direction across it, their
-dot product extrapolating to -1 as the offset shrinks.  The module also
+dot product extrapolating to -1 as the offset shrinks.  certify_cusp
+makes the same singular and flip tests at one point of any curve; points
+and tangents elsewhere come from curve.eval_complex.  The module also
 carries the rotation construction that places a chosen cusp on the
 vertical axis, the closed-form parametric derivative in that rotated
 frame, and the loop-birth count that detects the small loop a cusp
@@ -29,7 +31,6 @@ changes sign once near a root, the root has the bits of plain bisection.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -49,13 +50,6 @@ CUSP_FLIP_TOL = 1e-6
 # _newton_narrow: Newton steps per bracket, then the probe's half-width in ulps
 _NEWTON_STEPS = 8
 _PROBE_ULPS = 16
-
-
-class PointKind(enum.Enum):
-    REGULAR = "Regular"
-    VERTICAL_TANGENT = "VerticalTangent"
-    HORIZONTAL_TANGENT = "HorizontalTangent"
-    SINGULAR = "Singular"
 
 
 @dataclass(frozen=True)
@@ -78,20 +72,6 @@ class CuspCertificate:
     proven: bool = False
 
 
-def classify_point(spec: AnySpec, t: float) -> PointKind:
-    """Classify t as regular, vertical/horizontal tangent, or singular."""
-    d = complex(eval_complex(spec, float(t), order=1))
-    tol = SINGULAR_RTOL * derivative_scale(spec)
-    small_x, small_y = abs(d.real) <= tol, abs(d.imag) <= tol
-    if small_x and small_y:
-        return PointKind.SINGULAR
-    if small_x:
-        return PointKind.VERTICAL_TANGENT
-    if small_y:
-        return PointKind.HORIZONTAL_TANGENT
-    return PointKind.REGULAR
-
-
 def certify_cusp(spec: AnySpec, t: float, delta: float = 1e-3) -> Optional[CuspCertificate]:
     """Certify a singular point as a cusp via the unit-tangent flip.
 
@@ -107,14 +87,15 @@ def certify_cusp(spec: AnySpec, t: float, delta: float = 1e-3) -> Optional[CuspC
     ----------
     spec : CurveSpec or TwoTermSpec
     t : float
-        Parameter of the candidate point; must classify as Singular.
+        Parameter of the candidate point, where gamma' must vanish.
     delta : float
         Largest one-sided offset, in (0, 1e-3].
 
     Raises
     ------
     NotSingular
-        If the point does not classify as Singular.
+        If |x'(t)| or |y'(t)| exceeds SINGULAR_RTOL times the curve's
+        derivative scale.
     """
     if not 0.0 < delta <= 1e-3:
         raise ValueError("delta must lie in (0, 1e-3]")
@@ -125,7 +106,7 @@ def _certify_cusps(spec: AnySpec, ts, delta: float) -> list[Optional[CuspCertifi
     """certify_cusp at every t in ts, from one evaluation of gamma'.
 
     gamma' is evaluated once on an array of shape (len(ts), 9): each t,
-    then t - delta/4^k and t + delta/4^k for k = 0..3.  Classification,
+    then t - delta/4^k and t + delta/4^k for k = 0..3.  The singular test,
     unit tangents, flips and final tangents are array operations on it,
     written in real arithmetic so that every certificate has the bits of
     the point-by-point computation: |d| is hypot(x, y), x and y are divided
@@ -134,7 +115,7 @@ def _certify_cusps(spec: AnySpec, ts, delta: float) -> list[Optional[CuspCertifi
     Returns one entry per t: its certificate, or None where the tangents
     do not flip or a one-sided speed is 0.  The first t that is not
     certified decides as it would one point at a time: if it is not
-    Singular, NotSingular is raised.
+    singular, NotSingular is raised.
     """
     ts = np.asarray(ts, dtype=float)
     offsets = [delta / 4**k for k in range(4)]
@@ -218,8 +199,7 @@ def rotation_angle(a: int, b: int) -> float:
     Cusp 0, at t = 1/(2(b-a)), lies at the angle pi*a/(b-a), so this
     rotation takes it to pi/2 for every a.
     """
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
+    a, b = _check_pair(a, b)
     return math.pi * (0.5 - a / (b - a))
 
 
@@ -231,8 +211,7 @@ def rotated_param_deriv(a: int, b: int, t: float) -> float | None:
     -tan(pi*(a/(b-a) - (a+b)*t)); returns None at the tangent poles,
     where the rotated curve has a vertical tangent or cusp.
     """
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
+    a, b = _check_pair(a, b)
     u = a / (b - a) - (a + b) * float(t)
     # pole whenever the tangent argument hits pi/2 mod pi
     frac = u - 0.5

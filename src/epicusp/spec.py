@@ -62,6 +62,14 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer") from exc
 
 
+def _check_pair(a, b) -> tuple[int, int]:
+    """Frequencies as plain ints, with 1 <= a < b."""
+    a, b = _integer(a, "frequency a"), _integer(b, "frequency b")
+    if not 1 <= a < b:
+        raise ValueError("need 1 <= a < b")
+    return a, b
+
+
 @dataclass(frozen=True)
 class ExponentialTerm:
     """One summand w * exp(2*pi*i * frequency * t)."""
@@ -103,10 +111,9 @@ class TwoTermSpec:
     s: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _integer(self.a, "frequency a"))
-        object.__setattr__(self, "b", _integer(self.b, "frequency b"))
-        if not 1 <= self.a < self.b:
-            raise ValueError("need 1 <= a < b")
+        a, b = _check_pair(self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         if not -1.0 <= self.s <= 1.0:
             raise ValueError("s must lie in [-1, 1]")
         object.__setattr__(self, "s", float(self.s))
@@ -159,8 +166,7 @@ def zeros_of_curve(a: int, b: int) -> list[Fraction]:
 
     These are exactly t = h/(2(b-a)) for odd h, giving b-a values in [0, 1).
     """
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
+    a, b = _check_pair(a, b)
     d = 2 * (b - a)
     return [Fraction(h, d) for h in range(1, d, 2)]
 
@@ -172,14 +178,6 @@ class CuspLocus:
     s_bar: Fraction
     t_values: tuple[Fraction, ...]
     proven: bool
-
-
-def _check_pair(a, b) -> tuple[int, int]:
-    """Frequencies as plain ints, with 1 <= a < b."""
-    a, b = _integer(a, "frequency a"), _integer(b, "frequency b")
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
-    return a, b
 
 
 def predicted_cusp_locus(a: int, b: int) -> CuspLocus:

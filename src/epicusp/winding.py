@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import MAX_GRID_SAMPLES, _kept, curve_scale, eval_grid
+from .curve import MAX_GRID_SAMPLES, _unit_roots, curve_scale, eval_grid
 from .errors import NearPole, OnCurve, Unresolved
 # the closed forms are defined in spec and re-exported here
-from .spec import AnySpec, PlanePoint, TwoTermSpec, as_curve, winding_closed_form, zeros_of_curve
+from .spec import AnySpec, PlanePoint, as_curve, winding_closed_form, zeros_of_curve
 
 ORIGIN = PlanePoint(0.0, 0.0)
 MAX_WINDING_SAMPLES = MAX_GRID_SAMPLES
@@ -107,64 +107,22 @@ def kernel_integral(p: KernelParams, n: int = 2048) -> complex:
     rule (the mean over a uniform grid) converges spectrally.  The exact
     value is 1/beta for beta > |alpha| and 0 for beta < |alpha|.
 
-    The grid samples e^{2*pi*i*j/n} do not depend on p; the few most
-    recent grids are kept.
+    The grid samples e^{2*pi*i*j/n} do not depend on p: they are the
+    unit-root table eval_grid gathers from, kept for the few most recent n.
 
     Raises
     ------
     ValueError
-        If n < 1.
+        If n < 1 or n > MAX_GRID_SAMPLES.
     NearPole
         If beta is within 1e-6 (relative) of |alpha|, where the integrand
         has a pole on the contour.
     """
     if n < 1:
         raise ValueError("need n >= 1 grid points")
+    if n > MAX_GRID_SAMPLES:
+        raise ValueError(f"need n <= {MAX_GRID_SAMPLES} grid points")
     span = max(p.beta, abs(p.alpha))
     if abs(p.beta - abs(p.alpha)) < 1e-6 * span:
         raise NearPole("beta too close to |alpha|")
-    return complex(np.mean(1.0 / (p.beta + p.alpha * _circle_samples(n))))
-
-
-@_kept(4)
-def _circle_samples(n: int) -> np.ndarray:
-    """The read-only exp(2*pi*i*j/n), j = 0..n-1, as kernel_integral computes it."""
-    e = np.exp(2j * np.pi * (np.arange(n) / n))
-    e.flags.writeable = False
-    return e
-
-
-def winding_decomposition_check(spec: TwoTermSpec, n: int = 4096) -> tuple[complex, complex]:
-    """The two summand integrals behind the closed-form winding number.
-
-    Factoring each exponential out of gamma'/gamma splits the winding
-    integral into
-
-        a * (1-s) * I1,  I1 = integral of 1/((1-s) + (1+s) e^{2*pi*i(b-a)t}),
-        b * (1+s) * I2,  I2 = integral of 1/((1-s) e^{2*pi*i(a-b)t} + (1+s)),
-
-    and each integral collapses to 1/(dominant weight) or 0.  Both
-    summands are computed by trapezoid quadrature and returned, so the
-    algebra can be machine-checked: their sum equals the closed form.
-
-    Raises
-    ------
-    ValueError
-        If n < 1.
-    OnCurve
-        If s = 0 (the denominators vanish on the grid and the winding
-        number itself is undefined).
-    """
-    if n < 1:
-        raise ValueError("need n >= 1 grid points")
-    if spec.s == 0:
-        raise OnCurve("decomposition undefined at s=0")
-    s = spec.s
-    t = np.arange(n) / n
-    first = spec.a * (1.0 - s) * np.mean(
-        1.0 / ((1.0 - s) + (1.0 + s) * np.exp(2j * np.pi * (spec.b - spec.a) * t))
-    )
-    second = spec.b * (1.0 + s) * np.mean(
-        1.0 / ((1.0 - s) * np.exp(2j * np.pi * (spec.a - spec.b) * t) + (1.0 + s))
-    )
-    return complex(first), complex(second)
+    return complex(np.mean(1.0 / (p.beta + p.alpha * _unit_roots(n))))

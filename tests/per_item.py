@@ -26,7 +26,7 @@ from epicusp.curve import (
     as_curve,
     curve_scale,
     eval_complex,
-    sample,
+    eval_grid,
 )
 from epicusp.geometry import IntersectionRecord, _half_gap_roots
 from epicusp.render import DIAGRAM_WEIGHT_COUNT, SVG_NS, PlotSpec, _color_ramp, _px
@@ -36,7 +36,7 @@ from epicusp.winding import zeros_of_curve
 
 def render_curve(specs, plot: PlotSpec = PlotSpec()) -> str:
     curves = [as_curve(s) for s in specs]
-    pts = [sample(c, plot.samples) for c in curves]
+    pts = [[PlanePoint(float(v.real), float(v.imag)) for v in eval_grid(c, plot.samples)] for c in curves]
 
     extent = plot.viewbox
     top = max(max(max(abs(p.x), abs(p.y)) for p in ps) for ps in pts)

@@ -8,19 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import per_item
-from epicusp import (
-    CurveSpec,
-    ExponentialTerm,
-    PlanePoint,
-    TwoTermSpec,
-    derivative,
-    evaluate,
-    parametric_derivative,
-    rotate,
-    sample,
-    spec_from_wire,
-    spec_to_wire,
-)
+from epicusp import CurveSpec, ExponentialTerm, TwoTermSpec, eval_complex
 from epicusp.curve import (
     _TABLE_CACHE_LIMIT,
     _shifted_unit_roots,
@@ -28,13 +16,24 @@ from epicusp.curve import (
     _unit_roots,
     as_curve,
     curve_scale,
-    eval_complex,
+    derivative_scale,
     eval_grid,
 )
 
 
-def close(p: PlanePoint, x: float, y: float, tol: float = 1e-12) -> bool:
-    return abs(p.x - x) <= tol and abs(p.y - y) <= tol
+def point(spec, t: float, order: int = 0) -> complex:
+    """gamma(t), or its order-th t-derivative, as a Python complex."""
+    return complex(eval_complex(spec, float(t), order))
+
+
+def close(z: complex, x: float, y: float, tol: float = 1e-12) -> bool:
+    return abs(z.real - x) <= tol and abs(z.imag - y) <= tol
+
+
+def rotated(spec, phi: float) -> CurveSpec:
+    """The curve turned about the origin by phi: every weight times exp(i*phi)."""
+    turn = cmath.exp(1j * phi)
+    return CurveSpec.from_pairs((t.frequency, t.weight * turn) for t in as_curve(spec).terms)
 
 
 @st.composite
@@ -71,7 +70,7 @@ KERNEL_SPECS = [
     TwoTermSpec(2, 5, -0.3),
     TwoTermSpec(7, 60, 0.85),
     CurveSpec.from_pairs([(1, 0.7 - 0.2j), (-3, 0.45 + 0.3j), (5, 0.1j), (0, 0.2)]),
-    rotate(TwoTermSpec(3, 11, 0.4), 0.7),
+    rotated(TwoTermSpec(3, 11, 0.4), 0.7),
 ]
 KERNEL_T = [0.0, -0.0, 0.1, 0.37, 0.5, 1.0 - 2.0**-53, -0.25, -0.1, 1e-300, -1e-300,
             5e-324, 123456.789, -98765.4321, 1e9 + 0.3, -3.5e12, 2.0**52 + 1.0]
@@ -140,26 +139,24 @@ class TestKernel:
 
 class TestEvaluate:
     def test_balanced_curve_starts_at_two(self):
-        assert close(evaluate(TwoTermSpec(1, 3, 0.0), 0.0), 2.0, 0.0)
+        assert close(point(TwoTermSpec(1, 3, 0.0), 0.0), 2.0, 0.0)
 
     def test_balanced_curve_passes_through_origin_at_quarter(self):
-        assert close(evaluate(TwoTermSpec(1, 3, 0.0), 0.25), 0.0, 0.0)
+        assert close(point(TwoTermSpec(1, 3, 0.0), 0.25), 0.0, 0.0)
 
     def test_degenerate_weight_gives_circle_point(self):
-        assert close(evaluate(TwoTermSpec(1, 3, -1.0), 0.5), -2.0, 0.0)
+        assert close(point(TwoTermSpec(1, 3, -1.0), 0.5), -2.0, 0.0)
 
     @given(curve_specs(), st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
     @settings(deadline=None)
     def test_one_periodic(self, spec, t):
-        a = evaluate(spec, t)
-        b = evaluate(spec, t + 1.0)
-        assert math.hypot(a.x - b.x, a.y - b.y) < 1e-12
+        assert abs(point(spec, t) - point(spec, t + 1.0)) < 1e-12
 
     @given(curve_specs(), st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     @settings(deadline=None)
     def test_norm_bounded_by_weight_sum(self, spec, t):
         bound = sum(abs(term.weight) for term in spec.terms)
-        assert evaluate(spec, t).norm() <= bound + 1e-12
+        assert abs(point(spec, t)) <= bound + 1e-12
 
     @given(st.integers(min_value=1, max_value=9), st.integers(min_value=2, max_value=10),
            st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
@@ -169,48 +166,46 @@ class TestEvaluate:
         if a >= b:
             a, b = b, a + b
         spec = TwoTermSpec(a, b, s)
-        p = evaluate(spec, t)
-        q = evaluate(spec, 1.0 - t)
-        assert abs(q.x - p.x) < 1e-12 and abs(q.y + p.y) < 1e-12
+        p, q = point(spec, t), point(spec, 1.0 - t)
+        assert abs(q.real - p.real) < 1e-12 and abs(q.imag + p.imag) < 1e-12
 
 
 class TestDerivative:
     def test_vanishes_at_the_cusp(self):
-        d = derivative(TwoTermSpec(1, 3, -0.5), 0.25)
-        assert d.norm() < 1e-12
+        assert abs(point(TwoTermSpec(1, 3, -0.5), 0.25, 1)) < 1e-12
 
     def test_unit_circle_speed(self):
-        d = derivative(CurveSpec.from_pairs([(1, 1.0)]), 0.0)
-        assert close(d, 0.0, 2.0 * math.pi)
+        assert close(point(CurveSpec.from_pairs([(1, 1.0)]), 0.0, 1), 0.0, 2.0 * math.pi)
 
     def test_balanced_start_tangent(self):
-        d = derivative(TwoTermSpec(1, 3, 0.0), 0.0)
-        assert close(d, 0.0, 8.0 * math.pi)
-
-    def test_order_must_be_positive(self):
-        with pytest.raises(ValueError):
-            derivative(TwoTermSpec(1, 3, 0.0), 0.0, order=0)
+        assert close(point(TwoTermSpec(1, 3, 0.0), 0.0, 1), 0.0, 8.0 * math.pi)
 
     @given(curve_specs(), st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     @settings(deadline=None, max_examples=50)
     def test_matches_central_differences(self, spec, t):
         h = 1e-6
-        a = evaluate(spec, t - h)
-        b = evaluate(spec, t + h)
-        d = derivative(spec, t)
-        assert abs(d.x - (b.x - a.x) / (2 * h)) < 1e-4
-        assert abs(d.y - (b.y - a.y) / (2 * h)) < 1e-4
+        d = point(spec, t, 1)
+        diff = (point(spec, t + h) - point(spec, t - h)) / (2 * h)
+        assert abs(d.real - diff.real) < 1e-4
+        assert abs(d.imag - diff.imag) < 1e-4
+
+
+def slope(spec, t: float) -> float:
+    """dy/dx = y'(t)/x'(t) from the first derivative."""
+    d = point(spec, t, 1)
+    return d.imag / d.real
 
 
 class TestParametricDerivative:
     def test_zero_slope_on_the_diagonal_axis(self):
-        assert parametric_derivative(TwoTermSpec(1, 3, -0.5), 0.125) == pytest.approx(0.0, abs=1e-12)
+        assert slope(TwoTermSpec(1, 3, -0.5), 0.125) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_circle_slope(self):
-        assert parametric_derivative(TwoTermSpec(1, 3, -1.0), 0.25) == pytest.approx(0.0, abs=1e-12)
+        assert slope(TwoTermSpec(1, 3, -1.0), 0.25) == pytest.approx(0.0, abs=1e-12)
 
     def test_undefined_at_the_singular_point(self):
-        assert parametric_derivative(TwoTermSpec(1, 3, -0.5), 0.25) is None
+        spec = TwoTermSpec(1, 3, -0.5)
+        assert abs(point(spec, 0.25, 1).real) <= 1e-9 * derivative_scale(spec)
 
     def test_cusp_weight_closed_form(self):
         # away from the poles the slope of the s=-1/2 curve is -cot(4 pi t)
@@ -219,26 +214,27 @@ class TestParametricDerivative:
             t = k / 200.0
             if min(abs(t - p / 4.0) for p in range(5)) < 1e-2:
                 continue
-            value = parametric_derivative(spec, t)
-            assert value == pytest.approx(-1.0 / math.tan(4.0 * math.pi * t), abs=1e-9)
+            assert slope(spec, t) == pytest.approx(-1.0 / math.tan(4.0 * math.pi * t), abs=1e-9)
 
 
 class TestRotate:
+    """Turning every weight by exp(i*phi) turns every point of the curve."""
+
     def test_zero_angle_is_identity(self):
-        spec = TwoTermSpec(1, 3, 0.0)
-        assert rotate(spec, 0.0) == spec.lower()
+        spec = TwoTermSpec(1, 3, 0.3)
+        t = np.arange(64) / 64
+        assert same_bits(eval_complex(rotated(spec, 0.0), t), eval_complex(spec, t))
 
     def test_quarter_turn_moves_start_upward(self):
-        p = evaluate(rotate(TwoTermSpec(1, 3, 0.0), math.pi / 2), 0.0)
-        assert close(p, 0.0, 2.0)
+        assert close(point(rotated(TwoTermSpec(1, 3, 0.0), math.pi / 2), 0.0), 0.0, 2.0)
 
     @given(curve_specs(), st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
            st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     @settings(deadline=None, max_examples=50)
     def test_rotation_roundtrip(self, spec, phi, t):
-        back = rotate(rotate(spec, phi), -phi)
-        p, q = evaluate(spec, t), evaluate(back, t)
-        assert math.hypot(p.x - q.x, p.y - q.y) < 1e-12
+        back = rotated(rotated(spec, phi), -phi)
+        assert abs(point(spec, t) - point(back, t)) < 1e-12
+        assert abs(point(rotated(spec, phi), t) - cmath.exp(1j * phi) * point(spec, t)) < 1e-12
 
 
 @st.composite
@@ -347,47 +343,26 @@ class TestGridGather:
 
 
 class TestSample:
+    """eval_grid at small sizes, point by point."""
+
     def test_two_point_sample(self):
-        pts = sample(TwoTermSpec(1, 3, 0.0), 2)
-        assert close(pts[0], 2.0, 0.0)
-        assert close(pts[1], -2.0, 0.0)
+        z = eval_grid(TwoTermSpec(1, 3, 0.0), 2)
+        assert close(z[0], 2.0, 0.0)
+        assert close(z[1], -2.0, 0.0)
 
     def test_unit_circle_quarters(self):
-        pts = sample(CurveSpec.from_pairs([(1, 1.0)]), 4)
-        expected = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-        for p, (x, y) in zip(pts, expected):
-            assert close(p, x, y)
+        z = eval_grid(CurveSpec.from_pairs([(1, 1.0)]), 4)
+        for w, (x, y) in zip(z, [(1, 0), (0, 1), (-1, 0), (0, -1)]):
+            assert close(w, x, y)
 
     def test_first_sample_is_the_start_point(self):
         spec = TwoTermSpec(2, 5, 0.3)
-        assert sample(spec, 17)[0] == evaluate(spec, 0.0)
+        assert eval_grid(spec, 17)[0] == point(spec, 0.0)
 
     def test_rejects_tiny_grids(self):
-        with pytest.raises(ValueError):
-            sample(TwoTermSpec(1, 3, 0.0), 1)
-
-
-def json_values():
-    scalars = (st.none() | st.booleans() | st.floats() | st.text(max_size=8)
-               | st.integers() | st.sampled_from([10**400, -(10**400)]))
-    return st.recursive(
-        scalars,
-        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-        max_leaves=12,
-    )
-
-
-@st.composite
-def wire_documents(draw):
-    """Any JSON-shaped value, often shaped like the wire format."""
-    if draw(st.booleans()):
-        return draw(json_values())
-    weight = st.floats() | st.integers() | st.sampled_from([10**400, -(10**400)]) | json_values()
-    term = st.fixed_dictionaries(
-        {},
-        optional={"freq": st.integers(-20, 20) | json_values(), "w_re": weight, "w_im": weight},
-    )
-    return {"terms": draw(st.lists(term | json_values(), max_size=4))}
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                eval_grid(TwoTermSpec(1, 3, 0.0), n)
 
 
 class TestSpecValidation:
@@ -421,32 +396,3 @@ class TestSpecValidation:
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):
             CurveSpec(())
-
-    @given(curve_specs())
-    @settings(deadline=None)
-    def test_wire_roundtrip(self, spec):
-        assert spec_from_wire(spec_to_wire(spec)) == spec
-
-    @given(wire_documents())
-    @settings(deadline=None)
-    def test_wire_parses_or_raises_value_error(self, data):
-        try:
-            spec = spec_from_wire(data)
-        except ValueError:
-            return
-        assert isinstance(spec, CurveSpec)
-
-    def test_wire_rejects_garbage(self):
-        term = {"freq": 1, "w_re": 1.0, "w_im": 0.0}
-        for data in (
-            {"nope": []},
-            {"terms": [{"freq": 1, "w_re": 1.0}]},
-            {"terms": [{**term, "freq": True}]},
-            {"terms": [{**term, "freq": 2.7}]},
-            {"terms": [{**term, "w_re": math.nan}]},
-            {"terms": [{**term, "w_im": math.inf}]},
-            {"terms": [{**term, "w_re": -math.inf}]},
-            {"terms": [{**term, "w_re": 10**400}]},
-        ):
-            with pytest.raises(ValueError):
-                spec_from_wire(data)

@@ -1,4 +1,3 @@
-import json
 import re
 
 import pytest
@@ -9,15 +8,11 @@ from epicusp import (
     PlanePoint,
     PlotSpec,
     TwoTermSpec,
-    export_samples,
     render_curve,
-    render_param_derivative,
     render_singularity_diagram,
-    sample,
-    spec_from_wire,
 )
 from epicusp import render
-from epicusp.curve import MAX_GRID_SAMPLES
+from epicusp.curve import MAX_GRID_SAMPLES, eval_grid
 
 POINTS_RE = re.compile(r'<polyline[^>]* points="([^"]+)"')
 MARKER_RE = re.compile(r'class="cusp-marker"[^>]*data-s="([^"]+)" data-t="([^"]+)"')
@@ -44,11 +39,10 @@ class TestRenderCurve:
         plot = PlotSpec(samples=256)
         (coords,) = polylines(render_curve([spec], plot))
         assert len(coords) == 257  # closed: first point repeated
-        pts = sample(spec, 256)
-        for (px, py), p in zip(coords, pts):
+        for (px, py), z in zip(coords, eval_grid(spec, 256)):
             x = px / plot.width * (2 * plot.viewbox) - plot.viewbox
             y = plot.viewbox - py / plot.height * (2 * plot.viewbox)
-            assert abs(x - p.x) < 1e-4 and abs(y - p.y) < 1e-4
+            assert abs(x - z.real) < 1e-4 and abs(y - z.imag) < 1e-4
 
     def test_panel_draws_every_curve(self):
         specs = [TwoTermSpec(1, 3, (i - 10) / 10.0) for i in range(21)]
@@ -83,17 +77,6 @@ class TestRenderCurve:
             render_curve([TwoTermSpec(1, 3, 0.5)], plot)
 
 
-class TestRenderParamDerivative:
-    @pytest.mark.parametrize("s,branches", [(-0.5, 4), (-1.0, 2), (1.0, 6)])
-    def test_branch_count_follows_the_pole_count(self, s, branches):
-        doc = render_param_derivative(TwoTermSpec(1, 3, s))
-        assert doc.count('class="deriv-branch"') == branches
-
-    def test_same_input_same_bytes(self):
-        spec = TwoTermSpec(1, 3, 0.25)
-        assert render_param_derivative(spec) == render_param_derivative(spec)
-
-
 class TestSingularityDiagram:
     def test_marks_both_predicted_cusps(self):
         doc = render_singularity_diagram(1, 3)
@@ -112,33 +95,3 @@ class TestSingularityDiagram:
 
     def test_same_input_same_bytes(self):
         assert render_singularity_diagram(1, 2) == render_singularity_diagram(1, 2)
-
-
-class TestExportSamples:
-    def test_csv_layout(self):
-        text = export_samples(TwoTermSpec(1, 3, 0.0), 2)
-        assert text.endswith("\r\n")
-        lines = text.split("\r\n")
-        assert lines[0] == "t,x,y"
-        assert lines[1] == "0,2,0"
-        assert lines[2].startswith("0.5,-2,")
-        assert abs(float(lines[2].split(",")[2])) < 1e-12
-
-    def test_csv_row_count(self):
-        text = export_samples(TwoTermSpec(2, 5, 0.3), 100)
-        assert len(text.strip().split("\r\n")) == 101
-
-    def test_json_roundtrips_the_spec(self):
-        payload = json.loads(export_samples(TwoTermSpec(1, 3, 0.0), 16, format="json"))
-        assert spec_from_wire(payload["spec"]) == TwoTermSpec(1, 3, 0.0).lower()
-        assert len(payload["samples"]) == 16
-        t0, x0, y0 = payload["samples"][0]
-        assert (t0, x0, y0) == (0.0, 2.0, 0.0)
-
-    def test_rejects_single_sample(self):
-        with pytest.raises(ValueError):
-            export_samples(TwoTermSpec(1, 3, 0.0), 1)
-
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            export_samples(TwoTermSpec(1, 3, 0.0), 8, format="xml")

@@ -82,6 +82,35 @@ def test_submodules_are_attributes():
         assert getattr(epicusp, name).__name__ == f"epicusp.{name}"
 
 
+PUBLIC_NAMES = [
+    "CurveAnalysisError", "CurveSpec", "CuspCertificate", "CuspLocus", "EmptyInput",
+    "ExponentialTerm", "IntersectionRecord", "KernelParams", "NearPole", "NotSingular",
+    "OnCurve", "PlanePoint", "PlotSpec", "SymmetryReport", "TwoTermSpec", "Unresolved",
+    "WindingResult", "WindowTooWide", "certify_cusp", "eval_complex", "find_cusps",
+    "grid_intersection_check", "kernel_integral", "loop_birth_count", "predicted_cusp_locus",
+    "render_curve", "render_singularity_diagram", "rotated_param_deriv", "rotation_angle",
+    "self_intersections", "undefined_derivative_set", "verify_symmetry", "winding_closed_form",
+    "winding_numeric", "zeros_of_curve",
+]
+# names the package no longer exports: eval_complex, certify_cusp and
+# kernel_integral cover what they did
+REMOVED_NAMES = [
+    "evaluate", "derivative", "parametric_derivative", "rotate", "sample", "spec_to_wire",
+    "spec_from_wire", "export_samples", "render_param_derivative", "classify_point",
+    "PointKind", "winding_decomposition_check",
+]
+
+
+def test_the_public_names_are_exactly_these():
+    assert epicusp.__all__ == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_a_removed_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError):
+        getattr(epicusp, name)
+
+
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'find_cusp'"):
         epicusp.find_cusp

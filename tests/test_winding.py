@@ -14,15 +14,14 @@ from epicusp import (
     PlanePoint,
     TwoTermSpec,
     Unresolved,
-    evaluate,
+    eval_complex,
     kernel_integral,
     winding_closed_form,
-    winding_decomposition_check,
     winding_numeric,
     zeros_of_curve,
 )
 from epicusp import winding
-from epicusp.curve import _TABLE_CACHE_LIMIT
+from epicusp.curve import MAX_GRID_SAMPLES, _TABLE_CACHE_LIMIT, _unit_roots
 
 ORIGIN = PlanePoint(0.0, 0.0)
 
@@ -66,15 +65,15 @@ class TestNumeric:
 
     def test_base_point_on_curve(self):
         # 0.25 lands exactly on the 512-point grid, so the sample distance is 0
-        z0 = evaluate(TwoTermSpec(1, 3, 0.4), 0.25)
+        z0 = PlanePoint.from_complex(complex(eval_complex(TwoTermSpec(1, 3, 0.4), 0.25)))
         with pytest.raises(OnCurve):
             winding_numeric(TwoTermSpec(1, 3, 0.4), z0, 512)
 
     def test_base_point_barely_off_curve(self):
         # close enough that angle steps stay too coarse on every grid up to
         # MAX_WINDING_SAMPLES
-        p = evaluate(TwoTermSpec(1, 3, 0.4), 0.3)
-        z0 = PlanePoint(p.x + 1e-7, p.y)
+        p = complex(eval_complex(TwoTermSpec(1, 3, 0.4), 0.3))
+        z0 = PlanePoint(p.real + 1e-7, p.imag)
         with pytest.raises(Unresolved):
             winding_numeric(TwoTermSpec(1, 3, 0.4), z0, 64)
 
@@ -189,15 +188,20 @@ class TestKernelIntegral:
         assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
     def test_the_cached_grid_is_read_only(self):
-        e = winding._circle_samples(2048)
-        assert e is winding._circle_samples(2048)
+        # the grid is eval_grid's unit-root table, which no call may change
+        e = _unit_roots(2048)
+        before = e.copy()
+        kernel_integral(KernelParams(alpha=1.0, beta=2.0), 2048)
+        assert e is _unit_roots(2048) and e.tobytes() == before.tobytes()
         with pytest.raises(ValueError):
             e[0] = 0.0
-        n = _TABLE_CACHE_LIMIT + 1
-        assert winding._circle_samples(n) is not winding._circle_samples(n)
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_empty_grids_are_refused(self, n):
+    @pytest.mark.parametrize("n", [0, -1, MAX_GRID_SAMPLES + 1])
+    def test_empty_grids_are_refused(self, n, monkeypatch):
+        def no_grid(n):
+            raise AssertionError(f"built a grid of {n} points")
+
+        monkeypatch.setattr(winding, "_unit_roots", no_grid)
         with pytest.raises(ValueError):
             kernel_integral(KernelParams(alpha=1.0, beta=2.0), n)
 
@@ -209,37 +213,6 @@ class TestKernelIntegral:
         assume(beta > 1.02 * abs(alpha) or beta < 0.98 * abs(alpha))
         expected = 1.0 / beta if beta > abs(alpha) else 0.0
         assert kernel_integral(KernelParams(alpha, beta), 2048) == pytest.approx(expected, abs=1e-10)
-
-
-class TestDecomposition:
-    def test_low_frequency_side(self):
-        first, second = winding_decomposition_check(TwoTermSpec(1, 3, -0.5), 2048)
-        assert first == pytest.approx(1.0, abs=1e-10)
-        assert second == pytest.approx(0.0, abs=1e-10)
-
-    def test_high_frequency_side(self):
-        first, second = winding_decomposition_check(TwoTermSpec(1, 3, 0.5), 2048)
-        assert first == pytest.approx(0.0, abs=1e-10)
-        assert second == pytest.approx(3.0, abs=1e-10)
-
-    def test_sum_matches_numeric_winding(self):
-        spec = TwoTermSpec(2, 7, -0.9)
-        first, second = winding_decomposition_check(spec, 4096)
-        total = winding_numeric(spec, ORIGIN, 8192)
-        assert first + second == pytest.approx(total.value, abs=1e-9)
-
-    def test_degenerate_weights_still_split(self):
-        first, second = winding_decomposition_check(TwoTermSpec(1, 3, -1.0), 1024)
-        assert (first, second) == (pytest.approx(1.0, abs=1e-12), pytest.approx(0.0, abs=1e-12))
-
-    def test_balanced_curve_refused(self):
-        with pytest.raises(OnCurve):
-            winding_decomposition_check(TwoTermSpec(1, 3, 0.0), 1024)
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_empty_grids_are_refused(self, n):
-        with pytest.raises(ValueError):
-            winding_decomposition_check(TwoTermSpec(1, 3, 0.5), n)
 
 
 class TestOriginPassages:
@@ -258,4 +231,4 @@ class TestOriginPassages:
 
     def test_values_are_actual_origin_passages(self):
         for t in zeros_of_curve(2, 7):
-            assert evaluate(TwoTermSpec(2, 7, 0.0), float(t)).norm() < 1e-12
+            assert abs(eval_complex(TwoTermSpec(2, 7, 0.0), float(t))) < 1e-12
