@@ -2,8 +2,8 @@
 
 Every analysis result goes to stdout as JSON (or JSON lines); anything
 human-facing goes to stderr.  Exit codes: 0 success, 1 analysis error
-(with a JSON error object on stdout), 2 usage error, 3 verification
-failure.
+(with a JSON error object on stdout) or a reader that closed stdout
+early (no traceback), 2 usage error, 3 verification failure.
 
 Only the standard library, errors and the numpy-free spec module are
 imported up front.  Each handler imports the module it calls, so a cold
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -217,14 +218,26 @@ def _cmd_intersect(args) -> int:
     return EXIT_OK
 
 
+def _write_out(path: str, doc: str) -> None:
+    """Write an SVG document to --out.
+
+    A path that cannot be written (a missing directory, a closed FIFO) is
+    an analysis error, so main's broken-pipe handler only ever sees stdout.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(doc)
+    except OSError as exc:
+        raise CurveAnalysisError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_plot(args) -> int:
     from . import render
 
     doc = render.render_curve(
         [TwoTermSpec(args.a, args.b, args.s)], render.PlotSpec(samples=args.n)
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+    _write_out(args.out, doc)
     print(json.dumps({"out": args.out, "bytes": len(doc)}))
     return EXIT_OK
 
@@ -237,8 +250,7 @@ def _cmd_sweep(args) -> int:
     weights = [-1.0 + 2.0 * i / (args.count - 1) for i in range(args.count)]
     specs = [TwoTermSpec(args.a, args.b, s) for s in weights]
     doc = render.render_curve(specs, render.PlotSpec())
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+    _write_out(args.out, doc)
     print(json.dumps({"out": args.out, "curves": len(specs), "bytes": len(doc)}))
     return EXIT_OK
 
@@ -281,6 +293,20 @@ def main(argv: list[str] | None = None) -> int:
     a = getattr(args, "a", None)
     if a is not None and not 1 <= args.a < args.b:
         parser.error("need 1 <= a < b")
+    try:
+        code = _run(args)
+        # a reader that has gone away is met here, not in the final flush
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush of what
+        # is left cannot raise again (the note on SIGPIPE in the signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_ANALYSIS
+    return code
+
+
+def _run(args) -> int:
     try:
         return _HANDLERS[args.command](args)
     except CurveAnalysisError as exc:

@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-# ExponentialTerm, PlanePoint, TwoTermSpec and _integer are only re-exported:
-# they were defined here
+# ExponentialTerm, PlanePoint and TwoTermSpec are only re-exported: they
+# were defined here, as was _integer, which eval_complex uses for its order
 from .spec import (
     AnySpec,
     CurveSpec,
@@ -71,7 +71,16 @@ def eval_complex(spec: AnySpec, t, order: int = 0) -> np.ndarray:
     Returns
     -------
     numpy.ndarray of complex, same shape as ``t`` (0-d for a scalar).
+
+    Raises
+    ------
+    ValueError
+        If ``order`` is not an integer >= 0 (a bool is refused).
     """
+    if type(order) is not int:
+        order = _integer(order, "order")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     c = as_curve(spec)
     if isinstance(t, float):
         z = _eval_scalar(c, float(t), order)

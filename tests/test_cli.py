@@ -505,6 +505,29 @@ class TestPlotAndSweep:
         assert payload["curves"] == 21
         assert out_path.read_text(encoding="utf-8").count("<polyline") == 21
 
+    @pytest.mark.parametrize("command", [("plot", "-s", "0.5"), ("sweep",)], ids=["plot", "sweep"])
+    def test_an_out_path_that_cannot_be_written_is_an_analysis_error(self, capsys, tmp_path, command):
+        path = tmp_path / "missing" / "x.svg"
+        rc, out = run_cli(capsys, command[0], "-a", "1", "-b", "3", *command[1:], "--out", str(path))
+        assert rc == 1
+        assert json.loads(out) == {
+            "error": "CurveAnalysisError",
+            "message": f"cannot write {path}: No such file or directory",
+        }
+
+    def test_a_closed_reader_of_out_is_an_analysis_error(self, capsys, tmp_path, monkeypatch):
+        """A broken pipe on --out (a FIFO whose reader left) is reported on
+        stdout, not taken for a reader of stdout that went away."""
+
+        def closed_fifo(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(epicusp.cli, "open", closed_fifo, raising=False)
+        path = tmp_path / "x.svg"
+        rc, out = run_cli(capsys, "plot", "-a", "1", "-b", "3", "-s", "0.5", "--out", str(path))
+        assert rc == 1
+        assert json.loads(out) == {"error": "CurveAnalysisError", "message": f"cannot write {path}: Broken pipe"}
+
     def test_sweep_needs_two_weights(self, capsys, tmp_path):
         rc, out = run_cli(capsys, "sweep", "-a", "1", "-b", "3", "--count", "1",
                           "--out", str(tmp_path / "x.svg"))
@@ -557,6 +580,22 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_reader_that_stops_early_gets_no_traceback():
+    """Closing the pipe after one line of ~2.6 MB ends the command quietly."""
+    pkg_root = str(Path(epicusp.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epicusp.cli", "intersect", "-a", "1", "-b", "130", "-s", "0.5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": pkg_root},
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 0
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+    assert set(first) == {"t1", "t2", "x", "y", "on_rational_grid", "grid_index_pair"}
 
 
 def test_console_script_is_installed():

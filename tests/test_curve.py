@@ -383,6 +383,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TwoTermSpec(a, b, s)
 
+    @pytest.mark.parametrize(
+        "spec, order",
+        [
+            (TwoTermSpec(1, 3, 0.5), -1),
+            (TwoTermSpec(1, 3, 0.5), 0.5),
+            (TwoTermSpec(1, 3, 0.5), 1.0),
+            (TwoTermSpec(1, 3, 0.5), True),
+            (CurveSpec.from_pairs([(0, 1.0), (2, 1.0)]), -1),
+        ],
+    )
+    def test_rejects_bad_orders(self, spec, order):
+        for t in (0.1, np.array([0.1, 0.2])):
+            with pytest.raises(ValueError, match="order"):
+                eval_complex(spec, t, order)
+
+    def test_numpy_integer_orders_are_accepted(self):
+        spec = TwoTermSpec(1, 3, 0.5)
+        assert same_bits(eval_complex(spec, 0.1, np.int64(2)), eval_complex(spec, 0.1, 2))
+
     def test_numpy_integer_frequencies_become_ints(self):
         spec = TwoTermSpec(np.int64(1), np.int32(3), 0)
         assert spec == TwoTermSpec(1, 3, 0)

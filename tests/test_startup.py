@@ -63,6 +63,19 @@ def test_closed_form_commands_load_no_numpy(argv, stdout):
     assert modules == ["epicusp", "epicusp.cli", "epicusp.errors", "epicusp.spec"]
 
 
+def test_the_acceptance_battery_loads_no_numpy_random():
+    modules, out = loaded_after(
+        "import io, contextlib"
+        "\nfrom epicusp.cli import main"
+        "\nwith contextlib.redirect_stdout(io.StringIO()) as _out:"
+        "\n    code = main(['verify'])"
+        "\nprint(code, _out.getvalue().splitlines()[-1])"
+    )
+    assert out == '0 {"total": 11, "failed": 0}'
+    assert "numpy" in modules
+    assert [m for m in modules if m.split(".")[:2] == ["numpy", "random"]] == []
+
+
 def test_every_public_name_resolves_and_is_listed():
     listing = dir(epicusp)
     for name in epicusp.__all__:
