@@ -36,7 +36,6 @@ _EXPORTS = {
         "verify_symmetry",
     ),
     "render": (
-        "PlotSpec",
         "render_curve",
         "render_singularity_diagram",
     ),
@@ -50,9 +49,7 @@ _EXPORTS = {
         "undefined_derivative_set",
     ),
     "spec": (
-        "CurveSpec",
         "CuspLocus",
-        "ExponentialTerm",
         "PlanePoint",
         "TwoTermSpec",
         "predicted_cusp_locus",

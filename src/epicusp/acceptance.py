@@ -182,9 +182,9 @@ def criterion_origin_zeros() -> tuple[bool, str]:
             zeros = winding.zeros_of_curve(a, b)
             if len(zeros) != b - a:
                 return False, f"({a},{b}): {len(zeros)} zeros, expected {b - a}"
-            spec = TwoTermSpec(a, b, 0.0)
-            for t in zeros:
-                value = abs(complex(eval_complex(spec, float(t))))
+            points = eval_complex(TwoTermSpec(a, b, 0.0), [float(t) for t in zeros])
+            for t, z in zip(zeros, points.tolist()):
+                value = abs(z)
                 if value >= 1e-12:
                     return False, f"({a},{b}): |gamma({t})| = {value:.2e}"
     return True, "all 28 frequency pairs vanish at the predicted parameters"

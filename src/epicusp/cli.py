@@ -234,9 +234,7 @@ def _write_out(path: str, doc: str) -> None:
 def _cmd_plot(args) -> int:
     from . import render
 
-    doc = render.render_curve(
-        [TwoTermSpec(args.a, args.b, args.s)], render.PlotSpec(samples=args.n)
-    )
+    doc = render.render_curve([TwoTermSpec(args.a, args.b, args.s)], samples=args.n)
     _write_out(args.out, doc)
     print(json.dumps({"out": args.out, "bytes": len(doc)}))
     return EXIT_OK
@@ -247,9 +245,13 @@ def _cmd_sweep(args) -> int:
 
     if args.count < 2:
         raise CurveAnalysisError("need at least 2 weights in the sweep")
+    # count curves of 1024 samples each stay within the most that -n allows
+    most = render.MAX_GRID_SAMPLES // 1024
+    if args.count > most:
+        raise CurveAnalysisError(f"need at most {most} weights in the sweep")
     weights = [-1.0 + 2.0 * i / (args.count - 1) for i in range(args.count)]
     specs = [TwoTermSpec(args.a, args.b, s) for s in weights]
-    doc = render.render_curve(specs, render.PlotSpec())
+    doc = render.render_curve(specs)
     _write_out(args.out, doc)
     print(json.dumps({"out": args.out, "curves": len(specs), "bytes": len(doc)}))
     return EXIT_OK

@@ -1,16 +1,13 @@
-"""Evaluation of curves: at any parameters, and on the uniform grid.
+"""Evaluation of the curves: at any parameters, and on the uniform grid.
 
-A curve is a finite sum of complex exponentials,
-
-    gamma(t) = sum_j w_j * exp(2*pi*i * a_j * t),
-
-with integer frequencies a_j and complex weights w_j, traced over one period
-t in [0, 1).  eval_complex, the package's one public evaluation entry
-point, gives gamma or any t-derivative at a float or an array of floats;
-a point, a tangent or a rotated curve is one complex operation away from
-it.  eval_grid and the sample caches below serve the analyses that sweep
-the grid t = j/n.  The specification types (CurveSpec, TwoTermSpec, ...)
-are defined in spec, which needs no numpy; this module re-exports them.
+The curve gamma_{a,b}^s(t) = (1-s) e^{2 pi i a t} + (1+s) e^{2 pi i b t} is
+the sum of two terms w * exp(2*pi*i*f*t), which _terms lists as (f, w).
+eval_complex, the package's one public evaluation entry point, gives gamma
+or any t-derivative at a float or an array of floats; a point, a tangent or
+a rotated curve is one complex operation away from it.  eval_grid and the
+sample caches below serve the analyses that sweep the grid t = j/n.  The
+specification TwoTermSpec is defined in spec, which needs no numpy; this
+module re-exports it.
 """
 
 from __future__ import annotations
@@ -20,50 +17,45 @@ import math
 
 import numpy as np
 
-# ExponentialTerm, PlanePoint and TwoTermSpec are only re-exported: they
-# were defined here, as was _integer, which eval_complex uses for its order
-from .spec import (
-    AnySpec,
-    CurveSpec,
-    ExponentialTerm,
-    PlanePoint,
-    TwoTermSpec,
-    _integer,
-    as_curve,
-)
+# PlanePoint and TwoTermSpec are only re-exported: they were defined here,
+# as was _integer, which eval_complex uses for its order
+from .spec import PlanePoint, TwoTermSpec, _integer
 
 # the most samples winding_numeric, kernel_integral, verify_symmetry and render_curve
 # take: 16 MB per complex array
 MAX_GRID_SAMPLES = 1 << 20
 
 
-def curve_scale(spec: AnySpec) -> float:
-    """Sum of |w_j|, an upper bound on |gamma(t)|."""
-    return float(sum(abs(term.weight) for term in as_curve(spec).terms))
+def _terms(spec: TwoTermSpec) -> tuple[tuple[int, complex], tuple[int, complex]]:
+    """The curve lowered to its terms (frequency, weight): (a, 1-s) and (b, 1+s).
+
+    The weights are complex(...), so every product below is complex for any s.
+    """
+    return (spec.a, complex(1.0 - spec.s)), (spec.b, complex(1.0 + spec.s))
 
 
-def derivative_scale(spec: AnySpec) -> float:
-    """Sum of 2*pi*|a_j|*|w_j|, an upper bound on |gamma'(t)|."""
-    c = as_curve(spec)
-    return float(sum(2.0 * math.pi * abs(t.frequency) * abs(t.weight) for t in c.terms))
+def curve_scale(spec: TwoTermSpec) -> float:
+    """|1-s| + |1+s|, an upper bound on |gamma(t)|."""
+    return float(sum(abs(w) for _, w in _terms(spec)))
 
 
-def eval_complex(spec: AnySpec, t, order: int = 0) -> np.ndarray:
+def derivative_scale(spec: TwoTermSpec) -> float:
+    """2*pi*(a*|1-s| + b*|1+s|), an upper bound on |gamma'(t)|."""
+    return float(sum(2.0 * math.pi * abs(f) * abs(w) for f, w in _terms(spec)))
+
+
+def eval_complex(spec: TwoTermSpec, t, order: int = 0) -> np.ndarray:
     """Vectorized evaluation of gamma or one of its t-derivatives.
 
     The phase a*t is reduced to a*t - floor(a*t) in [0, 1] before it is
     multiplied by 2*pi, which keeps the angle small for large t.  For every
     finite a*t this is the correctly rounded fractional part, the same float
-    as np.mod(a*t, 1.0).  A float ``t`` is evaluated in Python arithmetic
-    with the same operations in the same order, which gives the same bits
-    as numpy's arithmetic on a 0-d array.  With real weights (every
-    TwoTermSpec) that is also what the same t inside an array gives; numpy
-    may fuse the complex products of complex weights on long arrays into
-    multiply-adds, which moves last bits.
+    as np.mod(a*t, 1.0).  A float ``t`` is a 0-d array: the weights are
+    real, so it gets the bits that the same t inside an array gets.
 
     Parameters
     ----------
-    spec : CurveSpec or TwoTermSpec
+    spec : TwoTermSpec
     t : array_like of float
     order : int
         0 for the curve itself, k >= 1 for d^k/dt^k.
@@ -81,28 +73,28 @@ def eval_complex(spec: AnySpec, t, order: int = 0) -> np.ndarray:
         order = _integer(order, "order")
     if order < 0:
         raise ValueError("order must be >= 0")
-    c = as_curve(spec)
-    if isinstance(t, float):
-        z = _eval_scalar(c, float(t), order)
-        if z is not None:
-            return np.array(z)
+    return _eval_terms(_terms(spec), t, order)
+
+
+def _eval_terms(terms, t, order: int) -> np.ndarray:
+    """The sum over (f, w) in terms of w * d^order/dt^order exp(2*pi*i*f*t)."""
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
     e = np.empty(t.shape, dtype=complex)
-    for term in c.terms:
-        u = term.frequency * t
+    for f, w in terms:
+        u = f * t
         angle = 2.0 * np.pi * (u - np.floor(u))
-        factor = (2j * np.pi * term.frequency) ** order
+        factor = (2j * np.pi * f) ** order
         np.cos(angle, out=e.real)
         np.sin(angle, out=e.imag)
         # scalar first, as in weight * factor * e: with the operands swapped
-        # (e *= coef) numpy moves the last bits of complex-weight products
-        np.multiply(term.weight * factor, e, out=e)
+        # (e *= coef) numpy may move the last bits of the complex products
+        np.multiply(w * factor, e, out=e)
         out += e
     return out
 
 
-def eval_grid(spec: AnySpec, n: int) -> np.ndarray:
+def eval_grid(spec: TwoTermSpec, n: int) -> np.ndarray:
     """gamma(j/n) for j = 0..n-1, summed from per-frequency grid samples.
 
     exp(2*pi*i*f*j/n) is the entry (f mod n)*j mod n of one table of n-th
@@ -116,18 +108,14 @@ def eval_grid(spec: AnySpec, n: int) -> np.ndarray:
     result has the same bits as that gather.  The table's angles are those
     eval_complex computes for the exact fractions k/n, so at a power-of-two
     n, where j/n is exact, the result has the same bits as
-    eval_complex(spec, np.arange(n) / n) for every TwoTermSpec.  At other
-    n it is the more accurate of the two, by trailing digits.
+    eval_complex(spec, np.arange(n) / n).  At other n it is the more
+    accurate of the two, by trailing digits.
     """
     out = np.zeros(n, dtype=complex)
     # above the limit nothing is kept, so the terms gather from one table
     table = _unit_roots(n) if n > _TABLE_CACHE_LIMIT else None
-    for term in as_curve(spec).terms:
-        if table is None:
-            e = _term_samples(term.frequency, n)
-        else:
-            e = _gather(table, term.frequency)
-        out += term.weight * e
+    for f, w in _terms(spec):
+        out += w * (_term_samples(f, n) if table is None else _gather(table, f))
     return out
 
 
@@ -185,33 +173,14 @@ def _gather(table: np.ndarray, f: int) -> np.ndarray:
 
 @_kept(4)
 def _shifted_unit_roots(f: int, d: int, n: int) -> np.ndarray:
-    """The read-only exp(2*pi*i*f*(j/n + 1/d)), j = 0..n-1, from eval_complex.
+    """The read-only exp(2*pi*i*f*(j/n + 1/d)), j = 0..n-1, from _eval_terms.
 
     The samples of one term advanced by 1/d, independent of the table.
     """
-    unit = CurveSpec.from_pairs([(f, 1.0)])
+    unit = ((f, complex(1.0)),)
     e = np.empty(n, dtype=complex)
     for lo in range(0, n, _BUILD_BLOCK):
         j = np.arange(lo, min(lo + _BUILD_BLOCK, n))
-        e[lo : lo + len(j)] = eval_complex(unit, j / n + 1.0 / d)
+        e[lo : lo + len(j)] = _eval_terms(unit, j / n + 1.0 / d, 0)
     e.flags.writeable = False
     return e
-
-
-def _eval_scalar(c: CurveSpec, t: float, order: int) -> complex | None:
-    """eval_complex at one float t in Python arithmetic, or None.
-
-    The operations and their order are those the array path applies to a
-    0-d t, which numpy carries out in its scalar arithmetic, so the result
-    has the same bits.  A non-finite phase returns None and is left to the
-    array path, which turns it into nan.
-    """
-    out = 0j
-    for term in c.terms:
-        u = term.frequency * t
-        if not math.isfinite(u):
-            return None
-        angle = 2.0 * math.pi * (u - math.floor(u))
-        factor = (2j * math.pi * term.frequency) ** order
-        out += term.weight * factor * (math.cos(angle) + 1j * math.sin(angle))
-    return out

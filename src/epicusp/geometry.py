@@ -56,9 +56,16 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import MAX_GRID_SAMPLES, _shifted_unit_roots, _term_samples, curve_scale, eval_complex
+from .curve import (
+    MAX_GRID_SAMPLES,
+    _shifted_unit_roots,
+    _term_samples,
+    _terms,
+    curve_scale,
+    eval_complex,
+)
 from .singularity import _level_roots
-from .spec import PlanePoint, TwoTermSpec, _check_pair, as_curve, zeros_of_curve
+from .spec import PlanePoint, TwoTermSpec, _check_pair, zeros_of_curve
 
 
 _SYMMETRY_BLOCK = 4096  # indices j per block, and as many mirrors: 64 KB per complex array
@@ -126,10 +133,10 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
         raise ValueError("need n >= 100")
     if n > MAX_GRID_SAMPLES:
         raise ValueError(f"need n <= {MAX_GRID_SAMPLES}")
-    c = as_curve(spec)
+    terms = _terms(spec)
     d = spec.b - spec.a
-    grid = [(t.weight, _term_samples(t.frequency, n)) for t in c.terms]
-    shifted = [(t.weight, _shifted_unit_roots(t.frequency, d, n)) for t in c.terms]
+    grid = [(w, _term_samples(f, n)) for f, w in terms]
+    shifted = [(w, _shifted_unit_roots(f, d, n)) for f, w in terms]
     turn = np.exp(2j * np.pi * spec.a / d)
     rotation, reflection = [], []
     half = n // 2 + 1
@@ -157,16 +164,15 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
 
 
 def _weighted_sum(terms: list[tuple[complex, np.ndarray]], lo: int, hi: int) -> np.ndarray:
-    """The sum of weight * samples[lo:hi] over (weight, samples), in term order.
+    """wa * ea[lo:hi] + wb * eb[lo:hi] for the two terms (wa, ea), (wb, eb).
 
     eval_grid adds the first product to zeros, which turns a -0.0 part
     into 0.0.  Starting from the first product instead changes at most
     the sign of a zero part of the sum, which no distance sees.
     """
-    (weight, samples), *rest = terms
-    out = weight * samples[lo:hi]
-    for weight, samples in rest:
-        out += weight * samples[lo:hi]
+    (wa, ea), (wb, eb) = terms
+    out = wa * ea[lo:hi]
+    out += wb * eb[lo:hi]
     return out
 
 

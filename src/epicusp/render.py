@@ -16,38 +16,25 @@ each run of up to 256 of a diagram's dots, is one % format over a repeated
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .curve import MAX_GRID_SAMPLES, eval_grid
 from .errors import EmptyInput
 from .singularity import _undefined_derivative_rows
-from .spec import AnySpec, PlanePoint, as_curve, predicted_cusp_locus
+from .spec import TwoTermSpec, predicted_cusp_locus
 
 SVG_NS = 'xmlns="http://www.w3.org/2000/svg"'
+# curve plots: a square canvas of CANVAS_PX pixels shows the window
+# [-HALF_EXTENT, HALF_EXTENT]^2, which holds every curve of the family,
+# since |gamma| <= |1-s| + |1+s| = 2
+CANVAS_PX = 800
+HALF_EXTENT = 2.2
 # weights on the uniform grid over [-1, 1] that the singularity diagram draws
 DIAGRAM_WEIGHT_COUNT = 201
 _UDEF_DOT = '<circle class="udef-dot" cx="%.3f" cy="%.3f" r="1.2" fill="#000000"/>'
 # dots per % format: each piece stays ~18 KB, so malloc reuses its memory; a
 # diagram's ~130 KB of dots in one piece is mapped and trimmed on every call
 _DOTS_PER_FORMAT = 256
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    """Canvas geometry and styling for curve plots.
-
-    viewbox is the half-extent of a symmetric square window; it grows
-    automatically if sampled points fall outside.
-    """
-
-    width: int = 800
-    height: int = 800
-    viewbox: float = 2.2
-    stroke_width: float = 1.5
-    markers: tuple[tuple[PlanePoint, str], ...] = field(default=())
-    samples: int = 1024
 
 
 def _px(v: float) -> str:
@@ -67,49 +54,38 @@ def _color_ramp(i: int, count: int) -> str:
     return f"#{r:02x}{g:02x}{bl:02x}"
 
 
-def render_curve(specs: list[AnySpec], plot: PlotSpec = PlotSpec()) -> str:
+def render_curve(specs: list[TwoTermSpec], samples: int = 1024) -> str:
     """Render one closed polyline per spec into an SVG document.
 
-    Each curve is sampled at plot.samples points, which must lie in
+    Each curve is sampled at samples points, which must lie in
     [2, MAX_GRID_SAMPLES]; ValueError is raised before any sampling.
     """
     if not specs:
         raise EmptyInput("nothing to render")
-    if plot.samples < 2:
+    if samples < 2:
         raise ValueError("need n >= 2 samples")
-    if plot.samples > MAX_GRID_SAMPLES:
+    if samples > MAX_GRID_SAMPLES:
         raise ValueError(f"need n <= {MAX_GRID_SAMPLES} samples")
-    zs = [eval_grid(as_curve(s), plot.samples) for s in specs]
-
-    extent = plot.viewbox
-    top = max(float(np.max(np.maximum(np.abs(z.real), np.abs(z.imag)))) for z in zs)
-    if top > extent:
-        extent = 1.1 * top
+    size, extent = CANVAS_PX, HALF_EXTENT
 
     def to_px(x, y):
         return (
-            (x + extent) / (2 * extent) * plot.width,
-            (extent - y) / (2 * extent) * plot.height,
+            (x + extent) / (2 * extent) * size,
+            (extent - y) / (2 * extent) * size,
         )
 
     lines = [
-        f'<svg {SVG_NS} width="{plot.width}" height="{plot.height}" '
-        f'viewBox="0 0 {plot.width} {plot.height}">',
-        f'<rect width="{plot.width}" height="{plot.height}" fill="#ffffff"/>',
+        f'<svg {SVG_NS} width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
-    points = " ".join(["%.3f,%.3f"] * (plot.samples + 1))
-    for i, z in enumerate(zs):
+    points = " ".join(["%.3f,%.3f"] * (samples + 1))
+    for i, spec in enumerate(specs):
+        z = eval_grid(spec, samples)
         closed = np.append(z, z[:1])
         coords = points % _interleave(*to_px(closed.real, closed.imag))
         lines.append(
             f'<polyline points="{coords}" fill="none" '
-            f'stroke="{_color_ramp(i, len(zs))}" stroke-width="{plot.stroke_width}"/>'
-        )
-    for point, label in plot.markers:
-        x, y = to_px(point.x, point.y)
-        lines.append(
-            f'<circle class="overlay-marker" cx="{_px(x)}" cy="{_px(y)}" r="4" '
-            f'fill="#000000"><title>{label}</title></circle>'
+            f'stroke="{_color_ramp(i, len(specs))}" stroke-width="1.5"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

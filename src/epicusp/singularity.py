@@ -42,7 +42,7 @@ import numpy as np
 from .curve import derivative_scale, eval_complex
 from .errors import NotSingular, Unresolved, WindowTooWide
 # the cusp locus is defined in spec and re-exported here
-from .spec import AnySpec, CuspLocus, PlanePoint, TwoTermSpec, _check_pair, predicted_cusp_locus
+from .spec import CuspLocus, PlanePoint, TwoTermSpec, _check_pair, predicted_cusp_locus
 
 # |gamma'| below this fraction of its natural scale counts as vanishing
 SINGULAR_RTOL = 1e-7
@@ -72,7 +72,7 @@ class CuspCertificate:
     proven: bool = False
 
 
-def certify_cusp(spec: AnySpec, t: float, delta: float = 1e-3) -> Optional[CuspCertificate]:
+def certify_cusp(spec: TwoTermSpec, t: float, delta: float = 1e-3) -> Optional[CuspCertificate]:
     """Certify a singular point as a cusp via the unit-tangent flip.
 
     One-sided unit tangents are evaluated at t +- delta/4^k for four
@@ -85,7 +85,7 @@ def certify_cusp(spec: AnySpec, t: float, delta: float = 1e-3) -> Optional[CuspC
 
     Parameters
     ----------
-    spec : CurveSpec or TwoTermSpec
+    spec : TwoTermSpec
     t : float
         Parameter of the candidate point, where gamma' must vanish.
     delta : float
@@ -102,7 +102,7 @@ def certify_cusp(spec: AnySpec, t: float, delta: float = 1e-3) -> Optional[CuspC
     return _certify_cusps(spec, [float(t)], delta)[0]
 
 
-def _certify_cusps(spec: AnySpec, ts, delta: float) -> list[Optional[CuspCertificate]]:
+def _certify_cusps(spec: TwoTermSpec, ts, delta: float) -> list[Optional[CuspCertificate]]:
     """certify_cusp at every t in ts, from one evaluation of gamma'.
 
     gamma' is evaluated once on an array of shape (len(ts), 9): each t,
@@ -144,11 +144,10 @@ def _certify_cusps(spec: AnySpec, ts, delta: float) -> list[Optional[CuspCertifi
     tx, ty = _unit(4.0 * ux[:, 3::4] - ux[:, 2::4], 4.0 * uy[:, 3::4] - uy[:, 2::4])
     flip_dot = tx[:, 0] * tx[:, 1] + ty[:, 0] * ty[:, 1]
 
-    s = float(getattr(spec, "s", math.nan))
-    proven = getattr(spec, "a", None) == 1
+    proven = spec.a == 1
     rows = zip(certified.tolist(), ts.tolist(), tx.tolist(), ty.tolist(), flip_dot.tolist())
     return [
-        CuspCertificate(s, t, PlanePoint(x[0], y[0]), PlanePoint(x[1], y[1]), dot, proven)
+        CuspCertificate(spec.s, t, PlanePoint(x[0], y[0]), PlanePoint(x[1], y[1]), dot, proven)
         if ok
         else None
         for ok, t, x, y, dot in rows
@@ -246,6 +245,8 @@ def loop_birth_count(
 
     Raises
     ------
+    ValueError
+        If t_center is not finite, or half_width is not finite and > 0.
     WindowTooWide
         If two or more predicted cusp parameters fall inside the window.
     """
@@ -256,6 +257,8 @@ def loop_birth_count(
         t_center = 1.0 / (2 * (b - a))
     if half_width is None:
         half_width = 0.75 / (2 * (b - a) * (a + b))
+    if not (math.isfinite(t_center) and math.isfinite(half_width) and half_width > 0.0):
+        raise ValueError("need a finite t_center and a finite half_width > 0")
 
     predicted = [(2 * k + 1) / (2 * (b - a)) for k in range(b - a)]
     inside = [tk for tk in predicted if _circ_dist(tk, t_center) <= half_width]

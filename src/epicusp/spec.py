@@ -1,22 +1,19 @@
-"""Curve specifications and the closed forms that need no arrays.
+"""The curve specification and the closed forms that need no arrays.
 
-A curve is a finite sum of complex exponentials,
+The package studies one family of plane curves,
 
-    gamma(t) = sum_j w_j * exp(2*pi*i * a_j * t),
+    gamma_{a,b}^s(t) = (1-s) * exp(2*pi*i*a*t) + (1+s) * exp(2*pi*i*b*t),
 
-with integer frequencies a_j and complex weights w_j, traced over one period
-t in [0, 1).  The central special case is the two-term family
-
-    gamma_{a,b}^s(t) = (1-s) * exp(2*pi*i*a*t) + (1+s) * exp(2*pi*i*b*t)
-
-with 1 <= a < b and a weight parameter s in [-1, 1].
+with integer frequencies 1 <= a < b and a weight parameter s in [-1, 1],
+traced over one period t in [0, 1).  TwoTermSpec names one curve of it and
+is the input of every analysis.
 
 The paper's two headline results are closed forms in a, b and s alone: the
 winding number about the origin (winding_closed_form) and the cusp locus
 (predicted_cusp_locus), together with the origin passages of the balanced
-curve (zeros_of_curve).  They live here, beside the specification types,
-because this module imports nothing beyond the standard library and
-errors: `epicusp wind` without --numeric or --z0 and `epicusp cusps
+curve (zeros_of_curve).  They live here, beside the specification, because
+this module imports nothing beyond the standard library and errors:
+`epicusp wind` without --numeric or --z0 and `epicusp cusps
 --predicted-only` load it and never numpy.  curve, winding and singularity
 re-export every name they used to define, so their import paths and
 pickles written under them still resolve.
@@ -24,13 +21,11 @@ pickles written under them still resolve.
 
 from __future__ import annotations
 
-import cmath
-import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import OnCurve
 
@@ -71,38 +66,6 @@ def _check_pair(a, b) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class ExponentialTerm:
-    """One summand w * exp(2*pi*i * frequency * t)."""
-
-    frequency: int
-    weight: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frequency", _integer(self.frequency, "frequency"))
-        weight = complex(self.weight)
-        if not cmath.isfinite(weight):
-            raise ValueError("weight must be finite")
-        object.__setattr__(self, "weight", weight)
-
-
-@dataclass(frozen=True)
-class CurveSpec:
-    """An exponential sum given by an ordered list of terms."""
-
-    terms: tuple[ExponentialTerm, ...]
-
-    def __post_init__(self) -> None:
-        terms = tuple(self.terms)
-        if len(terms) < 1:
-            raise ValueError("a curve needs at least one term")
-        object.__setattr__(self, "terms", terms)
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, complex]]) -> "CurveSpec":
-        return CurveSpec(tuple(ExponentialTerm(f, w) for f, w in pairs))
-
-
-@dataclass(frozen=True)
 class TwoTermSpec:
     """The two-term family with frequencies 1 <= a < b and weights 1-s, 1+s."""
 
@@ -117,30 +80,6 @@ class TwoTermSpec:
         if not -1.0 <= self.s <= 1.0:
             raise ValueError("s must lie in [-1, 1]")
         object.__setattr__(self, "s", float(self.s))
-
-    def lower(self) -> CurveSpec:
-        """The generic form, built once per instance."""
-        return self._lowered
-
-    @functools.cached_property
-    def _lowered(self) -> CurveSpec:
-        return CurveSpec.from_pairs([(self.a, 1.0 - self.s), (self.b, 1.0 + self.s)])
-
-    def __getstate__(self) -> dict:
-        # the cached lowering is derived, not state: pickles hold the fields only
-        return {"a": self.a, "b": self.b, "s": self.s}
-
-
-AnySpec = Union[CurveSpec, TwoTermSpec]
-
-
-def as_curve(spec: AnySpec) -> CurveSpec:
-    """Lower a TwoTermSpec to its generic form; pass CurveSpec through."""
-    if isinstance(spec, TwoTermSpec):
-        return spec.lower()
-    if isinstance(spec, CurveSpec):
-        return spec
-    raise TypeError(f"not a curve spec: {spec!r}")
 
 
 def winding_closed_form(spec: TwoTermSpec) -> int:

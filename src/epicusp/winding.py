@@ -12,6 +12,8 @@ itself is defined in spec, which needs no numpy, and re-exported here.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from .curve import MAX_GRID_SAMPLES, _unit_roots, curve_scale, eval_grid
 from .errors import NearPole, OnCurve, Unresolved
 # the closed forms are defined in spec and re-exported here
-from .spec import AnySpec, PlanePoint, as_curve, winding_closed_form, zeros_of_curve
+from .spec import PlanePoint, TwoTermSpec, winding_closed_form, zeros_of_curve
 
 ORIGIN = PlanePoint(0.0, 0.0)
 MAX_WINDING_SAMPLES = MAX_GRID_SAMPLES
@@ -42,17 +44,19 @@ class KernelParams:
     beta: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if not self.beta > 0:
             raise ValueError("beta must be strictly positive")
 
 
-def winding_numeric(spec: AnySpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> WindingResult:
+def winding_numeric(spec: TwoTermSpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> WindingResult:
     """Winding number about z0 by argument tracking on an n-point grid.
 
     Accumulates the principal-value angle increments of gamma(t) - z0
     between consecutive grid points, the last one closing the period back
     to t = 0, and rounds the total turning to an integer.  n is first
-    doubled until it is at least 4 times the largest |frequency|: on a
+    doubled until it is at least 4 times the frequency b: on a
     coarser grid a term turns by more than pi/2 per step and can alias to
     a slower turning whose increments all look small.  Every increment
     must stay below pi/2; while some does not, the grid is doubled, up to
@@ -61,11 +65,12 @@ def winding_numeric(spec: AnySpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> Wi
     Raises
     ------
     ValueError
-        If n < 64 or n > MAX_WINDING_SAMPLES.
+        If n < 64 or n > MAX_WINDING_SAMPLES, or z0 is not finite; no
+        sample is built then.
     OnCurve
         If some grid sample comes within 1e-9 * curve scale of z0.
     Unresolved
-        If reaching 4 times the largest |frequency| takes the grid past
+        If reaching 4 times b takes the grid past
         MAX_WINDING_SAMPLES, the turning steps still exceed pi/2 on the
         largest grid, or the total turning is not close to an integer
         multiple of 2*pi.
@@ -75,12 +80,13 @@ def winding_numeric(spec: AnySpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> Wi
     if n > MAX_WINDING_SAMPLES:
         raise ValueError(f"need n <= {MAX_WINDING_SAMPLES}")
     z0c = z0.as_complex() if isinstance(z0, PlanePoint) else complex(z0)
+    if not cmath.isfinite(z0c):
+        raise ValueError("z0 must be finite")
     dist_tol = 1e-9 * curve_scale(spec)
-    top = max(abs(t.frequency) for t in as_curve(spec).terms)
     m = n
-    while m < 4 * top:
+    while m < 4 * spec.b:
         if 2 * m > MAX_WINDING_SAMPLES:
-            raise Unresolved(f"frequency {top} needs more than {m} samples")
+            raise Unresolved(f"frequency {spec.b} needs more than {m} samples")
         m *= 2
     while True:
         w = eval_grid(spec, m) - z0c

@@ -18,54 +18,41 @@ import math
 
 import numpy as np
 
-from epicusp import geometry, singularity
+from epicusp import curve, geometry, singularity
 from epicusp.curve import (
     PlanePoint,
     TwoTermSpec,
     _unit_roots,
-    as_curve,
     curve_scale,
     eval_complex,
     eval_grid,
 )
 from epicusp.geometry import IntersectionRecord, _half_gap_roots
-from epicusp.render import DIAGRAM_WEIGHT_COUNT, SVG_NS, PlotSpec, _color_ramp, _px
+from epicusp.render import CANVAS_PX, DIAGRAM_WEIGHT_COUNT, HALF_EXTENT, SVG_NS, _color_ramp, _px
 from epicusp.singularity import _circ_dist, predicted_cusp_locus
 from epicusp.winding import zeros_of_curve
 
 
-def render_curve(specs, plot: PlotSpec = PlotSpec()) -> str:
-    curves = [as_curve(s) for s in specs]
-    pts = [[PlanePoint(float(v.real), float(v.imag)) for v in eval_grid(c, plot.samples)] for c in curves]
-
-    extent = plot.viewbox
-    top = max(max(max(abs(p.x), abs(p.y)) for p in ps) for ps in pts)
-    if top > extent:
-        extent = 1.1 * top
+def render_curve(specs, samples: int = 1024) -> str:
+    pts = [[PlanePoint(float(v.real), float(v.imag)) for v in eval_grid(s, samples)] for s in specs]
+    size, extent = CANVAS_PX, HALF_EXTENT
 
     def to_px(p):
         return (
-            (p.x + extent) / (2 * extent) * plot.width,
-            (extent - p.y) / (2 * extent) * plot.height,
+            (p.x + extent) / (2 * extent) * size,
+            (extent - p.y) / (2 * extent) * size,
         )
 
     lines = [
-        f'<svg {SVG_NS} width="{plot.width}" height="{plot.height}" '
-        f'viewBox="0 0 {plot.width} {plot.height}">',
-        f'<rect width="{plot.width}" height="{plot.height}" fill="#ffffff"/>',
+        f'<svg {SVG_NS} width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
     for i, ps in enumerate(pts):
         closed = list(ps) + [ps[0]]
         coords = " ".join("%s,%s" % (_px(x), _px(y)) for x, y in map(to_px, closed))
         lines.append(
             f'<polyline points="{coords}" fill="none" '
-            f'stroke="{_color_ramp(i, len(pts))}" stroke-width="{plot.stroke_width}"/>'
-        )
-    for point, label in plot.markers:
-        x, y = to_px(point)
-        lines.append(
-            f'<circle class="overlay-marker" cx="{_px(x)}" cy="{_px(y)}" r="4" '
-            f'fill="#000000"><title>{label}</title></circle>'
+            f'stroke="{_color_ramp(i, len(pts))}" stroke-width="1.5"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -172,14 +159,17 @@ def find_cusps(a: int, b: int):
 
 
 def grid_samples(spec, j: np.ndarray, n: int) -> np.ndarray:
-    """gamma(j/n) at integer indices j, gathered from the n-entry table; j wraps mod n."""
+    """gamma(j/n) at integer indices j, gathered from the n-entry table; j wraps mod n.
+
+    The terms are looked up at call time, so that a test can replace them.
+    """
     table = _unit_roots(n)
     out = np.zeros(len(j), dtype=complex)
-    for term in as_curve(spec).terms:
-        k = (term.frequency % n) * j
+    for f, w in curve._terms(spec):
+        k = (f % n) * j
         k -= k // n * n
         e = table[k]
-        np.multiply(term.weight, e, out=e)
+        np.multiply(w, e, out=e)
         out += e
     return out
 

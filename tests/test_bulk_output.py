@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 import per_item
 from epicusp import geometry
 from epicusp import (
-    CurveSpec,
-    PlanePoint,
-    PlotSpec,
     TwoTermSpec,
     find_cusps,
     render_curve,
@@ -28,43 +25,16 @@ PAIRS = st.integers(1, 14).flatmap(lambda a: st.tuples(st.just(a), st.integers(a
 COPRIME_PAIRS = st.sampled_from(coprime_pairs(20))
 
 
-@st.composite
-def curves(draw):
-    if draw(st.booleans()):
-        a, b = draw(PAIRS)
-        return TwoTermSpec(a, b, draw(WEIGHTS))
-    # complex weights, negative and repeated frequencies
-    parts = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
-    terms = st.tuples(st.integers(-12, 12), st.builds(complex, parts, parts))
-    return CurveSpec.from_pairs(draw(st.lists(terms, min_size=1, max_size=4)))
-
-
-MARKERS = st.lists(
-    st.tuples(st.builds(PlanePoint, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), st.just("m")),
-    max_size=3,
-).map(tuple)
+CURVES = st.builds(lambda pair, s: TwoTermSpec(*pair, s), PAIRS, WEIGHTS)
 
 
 class TestRenderCurve:
-    @given(
-        st.lists(curves(), min_size=1, max_size=9),
-        st.sampled_from([2, 3, 255, 256, 1000, 1024]),
-        st.sampled_from([0.3, 2.2, 8.0]),
-        MARKERS,
-    )
+    @given(st.lists(CURVES, min_size=1, max_size=9), st.sampled_from([2, 3, 255, 256, 1000, 1024]))
     @settings(deadline=None, max_examples=60)
-    # wider than the viewbox, and a negative frequency with a complex weight
-    @example([CurveSpec.from_pairs([(3, 1.0), (-7, 2.0 - 1.5j)])], 1024, 2.2, ())
-    def test_bytes_match_point_by_point(self, specs, n, viewbox, markers):
-        plot = PlotSpec(samples=n, viewbox=viewbox, markers=markers)
-        assert render_curve(specs, plot) == per_item.render_curve(specs, plot)
-
-    def test_marker_that_rounds_to_minus_zero(self):
-        # a marker just left of the window's edge sits at x = -1.8e-5 px
-        plot = PlotSpec(markers=((PlanePoint(-2.2 - 1e-7, 0.0), "edge"),))
-        doc = render_curve([TwoTermSpec(1, 3, 0.0)], plot)
-        assert 'cx="-0.000"' in doc
-        assert doc == per_item.render_curve([TwoTermSpec(1, 3, 0.0)], plot)
+    # the circles of radius 2 at s = -1 and 1 reach furthest
+    @example([TwoTermSpec(1, 2, -1.0), TwoTermSpec(3, 7, 1.0)], 1024)
+    def test_bytes_match_point_by_point(self, specs, n):
+        assert render_curve(specs, n) == per_item.render_curve(specs, n)
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)))
     @example([-0.0, -1e-300, -0.0004999, -0.0005, 0.0005, -123.4565, 2.5e-4])
@@ -77,7 +47,7 @@ class TestRenderCurve:
 
     def test_too_few_samples_are_refused(self):
         with pytest.raises(ValueError):
-            render_curve([TwoTermSpec(1, 3, 0.0)], PlotSpec(samples=1))
+            render_curve([TwoTermSpec(1, 3, 0.0)], samples=1)
 
 
 class TestSingularityDiagram:

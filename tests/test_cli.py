@@ -534,6 +534,15 @@ class TestPlotAndSweep:
         assert rc == 1
         assert "error" in json.loads(out)
 
+    def test_sweep_takes_at_most_1024_weights(self, capsys, tmp_path, monkeypatch):
+        # 1025 weights of 1024 samples each pass MAX_GRID_SAMPLES: refused
+        # before any curve is built
+        monkeypatch.setattr(epicusp.cli, "TwoTermSpec", None)
+        path = tmp_path / "x.svg"
+        rc, out = run_cli(capsys, "sweep", "-a", "1", "-b", "3", "--count", "1025", "--out", str(path))
+        assert rc == 1 and not path.exists()
+        assert json.loads(out) == {"error": "CurveAnalysisError", "message": "need at most 1024 weights in the sweep"}
+
 
 class TestVerify:
     def test_full_suite_passes(self, capsys):

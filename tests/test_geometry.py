@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 import per_item
 from epicusp import (
-    CurveSpec,
     IntersectionRecord,
     TwoTermSpec,
     grid_intersection_check,
     self_intersections,
     verify_symmetry,
 )
-from epicusp import geometry
+from epicusp import curve, geometry
 from epicusp.curve import MAX_GRID_SAMPLES, eval_complex
 from epicusp.geometry import SymmetryReport
 from exact_counts import (
@@ -29,6 +28,19 @@ from exact_counts import (
 )
 
 
+@pytest.fixture
+def broken_terms(monkeypatch):
+    """The term helper gives the broken specs below their own terms."""
+    true_terms = curve._terms
+
+    def terms(spec):
+        return spec.broken_terms() if isinstance(spec, Broken) else true_terms(spec)
+
+    for module in (curve, geometry):
+        monkeypatch.setattr(module, "_terms", terms)
+
+
+@pytest.mark.usefixtures("broken_terms")
 class TestVerifySymmetry:
     def test_coprime_pair_verifies(self):
         report = verify_symmetry(TwoTermSpec(1, 3, 0.4))
@@ -110,6 +122,7 @@ BLOCK_EDGE_SIZES = [100, 101, 2047, 2048, 2049, 4094, 4095, 4096, 4097, 8190, 81
                     10000, 65536, 65537]
 
 
+@pytest.mark.usefixtures("broken_terms")
 class TestSymmetryBlocks:
     """verify_symmetry in blocks gives the bits of the whole-array form."""
 
@@ -137,17 +150,19 @@ class TestSymmetryBlocks:
                 assert repr(verify_symmetry(spec, n)) == repr(reference_verify_symmetry(spec, n))
 
 
-class ComplexWeights(TwoTermSpec):
+class Broken(TwoTermSpec):
+    """A spec whose broken_terms, under the broken_terms fixture, break an identity."""
+
+
+class ComplexWeights(Broken):
     """Both weights turned by e^{0.1i}: a rotated image, no longer mirror-symmetric."""
 
-    def lower(self) -> CurveSpec:
+    def broken_terms(self):
         turn = cmath.exp(0.1j)
-        return CurveSpec.from_pairs(
-            [(self.a, (1.0 - self.s) * turn), (self.b, (1.0 + self.s) * turn)]
-        )
+        return [(self.a, (1.0 - self.s) * turn), (self.b, (1.0 + self.s) * turn)]
 
 
-class OppositeTurns(TwoTermSpec):
+class OppositeTurns(Broken):
     """Weights turned by e^{0.1i} and e^{-0.1i}.
 
     The reflection deviation is 2|Im w_a + Im w_b e^{-2 pi i (b-a) t}|, so
@@ -155,17 +170,15 @@ class OppositeTurns(TwoTermSpec):
     own mirror.
     """
 
-    def lower(self) -> CurveSpec:
-        return CurveSpec.from_pairs(
-            [(self.a, (1.0 - self.s) * cmath.exp(0.1j)), (self.b, (1.0 + self.s) * cmath.exp(-0.1j))]
-        )
+    def broken_terms(self):
+        return [(self.a, (1.0 - self.s) * cmath.exp(0.1j)), (self.b, (1.0 + self.s) * cmath.exp(-0.1j))]
 
 
-class WrongFrequency(TwoTermSpec):
+class WrongFrequency(Broken):
     """Frequency b+1 in place of b, which breaks the order b-a rotation."""
 
-    def lower(self) -> CurveSpec:
-        return CurveSpec.from_pairs([(self.a, 1.0 - self.s), (self.b + 1, 1.0 + self.s)])
+    def broken_terms(self):
+        return [(self.a, complex(1.0 - self.s)), (self.b + 1, complex(1.0 + self.s))]
 
 
 def record_near(records: list[IntersectionRecord], t1: float, t2: float, tol: float = 1e-6):
@@ -241,7 +254,7 @@ class TestSelfIntersections:
 
     def test_needs_a_two_term_spec(self):
         with pytest.raises(TypeError):
-            self_intersections(CurveSpec.from_pairs([(1, 1.0), (4, 1.0)]))
+            self_intersections((1, 4, 0.0))
 
     def test_a_pair_just_across_t_zero_stays_below_one(self, monkeypatch):
         # for (1, 3) the odd centre is 1/4; a half gap one float above it

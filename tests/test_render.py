@@ -3,10 +3,7 @@ import re
 import pytest
 
 from epicusp import (
-    CurveSpec,
     EmptyInput,
-    PlanePoint,
-    PlotSpec,
     TwoTermSpec,
     render_curve,
     render_singularity_diagram,
@@ -36,12 +33,11 @@ class TestRenderCurve:
 
     def test_polyline_traces_the_samples(self):
         spec = TwoTermSpec(1, 3, 0.0)
-        plot = PlotSpec(samples=256)
-        (coords,) = polylines(render_curve([spec], plot))
+        (coords,) = polylines(render_curve([spec], samples=256))
         assert len(coords) == 257  # closed: first point repeated
         for (px, py), z in zip(coords, eval_grid(spec, 256)):
-            x = px / plot.width * (2 * plot.viewbox) - plot.viewbox
-            y = plot.viewbox - py / plot.height * (2 * plot.viewbox)
+            x = px / 800 * 4.4 - 2.2
+            y = 2.2 - py / 800 * 4.4
             assert abs(x - z.real) < 1e-4 and abs(y - z.imag) < 1e-4
 
     def test_panel_draws_every_curve(self):
@@ -53,28 +49,22 @@ class TestRenderCurve:
         for color in ("#cc2222", "#22aa22", "#2222cc"):
             assert doc.count(f'stroke="{color}"') == 1
 
-    def test_marker_overlay_carries_label(self):
-        plot = PlotSpec(markers=((PlanePoint(0.0, 1.0), "cusp"),))
-        doc = render_curve([TwoTermSpec(1, 3, -0.5)], plot)
-        assert 'class="overlay-marker"' in doc
-        assert "<title>cusp</title>" in doc
-
-    def test_wide_curve_expands_the_window(self):
-        spec = CurveSpec.from_pairs([(3, 1.0), (7, 2.0)])
-        doc = render_curve([spec])
-        (coords,) = polylines(doc)
-        assert all(0.0 <= v <= 800.0 for xy in coords for v in xy)
-        # the start point gamma(0) = 3 sits at 6.3/6.6 of the width
-        assert coords[0] == (pytest.approx(763.636, abs=1e-3), pytest.approx(400.0, abs=1e-3))
+    def test_the_fixed_window_holds_every_curve(self):
+        # |gamma| <= 2 for every s; the circles at s = -1 and 1 reach it
+        doc = render_curve([TwoTermSpec(1, 2, -1.0), TwoTermSpec(3, 7, 1.0), TwoTermSpec(2, 9, 0.3)])
+        assert doc.startswith(f'<svg {render.SVG_NS} width="800" height="800" viewBox="0 0 800 800">')
+        first, *others = polylines(doc)
+        assert all(36.0 <= v <= 764.0 for coords in (first, *others) for xy in coords for v in xy)
+        # the start point gamma(0) = 2 sits at 4.2/4.4 of the width
+        assert first[0] == (pytest.approx(763.636, abs=1e-3), pytest.approx(400.0, abs=1e-3))
 
     def test_rejects_a_curve_past_the_largest_grid_before_sampling(self, monkeypatch):
         def no_grid(spec, n):
             raise AssertionError(f"sampled {n} points")
 
         monkeypatch.setattr(render, "eval_grid", no_grid)
-        plot = PlotSpec(samples=MAX_GRID_SAMPLES + 1)
         with pytest.raises(ValueError, match="need n <="):
-            render_curve([TwoTermSpec(1, 3, 0.5)], plot)
+            render_curve([TwoTermSpec(1, 3, 0.5)], samples=MAX_GRID_SAMPLES + 1)
 
 
 class TestSingularityDiagram:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicusp import (
-    CurveSpec,
     CuspLocus,
     NotSingular,
     TwoTermSpec,
@@ -51,15 +50,12 @@ from exact_counts import (
 CUSP_SPEC = TwoTermSpec(1, 3, -0.5)
 
 
-def flat_tangent_spec() -> CurveSpec:
-    """A curve whose speed vanishes to second order at t = 0.
-
-    gamma'(t) = e^{2 pi i t} (1 - e^{2 pi i t})^2 has a double zero, so the
-    tangent direction is the same on both sides of the stop: singular, but
-    not a cusp.
-    """
-    w = 1.0 / (2j * math.pi)
-    return CurveSpec.from_pairs([(1, w), (2, -w), (3, w / 3.0)])
+# 1e-9 above the cusp weight of (1, 3), gamma' at t = 1/4 is within
+# SINGULAR_RTOL of 0, and a loop 1.4e-5 across has been born there.
+# Offsets of 1e-6 and less fall inside it, where the tangent flip does not
+# extrapolate to -1: singular, but no cusp at that scale
+NEAR_CUSP_SPEC = TwoTermSpec(1, 3, -0.5 + 1e-9)
+NEAR_CUSP_DELTA = 1e-6
 
 
 def is_singular(spec, t: float) -> bool:
@@ -108,21 +104,20 @@ class TestCertifyCusp:
             certify_cusp(CUSP_SPEC, 0.25, delta=delta)
 
     def test_flat_tangent_point_is_not_certified(self):
-        spec = flat_tangent_spec()
-        assert is_singular(spec, 0.0)
-        assert certify_cusp(spec, 0.0) is None
+        assert is_singular(NEAR_CUSP_SPEC, 0.25)
+        assert certify_cusp(NEAR_CUSP_SPEC, 0.25, delta=NEAR_CUSP_DELTA) is None
 
-    def test_a_stopped_curve_is_not_certified(self):
-        # gamma' is 0 everywhere, so there is no one-sided tangent
-        assert certify_cusp(CurveSpec.from_pairs([(0, 1.0)]), 0.0) is None
+    def test_a_stopped_curve_is_not_certified(self, monkeypatch):
+        # with gamma' 0 everywhere there is no one-sided tangent
+        monkeypatch.setattr(singularity, "eval_complex", lambda spec, t, order: np.zeros(np.shape(t), complex))
+        assert certify_cusp(CUSP_SPEC, 0.25) is None
 
     def test_the_first_failing_point_decides(self):
-        # t = 0.3 is regular, t = 0 singular without a flip: whichever
+        # t = 0.3 is regular, t = 1/4 singular without a flip: whichever
         # comes first decides, as it would one point at a time
-        spec = flat_tangent_spec()
         with pytest.raises(NotSingular, match="t=0.3"):
-            _certify_cusps(spec, [0.3, 0.0], 1e-3)
-        assert _certify_cusps(spec, [0.0, 0.3], 1e-3)[0] is None
+            _certify_cusps(NEAR_CUSP_SPEC, [0.3, 0.25], NEAR_CUSP_DELTA)
+        assert _certify_cusps(NEAR_CUSP_SPEC, [0.25, 0.3], NEAR_CUSP_DELTA)[0] is None
         with pytest.raises(NotSingular, match="t=0.1"):
             _certify_cusps(CUSP_SPEC, [0.25, 0.1, 0.75], 1e-3)
 
@@ -256,12 +251,12 @@ def reference_certificate(spec, t: float, delta: float = 1e-3):
     tr = 4.0 * right[3] - right[2]
     tl, tr = tl / abs(tl), tr / abs(tr)
     return singularity.CuspCertificate(
-        s=float(getattr(spec, "s", math.nan)),
+        s=spec.s,
         t=float(t),
         tangent_left=singularity.PlanePoint.from_complex(tl),
         tangent_right=singularity.PlanePoint.from_complex(tr),
         flip_dot=(tl.conjugate() * tr).real,
-        proven=(getattr(spec, "a", None) == 1),
+        proven=(spec.a == 1),
     )
 
 
@@ -289,9 +284,10 @@ class TestOneArrayPass:
                 assert repr(certify_cusp(spec, cert.t, delta=delta)) == repr(cert), (a, b, cert.t)
 
     def test_certify_cusp_keeps_the_reference_bits_off_the_locus(self):
-        for spec, t in [(CUSP_SPEC, 0.75), (flat_tangent_spec(), 0.0),
-                        (CurveSpec.from_pairs([(1, 4.0), (4, 1.0)]), 1.0 / 6.0)]:
-            assert repr(certify_cusp(spec, t)) == repr(reference_certificate(spec, t))
+        for spec, t, delta in [(CUSP_SPEC, 0.75, 1e-3), (NEAR_CUSP_SPEC, 0.25, 1e-3),
+                               (NEAR_CUSP_SPEC, 0.25, NEAR_CUSP_DELTA), (TwoTermSpec(1, 4, -0.6), 1.0 / 6.0, 1e-3)]:
+            want = reference_certificate(spec, t, delta)
+            assert repr(certify_cusp(spec, t, delta)) == repr(want)
 
     def test_cli_prints_the_reference_certificates(self, capsys):
         assert main(["cusps", "-a", "7", "-b", "60"]) == 0
@@ -435,6 +431,15 @@ class TestLoopBirth:
     def test_window_spanning_two_cusps_is_refused(self):
         with pytest.raises(WindowTooWide):
             loop_birth_count(1, 3, -0.5, t_center=0.5, half_width=0.3)
+
+    @pytest.mark.parametrize(
+        "t_center,half_width",
+        [(math.nan, 0.01), (math.inf, 0.01), (0.25, math.nan), (0.25, math.inf), (0.25, 0.0), (0.25, -0.01)],
+    )
+    def test_a_window_that_is_not_finite_and_open_is_refused(self, t_center, half_width):
+        # a negative half-width would count -1 crossings
+        with pytest.raises(ValueError, match="finite t_center"):
+            loop_birth_count(1, 3, -0.4, t_center, half_width)
 
     @given(
         st.sampled_from([pair for pair in coprime_pairs(15) if pair[0] >= 2]),

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epicusp import (
-    CurveSpec,
     KernelParams,
     NearPole,
     OnCurve,
@@ -49,7 +48,8 @@ class TestClosedForm:
 
 class TestNumeric:
     def test_circle_multiplicity(self):
-        res = winding_numeric(CurveSpec.from_pairs([(5, 2.0)]), ORIGIN, 256)
+        # at s = 1 the curve is 2 exp(2 pi i 5 t), the circle traced five times
+        res = winding_numeric(TwoTermSpec(1, 5, 1.0), ORIGIN, 256)
         assert res.value == 5
         assert res.residual < 1e-6
 
@@ -80,6 +80,16 @@ class TestNumeric:
     def test_rejects_small_grids(self):
         with pytest.raises(ValueError):
             winding_numeric(TwoTermSpec(1, 3, 0.2), ORIGIN, 63)
+
+    @pytest.mark.parametrize("x,y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+    def test_a_base_point_that_is_not_finite_is_refused_before_sampling(self, monkeypatch, x, y):
+        def no_grid(spec, n):
+            raise AssertionError(f"sampled {n} points")
+
+        monkeypatch.setattr(winding, "eval_grid", no_grid)
+        for z0 in (PlanePoint(x, y), complex(x, y)):
+            with pytest.raises(ValueError, match="z0 must be finite"):
+                winding_numeric(TwoTermSpec(1, 3, 0.5), z0)
 
     @pytest.mark.parametrize("n", [64, 128, 1024])
     def test_grid_doubling_stability(self, n):
@@ -149,8 +159,8 @@ class TestAliasing:
             winding_numeric(TwoTermSpec(1, 3, 0.5), ORIGIN, winding.MAX_WINDING_SAMPLES + 1)
 
     def test_a_frequency_past_the_largest_grid_is_refused(self):
-        spec = CurveSpec.from_pairs([(winding.MAX_WINDING_SAMPLES // 2, 1.0)])
-        with pytest.raises(Unresolved):
+        spec = TwoTermSpec(1, winding.MAX_WINDING_SAMPLES // 2, 0.5)
+        with pytest.raises(Unresolved, match=f"frequency {spec.b} needs more than"):
             winding_numeric(spec, ORIGIN, 64)
 
 
@@ -175,6 +185,13 @@ class TestKernelIntegral:
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
             KernelParams(alpha=1.0, beta=0.0)
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_alpha_and_beta_must_be_finite(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite"):
+            KernelParams(alpha, beta)
 
     @given(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
            st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
