@@ -21,12 +21,10 @@ _EXPORTS = {
     "curve": ("eval_complex",),
     "errors": (
         "CurveAnalysisError",
-        "EmptyInput",
         "NearPole",
         "NotSingular",
         "OnCurve",
         "Unresolved",
-        "WindowTooWide",
     ),
     "geometry": (
         "IntersectionRecord",
@@ -45,8 +43,7 @@ _EXPORTS = {
         "find_cusps",
         "loop_birth_count",
         "rotated_param_deriv",
-        "rotation_angle",
-        "undefined_derivative_set",
+        "undefined_derivative_sets",
     ),
     "spec": (
         "CuspLocus",

@@ -139,7 +139,7 @@ def criterion_general_a_locus() -> tuple[bool, str]:
 def criterion_loop_birth() -> tuple[bool, str]:
     """The cusp of (1,3) unfolds into a loop exactly above s = -1/2."""
     counts = {
-        s: singularity.loop_birth_count(1, 3, s, 0.25, 0.03)
+        s: singularity.loop_birth_count(1, 3, s, 0.03)
         for s in (-0.495, -0.5, -0.505)
     }
     expected = {-0.495: 3, -0.5: 1, -0.505: 1}

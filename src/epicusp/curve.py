@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
-# PlanePoint and TwoTermSpec are only re-exported: they were defined here,
-# as was _integer, which eval_complex uses for its order
+# PlanePoint and TwoTermSpec are re-exported: the benchmark harness reads
+# curve.TwoTermSpec, and pickles written when both were defined here name
+# this module
 from .spec import PlanePoint, TwoTermSpec, _integer
 
 # the most samples winding_numeric, kernel_integral, verify_symmetry and render_curve
@@ -67,12 +68,20 @@ def eval_complex(spec: TwoTermSpec, t, order: int = 0) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``order`` is not an integer >= 0 (a bool is refused).
+        If ``order`` is not an integer >= 0 (a bool is refused), or so
+        large that 2*(2*pi*b)**order, a bound on the derivative, overflows
+        a float.
     """
     if type(order) is not int:
         order = _integer(order, "order")
     if order < 0:
         raise ValueError("order must be >= 0")
+    try:
+        # |d^order gamma / dt^order| <= (|1-s| + |1+s|) * (2*pi*b)**order
+        if math.isinf(2.0 * (2.0 * math.pi * spec.b) ** order):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"order {order} overflows a float for frequency {spec.b}") from None
     return _eval_terms(_terms(spec), t, order)
 
 

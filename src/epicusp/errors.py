@@ -19,11 +19,3 @@ class Unresolved(CurveAnalysisError):
 
 class NotSingular(CurveAnalysisError):
     """Cusp certification was requested at a point that is not singular."""
-
-
-class WindowTooWide(CurveAnalysisError):
-    """A parameter window contains more than one predicted cusp."""
-
-
-class EmptyInput(CurveAnalysisError):
-    """An operation that needs at least one item received none."""

@@ -40,8 +40,8 @@ form, U_{k-1}(1) = k and U_{k-1}(-1) = (-1)^(k-1) k:
 
 g_-(0) and one of the g_+-(1/2) vanish at the cusp weight
 s = (a-b)/(a+b), where the loop a cusp gives birth to still has zero size.
-singularity._level_roots finds the roots from g's numerator, whose sign
-it shares inside (0, 1/2).
+singularity._level_root_rows finds the roots from g's numerator, whose
+sign it shares inside (0, 1/2).
 
 For the balanced weight s = 0 every intersection parameter lies on the
 rational grid j/(b^2 - a^2), except that passages through the origin may
@@ -64,7 +64,7 @@ from .curve import (
     curve_scale,
     eval_complex,
 )
-from .singularity import _level_roots
+from .singularity import _level_root_rows
 from .spec import PlanePoint, TwoTermSpec, _check_pair, zeros_of_curve
 
 
@@ -180,7 +180,7 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
     """Every parameter pair (t1, t2), t1 < t2 in [0, 1), with gamma(t1) = gamma(t2).
 
     The pairs come from the roots of g_+ and g_- on (0, 1/2), as set out in
-    the module docstring; singularity._level_roots finds them, and a
+    the module docstring; singularity._level_root_rows finds them, and a
     double root, where a loop is born or dies, is one record.  Records are
     sorted by t1, and their point is the mean of gamma(t1) and gamma(t2).
 
@@ -235,7 +235,8 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
 
 def _half_gap_roots(a: int, b: int, s: float) -> list[np.ndarray]:
     """The roots of g_+ and of g_- in (0, 1/2), each sorted, for coprime a, b."""
-    return _level_roots(a, b, 1.0, np.array([[1.0], [-1.0]]), np.full(2, s))
+    roots, counts = _level_root_rows(a, b, 1.0, np.array([[1.0], [-1.0]]), np.full(2, s))
+    return np.split(roots, counts[:1])
 
 
 def grid_intersection_check(a: int, b: int) -> bool:

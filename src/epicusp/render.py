@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curve import MAX_GRID_SAMPLES, eval_grid
-from .errors import EmptyInput
-from .singularity import _undefined_derivative_rows
+from .singularity import _zero_rows
 from .spec import TwoTermSpec, predicted_cusp_locus
 
 SVG_NS = 'xmlns="http://www.w3.org/2000/svg"'
@@ -58,10 +57,11 @@ def render_curve(specs: list[TwoTermSpec], samples: int = 1024) -> str:
     """Render one closed polyline per spec into an SVG document.
 
     Each curve is sampled at samples points, which must lie in
-    [2, MAX_GRID_SAMPLES]; ValueError is raised before any sampling.
+    [2, MAX_GRID_SAMPLES]; ValueError is raised before any sampling, as it
+    is for an empty list of specs.
     """
     if not specs:
-        raise EmptyInput("nothing to render")
+        raise ValueError("nothing to render")
     if samples < 2:
         raise ValueError("need n >= 2 samples")
     if samples > MAX_GRID_SAMPLES:
@@ -141,7 +141,7 @@ def render_singularity_diagram(a: int, b: int) -> str:
 
     n = DIAGRAM_WEIGHT_COUNT
     weights = s_lo + (s_hi - s_lo) * np.arange(n) / (n - 1)
-    t, sizes = _undefined_derivative_rows(a, b, weights)
+    t, sizes = _zero_rows(a, b, weights)
     xy = _interleave(*to_px(np.repeat(weights, sizes), t))
     for i in range(0, len(xy), 2 * _DOTS_PER_FORMAT):
         part = xy[i : i + 2 * _DOTS_PER_FORMAT]

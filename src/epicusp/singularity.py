@@ -13,14 +13,13 @@ pass: the one-sided unit tangents must flip direction across it, their
 dot product extrapolating to -1 as the offset shrinks.  certify_cusp
 makes the same singular and flip tests at one point of any curve; points
 and tangents elsewhere come from curve.eval_complex.  The module also
-carries the rotation construction that places a chosen cusp on the
-vertical axis, the closed-form parametric derivative in that rotated
-frame, and the loop-birth count that detects the small loop a cusp
-unfolds into.
+carries the closed-form parametric derivative in the frame that puts
+cusp 0 on the vertical axis, the loop-birth count that detects the small
+loop a cusp unfolds into, and the zeros of x'.
 
 The zeros of x'(t) and the self-intersections (geometry.py) are both the
 roots u in (0, 1/2) of w_a*sin(2*pi*a*u) + w_b*sin(2*pi*b*u), i.e. level
-sets of R(u) = sin(2*pi*b*u) / sin(2*pi*a*u); one kernel, _level_roots,
+sets of R(u) = sin(2*pi*b*u) / sin(2*pi*a*u); one kernel, _level_root_rows,
 finds them between the breakpoints of R that _monotone_pieces lists.  It
 narrows every bracket with a fixed number of safeguarded Newton steps and
 bisects what is left down to adjacent floats.  Each root it returns is an
@@ -40,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .curve import derivative_scale, eval_complex
-from .errors import NotSingular, Unresolved, WindowTooWide
+from .errors import NotSingular, Unresolved
 # the cusp locus is defined in spec and re-exported here
 from .spec import CuspLocus, PlanePoint, TwoTermSpec, _check_pair, predicted_cusp_locus
 
@@ -187,26 +186,12 @@ def find_cusps(a: int, b: int) -> list[CuspCertificate]:
     return certs
 
 
-def _circ_dist(x: float, y: float) -> float:
-    d = abs(x - y) % 1.0
-    return min(d, 1.0 - d)
-
-
-def rotation_angle(a: int, b: int) -> float:
-    """Angle pi*(1/2 - a/(b-a)) placing the first cusp on the vertical axis.
-
-    Cusp 0, at t = 1/(2(b-a)), lies at the angle pi*a/(b-a), so this
-    rotation takes it to pi/2 for every a.
-    """
-    a, b = _check_pair(a, b)
-    return math.pi * (0.5 - a / (b - a))
-
-
 def rotated_param_deriv(a: int, b: int, t: float) -> float | None:
     """Closed-form slope of the rotated curve at the cusp weight s = (a-b)/(a+b).
 
-    The curve is rotated by rotation_angle(a, b).  There gamma' is a real
-    multiple of i*exp(i*pi*(a+b)*t), so the slope equals
+    The curve is turned by pi*(1/2 - a/(b-a)), which takes cusp 0, at
+    t = 1/(2(b-a)) and the angle pi*a/(b-a), to the vertical axis.  There
+    gamma' is a real multiple of i*exp(i*pi*(a+b)*t), so the slope equals
     -tan(pi*(a/(b-a) - (a+b)*t)); returns None at the tangent poles,
     where the rotated curve has a vertical tangent or cusp.
     """
@@ -219,92 +204,69 @@ def rotated_param_deriv(a: int, b: int, t: float) -> float | None:
     return -math.tan(math.pi * u)
 
 
-def loop_birth_count(
-    a: int,
-    b: int,
-    s: float,
-    t_center: float | None = None,
-    half_width: float | None = None,
-) -> int:
-    """Axis crossings of the rotated x-component near one predicted cusp.
+def loop_birth_count(a: int, b: int, s: float, half_width: float | None = None) -> int:
+    """Axis crossings of the rotated x-component near cusp 0.
 
-    The curve is rotated so that the predicted cusp t_k nearest t_center
-    sits on the vertical axis: cusp k is cusp 0 turned by 2*pi*a*k/(b-a),
-    and rotation_angle(a, b) puts cusp 0 there.  At t = t_k + v the
-    rotated x-component is then -/+[(1-s) sin(2 pi a v) - (1+s) sin(2 pi b v)],
-    the numerator of g_- at u = v (geometry.py).  That numerator is odd
-    with period 1, so its zeros are v = 0, 1/2 and +-u for the roots u of
-    g_- in (0, 1/2), which _level_roots finds, and their shifts by whole
-    periods.  The count is the number of those zeros in the window
-    [t_center - half_width, t_center + half_width]; for a window centred
-    on the cusp it is 1 + 2 * #{u <= half_width}.  One means the curve
-    crosses the axis once (no loop); three mean a loop has been born,
-    however small.  A double root of g_-, where two crossings meet, counts
-    as both.  With g = gcd(a, b), gamma_{a,b}(t) = gamma_{a/g,b/g}(g*t), so
-    the zeros are those of the reduced pair divided by g.
+    Turned as in rotated_param_deriv, cusp 0 at t = 1/(2(b-a)) sits on the
+    vertical axis, and at t = 1/(2(b-a)) + v the rotated x-component is
+    -/+[(1-s) sin(2 pi a v) - (1+s) sin(2 pi b v)], the numerator of g_- at
+    u = v (geometry.py).  Its zeros v in [0, 1) are the listing of
+    _zero_rows with the coefficients (1, -1), and the count is the number
+    of them within half_width of v = 0, mod 1.  The zeros are 0 and pairs
+    v, 1 - v, so that is 1 + 2 * #{v in (0, half_width]}; counting each v
+    with its mirror keeps the rounding of 1 - v from splitting a pair.  One
+    means the curve crosses the axis once (no loop); three mean a loop has
+    been born, however small.  A double root of g_-, where two crossings
+    meet, counts as both.  Cusp k is cusp 0 turned by 2*pi*a*k/(b-a), so
+    every cusp has this count.
+
+    half_width defaults to 0.75 / (2(b-a)(a+b)).
 
     Raises
     ------
     ValueError
-        If t_center is not finite, or half_width is not finite and > 0.
-    WindowTooWide
-        If two or more predicted cusp parameters fall inside the window.
+        If s is outside [-1, 1], or half_width is not a number in
+        (0, 1/(2(b-a))): a wider window reaches the midpoint to the next
+        cusp.
     """
     a, b = _check_pair(a, b)
-    if not -1.0 <= s <= 1.0:
-        raise ValueError("s must lie in [-1, 1]")
-    if t_center is None:
-        t_center = 1.0 / (2 * (b - a))
     if half_width is None:
         half_width = 0.75 / (2 * (b - a) * (a + b))
-    if not (math.isfinite(t_center) and math.isfinite(half_width) and half_width > 0.0):
-        raise ValueError("need a finite t_center and a finite half_width > 0")
-
-    predicted = [(2 * k + 1) / (2 * (b - a)) for k in range(b - a)]
-    inside = [tk for tk in predicted if _circ_dist(tk, t_center) <= half_width]
-    if len(inside) >= 2:
-        raise WindowTooWide(f"{len(inside)} predicted cusps in the window")
-
-    k = min(range(b - a), key=lambda i: _circ_dist(predicted[i], t_center))
-    offset = (t_center - predicted[k] + 0.5) % 1.0 - 0.5
-    g = math.gcd(a, b)
-    u = _level_roots(a // g, b // g, 1.0, -1.0, [s])[0]
-    zeros = np.concatenate(([0.0, 0.5], u, 1.0 - u))
-    # zeros + j inside [lo, hi] for integers j, in the reduced parameter g*v
-    lo, hi = g * (offset - half_width), g * (offset + half_width)
-    return int(np.sum(np.floor(hi - zeros) - np.ceil(lo - zeros) + 1.0))
-
-
-def undefined_derivative_set(a: int, b: int, s: float) -> list[float]:
-    """Parameters in [0, 1) where the parametric derivative is undefined.
-
-    These are the zeros of x'(t), a multiple of (1-s)*a*sin(2*pi*a*t) +
-    (1+s)*b*sin(2*pi*b*t): t = 0, 1/2 and u, 1 - u for each root u that
-    _level_roots finds, two zeros that meet counting as one.
-    """
-    return undefined_derivative_sets(a, b, [s])[0]
+    if not 0.0 < half_width < 1.0 / (2 * (b - a)):
+        raise ValueError(f"half_width must lie in (0, 1/{2 * (b - a)})")
+    v, _ = _zero_rows(a, b, [s], 1.0, -1.0)
+    return 1 + 2 * int(np.count_nonzero((0.0 < v) & (v <= half_width)))
 
 
 def undefined_derivative_sets(a: int, b: int, weights) -> list[list[float]]:
-    """undefined_derivative_set(a, b, s) for every s in weights, in order.
+    """Parameters in [0, 1) where the parametric derivative is undefined,
+    one list for every s in weights, in order.
 
-    The weights share one bisection.  With g = gcd(a, b), x' is the x' of
+    These are the zeros of x'(t), a multiple of (1-s)*a*sin(2*pi*a*t) +
+    (1+s)*b*sin(2*pi*b*t): t = 0, 1/2 and u, 1 - u for each root u that
+    _level_root_rows finds, two zeros that meet counting as one.  The
+    weights share one bisection.  With g = gcd(a, b), x' is the x' of
     (a/g, b/g) at g*t, so the zeros of that pair are divided by g and
     repeated with period 1/g.
     """
-    t, sizes = _undefined_derivative_rows(a, b, weights)
+    t, sizes = _zero_rows(a, b, weights)
     flat, ends = t.tolist(), np.cumsum(sizes).tolist()
     return [flat[i:j] for i, j in zip([0] + ends, ends)]
 
 
-def _undefined_derivative_rows(a: int, b: int, weights) -> tuple[np.ndarray, np.ndarray]:
-    """undefined_derivative_sets as one flat array and the length of each set.
+def _zero_rows(a: int, b: int, weights, ca=None, cb=None) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros t in [0, 1) of h = ca*(1-s)*sin(2*pi*a*t) + cb*(1+s)*sin(2*pi*b*t)
+    for every s in weights, as one flat array and the length of each row.
 
-    Each set is 0, its row's roots u, 1/2 and their mirrors 1 - u, each of
-    these t then copied to (t + k) / g for k = 0..g-1, all in ascending
-    order.  The values of every row are built at once and sorted by row
-    and value; rounding keeps that order, so each set has the values and
-    the order of building it on its own.
+    With g = gcd(a, b), h is the sum of the reduced pair (a/g, b/g) at g*t.
+    ca and cb default to a/g and b/g, for which h is x'(t) / (-2*pi*g):
+    the rows are then undefined_derivative_sets.
+
+    Each row is 0, its roots u of the reduced sum, 1/2 and their mirrors
+    1 - u, each of these then copied to (t + k) / g for k = 0..g-1, all in
+    ascending order.  The values of every row are built at once and sorted
+    by row and value; rounding keeps that order, so each row has the values
+    and the order of building it on its own.
     """
     a, b = _check_pair(a, b)
     s = np.array(list(weights), dtype=float)
@@ -312,7 +274,9 @@ def _undefined_derivative_rows(a: int, b: int, weights) -> tuple[np.ndarray, np.
         raise ValueError("s must lie in [-1, 1]")
     g = math.gcd(a, b)
     a, b = a // g, b // g
-    u, counts = _level_root_rows(a, b, a, b, s)
+    if ca is None:
+        ca, cb = a, b
+    u, counts = _level_root_rows(a, b, ca, cb, s)
     rows = np.arange(len(s))
     row = np.repeat(rows, counts)
     t = np.concatenate([np.zeros(len(s)), u, np.full(len(s), 0.5), 1.0 - u])
@@ -386,7 +350,7 @@ def _newton_narrow(freqs, wa, wb, lo, hi, sign_lo) -> tuple[np.ndarray, np.ndarr
     the returned brackets takes a few rounds where h is not noise there.
 
     Every end stays an end of a sign change of h, with the bits that
-    _level_roots bisects, so where h changes sign once near a root the
+    _level_root_rows bisects, so where h changes sign once near a root the
     bisection finds the same adjacent floats.  The step count is fixed,
     so each entry's iterates depend on that entry alone.
     """
@@ -439,12 +403,6 @@ def _monotone_pieces(a: int, b: int) -> np.ndarray:
     pieces = np.sort(np.concatenate(([0.0], poles, critical, [0.5])))
     pieces.flags.writeable = False
     return pieces
-
-
-def _level_roots(a: int, b: int, ca, cb, s) -> list[np.ndarray]:
-    """The roots of _level_root_rows, one sorted array per row."""
-    roots, counts = _level_root_rows(a, b, ca, cb, s)
-    return np.split(roots, np.cumsum(counts))[:-1]
 
 
 def _level_root_rows(a: int, b: int, ca, cb, s) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,6 @@ from .errors import NearPole, OnCurve, Unresolved
 from .spec import PlanePoint, TwoTermSpec, winding_closed_form, zeros_of_curve
 
 ORIGIN = PlanePoint(0.0, 0.0)
-MAX_WINDING_SAMPLES = MAX_GRID_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -60,37 +59,43 @@ def winding_numeric(spec: TwoTermSpec, z0: PlanePoint = ORIGIN, n: int = 4096) -
     coarser grid a term turns by more than pi/2 per step and can alias to
     a slower turning whose increments all look small.  Every increment
     must stay below pi/2; while some does not, the grid is doubled, up to
-    MAX_WINDING_SAMPLES points.
+    MAX_GRID_SAMPLES points.
 
     Raises
     ------
     ValueError
-        If n < 64 or n > MAX_WINDING_SAMPLES, or z0 is not finite; no
+        If n < 64 or n > MAX_GRID_SAMPLES, or z0 is not finite; no
         sample is built then.
     OnCurve
         If some grid sample comes within 1e-9 * curve scale of z0.
     Unresolved
         If reaching 4 times b takes the grid past
-        MAX_WINDING_SAMPLES, the turning steps still exceed pi/2 on the
+        MAX_GRID_SAMPLES, the turning steps still exceed pi/2 on the
         largest grid, or the total turning is not close to an integer
         multiple of 2*pi.
     """
     if n < 64:
         raise ValueError("need n >= 64")
-    if n > MAX_WINDING_SAMPLES:
-        raise ValueError(f"need n <= {MAX_WINDING_SAMPLES}")
+    if n > MAX_GRID_SAMPLES:
+        raise ValueError(f"need n <= {MAX_GRID_SAMPLES}")
     z0c = z0.as_complex() if isinstance(z0, PlanePoint) else complex(z0)
     if not cmath.isfinite(z0c):
         raise ValueError("z0 must be finite")
     dist_tol = 1e-9 * curve_scale(spec)
+    # a z0 with a part of 2^500 or more is far off the curve (|gamma| <= 2),
+    # and the products of consecutive samples below would overflow there;
+    # scaling the samples by a power of two is exact, so the steps keep their bits
+    shift = max(math.frexp(abs(z0c.real))[1], math.frexp(abs(z0c.imag))[1])
     m = n
     while m < 4 * spec.b:
-        if 2 * m > MAX_WINDING_SAMPLES:
+        if 2 * m > MAX_GRID_SAMPLES:
             raise Unresolved(f"frequency {spec.b} needs more than {m} samples")
         m *= 2
     while True:
         w = eval_grid(spec, m) - z0c
-        if np.min(np.abs(w)) <= dist_tol:
+        if shift > 500:
+            w *= math.ldexp(1.0, -shift)
+        elif np.min(np.abs(w)) <= dist_tol:
             raise OnCurve("base point lies on the curve within tolerance")
         w = np.append(w, w[0])
         steps = np.angle(w[1:] * np.conj(w[:-1]))
@@ -101,7 +106,7 @@ def winding_numeric(spec: TwoTermSpec, z0: PlanePoint = ORIGIN, n: int = 4096) -
             if residual >= 0.25:
                 raise Unresolved(f"total turning {total} is far from any integer")
             return WindingResult(value=value, residual=residual, samples=m)
-        if 2 * m > MAX_WINDING_SAMPLES:
+        if 2 * m > MAX_GRID_SAMPLES:
             raise Unresolved(f"turning steps exceed pi/2 on {m} samples")
         m *= 2
 

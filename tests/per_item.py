@@ -29,7 +29,7 @@ from epicusp.curve import (
 )
 from epicusp.geometry import IntersectionRecord, _half_gap_roots
 from epicusp.render import CANVAS_PX, DIAGRAM_WEIGHT_COUNT, HALF_EXTENT, SVG_NS, _color_ramp, _px
-from epicusp.singularity import _circ_dist, predicted_cusp_locus
+from epicusp.singularity import _level_root_rows, predicted_cusp_locus
 from epicusp.winding import zeros_of_curve
 
 
@@ -63,7 +63,8 @@ def undefined_derivative_sets(a: int, b: int, weights) -> list[list[float]]:
     g = math.gcd(a, b)
     a, b = a // g, b // g
     sets = []
-    for u in singularity._level_roots(a, b, a, b, s):
+    roots, counts = _level_root_rows(a, b, a, b, s)
+    for u in np.split(roots, np.cumsum(counts))[:-1]:
         t = np.concatenate(([0.0], u, [0.5], 1.0 - u[::-1]))
         sets.append(((t + np.arange(g)[:, None]) / g).ravel().tolist())
     return sets
@@ -174,6 +175,12 @@ def grid_samples(spec, j: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def circ_dist(x: float, y: float) -> float:
+    """The distance between two parameters on the circle [0, 1)."""
+    d = abs(x - y) % 1.0
+    return min(d, 1.0 - d)
+
+
 def grid_intersection_check(a: int, b: int) -> bool:
     spec = TwoTermSpec(a, b, 0.0)
     n = b * b - a * a
@@ -195,7 +202,7 @@ def grid_intersection_check(a: int, b: int) -> bool:
 
     def matches(pair, reference):
         return any(
-            _circ_dist(pair[0], q[0]) < 1e-9 and _circ_dist(pair[1], q[1]) < 1e-9
+            circ_dist(pair[0], q[0]) < 1e-9 and circ_dist(pair[1], q[1]) < 1e-9
             for q in reference
         )
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,16 @@ class TestSpecValidation:
         for t in (0.1, np.array([0.1, 0.2])):
             with pytest.raises(ValueError, match="order"):
                 eval_complex(spec, t, order)
+
+    @pytest.mark.parametrize("spec, top", [(TwoTermSpec(1, 3, 0.5), 241), (TwoTermSpec(1, 7, 1.0), 187), (TwoTermSpec(10**6, 10**9 + 7, -1.0), 31)])
+    def test_an_order_past_the_float_range_is_refused(self, spec, top):
+        # 2*(2*pi*b)**order bounds the derivative; past a float it overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(eval_complex(spec, [0.0, 0.1, 0.37], top)))
+        for order in (top + 1, 400, 10**6):
+            with pytest.raises(ValueError, match=f"order {order} overflows"):
+                eval_complex(spec, 0.1, order)
 
     def test_numpy_integer_orders_are_accepted(self):
         spec = TwoTermSpec(1, 3, 0.5)

@@ -3,7 +3,6 @@ import re
 import pytest
 
 from epicusp import (
-    EmptyInput,
     TwoTermSpec,
     render_curve,
     render_singularity_diagram,
@@ -24,7 +23,7 @@ def polylines(doc: str) -> list[list[tuple[float, float]]]:
 
 class TestRenderCurve:
     def test_rejects_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="nothing to render"):
             render_curve([])
 
     def test_same_input_same_bytes(self):

@@ -13,7 +13,6 @@ from epicusp import (
     NotSingular,
     TwoTermSpec,
     Unresolved,
-    WindowTooWide,
     certify_cusp,
     eval_complex,
     find_cusps,
@@ -21,8 +20,7 @@ from epicusp import (
     loop_birth_count,
     predicted_cusp_locus,
     rotated_param_deriv,
-    rotation_angle,
-    undefined_derivative_set,
+    undefined_derivative_sets,
     zeros_of_curve,
 )
 from epicusp import singularity
@@ -32,9 +30,7 @@ from epicusp.singularity import (
     CUSP_FLIP_TOL,
     SINGULAR_RTOL,
     _certify_cusps,
-    _circ_dist,
     _monotone_pieces,
-    undefined_derivative_sets,
 )
 from epicusp.geometry import _half_gap_roots
 from exact_counts import (
@@ -46,6 +42,7 @@ from exact_counts import (
     u_sum,
     x_prime_count,
 )
+from per_item import circ_dist
 
 CUSP_SPEC = TwoTermSpec(1, 3, -0.5)
 
@@ -65,10 +62,20 @@ def is_singular(spec, t: float) -> bool:
     return abs(d.real) <= tol and abs(d.imag) <= tol
 
 
+def turn_angle(a: int, b: int) -> float:
+    """pi*(1/2 - a/(b-a)): the turn that takes cusp 0, at the angle pi*a/(b-a), to pi/2."""
+    return math.pi * (0.5 - a / (b - a))
+
+
 def rotated_at(a: int, b: int, t: float, order: int = 0) -> complex:
-    """The cusp-weight curve turned by rotation_angle(a, b), or a t-derivative of it."""
+    """The cusp-weight curve turned by turn_angle(a, b), or a t-derivative of it."""
     spec = TwoTermSpec(a, b, (a - b) / (a + b))
-    return cmath.exp(1j * rotation_angle(a, b)) * complex(eval_complex(spec, float(t), order))
+    return cmath.exp(1j * turn_angle(a, b)) * complex(eval_complex(spec, float(t), order))
+
+
+def undefined_derivative_set(a: int, b: int, s: float) -> list[float]:
+    """The zeros of x' in [0, 1) at one weight."""
+    return undefined_derivative_sets(a, b, [s])[0]
 
 
 def slope(d: complex) -> float:
@@ -195,9 +202,9 @@ class TestFindCusps:
         s_bar = float(Fraction(a - b, a + b))
         for s, t in found:
             assert abs(s - s_bar) < 1e-6
-            assert min(_circ_dist(t, u) for u in ts) < 1e-6
+            assert min(circ_dist(t, u) for u in ts) < 1e-6
         for u in ts:
-            assert min(_circ_dist(t, u) for _, t in found) < 1e-6
+            assert min(circ_dist(t, u) for _, t in found) < 1e-6
 
     def test_failed_certification_raises(self, monkeypatch):
         monkeypatch.setattr(singularity, "_certify_cusps", lambda spec, ts, delta: [None] * len(ts))
@@ -210,11 +217,11 @@ class TestFindCusps:
         for check in (
             predicted_cusp_locus,
             find_cusps,
-            rotation_angle,
             zeros_of_curve,
             grid_intersection_check,
             lambda a, b: rotated_param_deriv(a, b, 0.1),
             lambda a, b: loop_birth_count(a, b, 0.0),
+            lambda a, b: undefined_derivative_sets(a, b, [0.0]),
         ):
             with pytest.raises(ValueError):
                 check(a, b)
@@ -363,9 +370,12 @@ def reference_singular_points(a: int, b: int) -> list[tuple[float, float]]:
 
 class TestRotation:
     def test_angle_examples(self):
-        assert rotation_angle(1, 3) == pytest.approx(0.0, abs=1e-15)
-        assert rotation_angle(1, 5) == pytest.approx(math.pi / 4)
-        assert rotation_angle(1, 9) == pytest.approx(math.pi / 2 - math.pi / 8)
+        # cusp 0 lies at the angle pi*a/(b-a), so the turn is 0, pi/4, pi/2 - pi/8
+        for (a, b), turn in (((1, 3), 0.0), ((1, 5), math.pi / 4), ((1, 9), math.pi / 2 - math.pi / 8)):
+            spec = TwoTermSpec(a, b, (a - b) / (a + b))
+            cusp = complex(eval_complex(spec, 1.0 / (2 * (b - a))))
+            assert cmath.phase(cusp) == pytest.approx(math.pi * a / (b - a))
+            assert turn_angle(a, b) == pytest.approx(turn, abs=1e-15)
 
     def test_rotation_puts_cusp_on_vertical_axis(self):
         # after the rotation the cusp tangent is vertical, so x'(t) has a
@@ -412,9 +422,9 @@ class TestRotation:
 
 class TestLoopBirth:
     def test_counts_around_the_transition(self):
-        assert loop_birth_count(1, 3, -0.495, 0.25, 0.03) == 3
-        assert loop_birth_count(1, 3, -0.5, 0.25, 0.03) == 1
-        assert loop_birth_count(1, 3, -0.505, 0.25, 0.03) == 1
+        assert loop_birth_count(1, 3, -0.495, 0.03) == 3
+        assert loop_birth_count(1, 3, -0.5, 0.03) == 1
+        assert loop_birth_count(1, 3, -0.505, 0.03) == 1
 
     @pytest.mark.parametrize("b", [2, 3, 4, 5, 6])
     def test_pattern_across_frequencies(self, b):
@@ -429,17 +439,21 @@ class TestLoopBirth:
         assert loop_birth_count(a, b, s_bar - eps) == 1
 
     def test_window_spanning_two_cusps_is_refused(self):
-        with pytest.raises(WindowTooWide):
-            loop_birth_count(1, 3, -0.5, t_center=0.5, half_width=0.3)
+        # a window that reaches the midpoint 1/(2(b-a)) to the next cusp
+        for a, b, half_width in ((1, 3, 0.3), (1, 3, 0.25), (2, 5, 1.0 / 6.0), (2, 6, 0.125), (1, 2, 0.5)):
+            with pytest.raises(ValueError, match="half_width must lie in"):
+                loop_birth_count(a, b, -0.5, half_width)
+        assert loop_birth_count(1, 3, -0.4, np.nextafter(0.25, 0.0)) == 3
 
     @pytest.mark.parametrize(
-        "t_center,half_width",
+        "s,half_width",
         [(math.nan, 0.01), (math.inf, 0.01), (0.25, math.nan), (0.25, math.inf), (0.25, 0.0), (0.25, -0.01)],
     )
-    def test_a_window_that_is_not_finite_and_open_is_refused(self, t_center, half_width):
-        # a negative half-width would count -1 crossings
-        with pytest.raises(ValueError, match="finite t_center"):
-            loop_birth_count(1, 3, -0.4, t_center, half_width)
+    def test_a_window_that_is_not_finite_and_open_is_refused(self, s, half_width):
+        # a negative half-width would count -1 crossings; a weight that is
+        # not finite is refused as well
+        with pytest.raises(ValueError, match="must lie in"):
+            loop_birth_count(1, 3, s, half_width)
 
     @given(
         st.sampled_from([pair for pair in coprime_pairs(15) if pair[0] >= 2]),
@@ -481,17 +495,22 @@ class TestLoopBirth:
             assert loop_birth_count(a, b, s) == 1 + 2 * exact
 
     @pytest.mark.parametrize(
-        "a,b,s,t_center,half_width",
-        [(1, 3, -0.3, 0.27, 0.05), (2, 5, -0.2, 0.15, 0.05), (1, 4, 0.1, 0.2, 0.1), (3, 5, -0.2, 0.3, 0.2)],
+        "a,b,s,half_width",
+        [(1, 3, -0.3, 0.05), (2, 5, -0.2, 0.05), (1, 4, 0.1, 0.1), (3, 5, -0.2, 0.2), (1, 3, 0.3, 0.2), (2, 6, 0.4, 0.1)],
     )
-    def test_an_off_centre_window_counts_the_sign_changes(self, a, b, s, t_center, half_width):
+    def test_a_cusp_centred_window_counts_the_sign_changes(self, a, b, s, half_width):
         # a fine sign scan of the rotated x-component resolves these windows
-        k = round((t_center * 2 * (b - a) - 1) / 2) % (b - a)
-        phi = rotation_angle(a, b) - 2.0 * math.pi * a * k / (b - a)
-        t = np.linspace(t_center - half_width, t_center + half_width, 200_001)
-        x = (eval_complex(TwoTermSpec(a, b, s), t) * np.exp(1j * phi)).real
+        centre = 1.0 / (2 * (b - a))
+        t = np.linspace(centre - half_width, centre + half_width, 200_001)
+        x = (eval_complex(TwoTermSpec(a, b, s), t) * np.exp(1j * turn_angle(a, b))).real
         signs = np.sign(x[x != 0.0])
-        assert loop_birth_count(a, b, s, t_center, half_width) == np.sum(signs[:-1] != signs[1:])
+        assert loop_birth_count(a, b, s, half_width) == np.sum(signs[:-1] != signs[1:])
+
+    @pytest.mark.parametrize("a,b,half_width,count", [(3, 7, 0.05, 3), (6, 14, 0.025, 3), (13, 17, 0.05, 5)])
+    def test_a_zero_on_the_window_edge_counts_with_its_mirror(self, a, b, half_width, count):
+        # at s = 0, g_- has roots u = 1/20 for (3, 7) and 1/60, 1/20 for
+        # (13, 17): the window's edge; 1 - u does not round to the mirror of u
+        assert loop_birth_count(a, b, 0.0, half_width) == count
 
     def test_weights_outside_the_family_are_refused(self):
         with pytest.raises(ValueError):
@@ -709,7 +728,7 @@ COPRIME_PAIRS = st.integers(2, 40).flatmap(
 
 
 class TestRootContract:
-    """Every root of _level_roots is an exact zero of the computed h, a
+    """Every root of _level_root_rows is an exact zero of the computed h, a
     breakpoint double root, or an end of two adjacent floats across which
     the computed h changes sign; a root that differs from plain bisection
     lies in the band where |h| is rounding noise."""
@@ -722,7 +741,7 @@ class TestRootContract:
             s = (a - b) / (a + b)
         if kind == "x'":
             ca, cb = a, b
-            roots = singularity._level_roots(a, b, a, b, [s])[0]
+            roots = singularity._level_root_rows(a, b, a, b, [s])[0]
         else:
             ca, cb = 1, (1 if kind == "g+" else -1)
             roots = _half_gap_roots(a, b, s)[0 if kind == "g+" else 1]

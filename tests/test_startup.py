@@ -96,22 +96,24 @@ def test_submodules_are_attributes():
 
 
 PUBLIC_NAMES = [
-    "CurveAnalysisError", "CuspCertificate", "CuspLocus", "EmptyInput",
-    "IntersectionRecord", "KernelParams", "NearPole", "NotSingular",
-    "OnCurve", "PlanePoint", "SymmetryReport", "TwoTermSpec", "Unresolved",
-    "WindingResult", "WindowTooWide", "certify_cusp", "eval_complex", "find_cusps",
-    "grid_intersection_check", "kernel_integral", "loop_birth_count", "predicted_cusp_locus",
-    "render_curve", "render_singularity_diagram", "rotated_param_deriv", "rotation_angle",
-    "self_intersections", "undefined_derivative_set", "verify_symmetry", "winding_closed_form",
-    "winding_numeric", "zeros_of_curve",
+    "CurveAnalysisError", "CuspCertificate", "CuspLocus", "IntersectionRecord",
+    "KernelParams", "NearPole", "NotSingular", "OnCurve", "PlanePoint",
+    "SymmetryReport", "TwoTermSpec", "Unresolved", "WindingResult", "certify_cusp",
+    "eval_complex", "find_cusps", "grid_intersection_check", "kernel_integral",
+    "loop_birth_count", "predicted_cusp_locus", "render_curve", "render_singularity_diagram",
+    "rotated_param_deriv", "self_intersections", "undefined_derivative_sets", "verify_symmetry",
+    "winding_closed_form", "winding_numeric", "zeros_of_curve",
 ]
 # names the package no longer exports: eval_complex, certify_cusp and
-# kernel_integral cover what they did, TwoTermSpec is the one curve type and
-# render_curve takes its sample count directly
+# kernel_integral cover what they did, TwoTermSpec is the one curve type,
+# render_curve takes its sample count directly and refuses an empty list with
+# ValueError, loop_birth_count centres its window on a cusp and refuses a
+# wider one with ValueError, and undefined_derivative_sets takes any weights
 REMOVED_NAMES = [
     "evaluate", "derivative", "parametric_derivative", "rotate", "sample", "spec_to_wire",
     "spec_from_wire", "export_samples", "render_param_derivative", "classify_point",
     "PointKind", "winding_decomposition_check", "CurveSpec", "ExponentialTerm", "PlotSpec",
+    "EmptyInput", "WindowTooWide", "rotation_angle", "undefined_derivative_set",
 ]
 
 

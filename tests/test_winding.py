@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from epicusp import (
     zeros_of_curve,
 )
 from epicusp import winding
-from epicusp.curve import MAX_GRID_SAMPLES, _TABLE_CACHE_LIMIT, _unit_roots
+from epicusp.curve import MAX_GRID_SAMPLES, _TABLE_CACHE_LIMIT, _unit_roots, eval_grid
 
 ORIGIN = PlanePoint(0.0, 0.0)
 
@@ -71,7 +72,7 @@ class TestNumeric:
 
     def test_base_point_barely_off_curve(self):
         # close enough that angle steps stay too coarse on every grid up to
-        # MAX_WINDING_SAMPLES
+        # MAX_GRID_SAMPLES
         p = complex(eval_complex(TwoTermSpec(1, 3, 0.4), 0.3))
         z0 = PlanePoint(p.real + 1e-7, p.imag)
         with pytest.raises(Unresolved):
@@ -90,6 +91,22 @@ class TestNumeric:
         for z0 in (PlanePoint(x, y), complex(x, y)):
             with pytest.raises(ValueError, match="z0 must be finite"):
                 winding_numeric(TwoTermSpec(1, 3, 0.5), z0)
+
+    @pytest.mark.parametrize("x,y", [(1e160, 1e160), (1e155, 0.0), (-1.7e308, 1.7e308), (0.0, -2.0**501)])
+    def test_a_far_base_point_winds_zero(self, x, y):
+        # past ~1.3e154 the products of consecutive samples would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert winding_numeric(TwoTermSpec(1, 3, 0.5), PlanePoint(x, y)).value == 0
+
+    def test_a_far_base_point_keeps_the_steps_of_a_near_one(self, monkeypatch):
+        # a curve and base point both scaled by 2^600 give 2^600 * (gamma - z0)
+        # exactly, which the far branch scales back by a power of two
+        spec, z0 = TwoTermSpec(2, 5, 0.25), PlanePoint(0.3, -0.2)
+        near = winding_numeric(spec, z0)
+        assert near.value == 5
+        monkeypatch.setattr(winding, "eval_grid", lambda spec, n: 2.0**600 * eval_grid(spec, n))
+        assert winding_numeric(spec, PlanePoint(2.0**600 * z0.x, 2.0**600 * z0.y)) == near
 
     @pytest.mark.parametrize("n", [64, 128, 1024])
     def test_grid_doubling_stability(self, n):
@@ -127,7 +144,7 @@ class TestGridGrowth:
             assert res.value == roots_inside(7, 60, 0.2, complex(x, y)), (x, y)
 
     def test_gives_up_past_the_largest_grid(self, monkeypatch):
-        monkeypatch.setattr(winding, "MAX_WINDING_SAMPLES", 65536)
+        monkeypatch.setattr(winding, "MAX_GRID_SAMPLES", 65536)
         with pytest.raises(Unresolved):
             winding_numeric(TwoTermSpec(7, 60, 0.2), PlanePoint(0.5, 0.5))
 
@@ -156,10 +173,10 @@ class TestAliasing:
 
         monkeypatch.setattr(winding, "eval_grid", no_grid)
         with pytest.raises(ValueError, match="need n <="):
-            winding_numeric(TwoTermSpec(1, 3, 0.5), ORIGIN, winding.MAX_WINDING_SAMPLES + 1)
+            winding_numeric(TwoTermSpec(1, 3, 0.5), ORIGIN, MAX_GRID_SAMPLES + 1)
 
     def test_a_frequency_past_the_largest_grid_is_refused(self):
-        spec = TwoTermSpec(1, winding.MAX_WINDING_SAMPLES // 2, 0.5)
+        spec = TwoTermSpec(1, MAX_GRID_SAMPLES // 2, 0.5)
         with pytest.raises(Unresolved, match=f"frequency {spec.b} needs more than"):
             winding_numeric(spec, ORIGIN, 64)
 
