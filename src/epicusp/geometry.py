@@ -43,16 +43,30 @@ s = (a-b)/(a+b), where the loop a cusp gives birth to still has zero size.
 singularity._level_root_rows finds the roots from g's numerator, whose
 sign it shares inside (0, 1/2).
 
-For the balanced weight s = 0 every intersection parameter lies on the
-rational grid j/(b^2 - a^2), except that passages through the origin may
-meet off that grid; records carry the grid flag either way.
+For the balanced weight s = 0 both numerators factor.  With p = a+b and
+d = b-a,
+
+    sin(2 pi a u) + sin(2 pi b u) = 2 sin(pi p u) cos(pi d u),
+    sin(2 pi a u) - sin(2 pi b u) = -2 cos(pi p u) sin(pi d u),
+
+so the roots in (0, 1/2) are rational: k/p and (2k+1)/(2d) for g_+,
+(2k+1)/(2p) and k/d for g_-, a root of both factors counting once.  Over
+L = 2(b^2 - a^2) = 2pd their numerators U are 2dk and p(2k+1) for g_+,
+d(2k+1) and 2pk for g_-, and the centre m/(2(b-a)) is mp/L, so every
+self-intersection is the pair of rationals ((mp - U) mod L, mp + U) / L.
+Both numerators have the parity of mp + U.  When it is even the pair lies
+on the grid j/(b^2 - a^2).  When it is odd, p is odd, and so is d; an odd
+mp + U needs U = p(2k+1) with m even, or U = 2pk with m odd, and then both
+numerators are p times an odd number: the pair is a meeting of two
+origin passages h/(2(b-a)), h odd, which lie off the grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -65,7 +79,7 @@ from .curve import (
     eval_complex,
 )
 from .singularity import _level_root_rows
-from .spec import PlanePoint, TwoTermSpec, _check_pair, zeros_of_curve
+from .spec import PlanePoint, TwoTermSpec, _check_pair, _integer, zeros_of_curve
 
 
 _SYMMETRY_BLOCK = 4096  # indices j per block, and as many mirrors: 64 KB per complex array
@@ -90,8 +104,7 @@ class SymmetryReport:
         )
 
 
-@dataclass(frozen=True)
-class IntersectionRecord:
+class IntersectionRecord(NamedTuple):
     """A self-intersection: gamma(t1) = gamma(t2) with t1 < t2."""
 
     t1: float
@@ -126,9 +139,11 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
     Running maxima are exact: the deviations have the same bits for any
     block size.  Non-coprime (a, b) get coprime=False rather than an
     error; |s| = 1 is flagged degenerate (the image is a circle, whose
-    symmetry group is larger).  n must lie in [100, MAX_GRID_SAMPLES];
-    ValueError is raised before any sample is built.
+    symmetry group is larger).  n must be an integer in
+    [100, MAX_GRID_SAMPLES]; ValueError is raised before any sample is
+    built.
     """
+    n = _integer(n, "n")
     if n < 100:
         raise ValueError("need n >= 100")
     if n > MAX_GRID_SAMPLES:
@@ -180,13 +195,17 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
     """Every parameter pair (t1, t2), t1 < t2 in [0, 1), with gamma(t1) = gamma(t2).
 
     The pairs come from the roots of g_+ and g_- on (0, 1/2), as set out in
-    the module docstring; singularity._level_root_rows finds them, and a
-    double root, where a loop is born or dies, is one record.  Records are
-    sorted by t1, and their point is the mean of gamma(t1) and gamma(t2).
+    the module docstring, and a double root, where a loop is born or dies,
+    is one record.  Records are sorted by t1, then t2, and their point is
+    the mean of gamma(t1) and gamma(t2).
 
-    For the balanced weight s = 0 each record is tested against the
-    rational grid j/(b^2 - a^2): both parameters within 1e-9 of grid
-    points set on_rational_grid and the index pair.
+    For the balanced weight s = 0 the pairs are the exact rationals n/L of
+    the module docstring, sorted by their numerators: t1 and t2 are n/L,
+    which is correctly rounded, so they equal float(Fraction(n, L)).  Both
+    numerators even set on_rational_grid and the index pair (n1/2, n2/2)
+    on the grid j/(b^2 - a^2).  For any other weight
+    singularity._level_root_rows finds the roots, and records are off the
+    grid.
 
     Raises
     ------
@@ -203,6 +222,49 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
         raise ValueError(
             f"({a},{b},{s}) retraces itself, so its self-intersections form a continuum"
         )
+    if s == 0.0:
+        t1, t2, on, pairs = _balanced_pairs(a, b)
+    else:
+        t1, t2 = _level_pairs(a, b, s)
+        on, pairs = itertools.repeat(False), itertools.repeat(None)
+    z1, z2 = eval_complex(spec, t1), eval_complex(spec, t2)
+    x, y = 0.5 * (z1.real + z2.real), 0.5 * (z1.imag + z2.imag)
+    points = map(PlanePoint._make, zip(x.tolist(), y.tolist()))
+    return list(map(IntersectionRecord._make, zip(t1.tolist(), t2.tolist(), points, on, pairs)))
+
+
+def _balanced_pairs(a: int, b: int) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """t1, t2, the grid flags and the index pairs (or None) at s = 0, sorted.
+
+    The pairs are built as integer numerators over L = 2(b^2 - a^2), as in
+    the module docstring, and sorted as integers, so ties keep their exact
+    order.
+    """
+    p, d = a + b, b - a
+    L = 2 * p * d
+    plus = _distinct(2 * d * np.arange(1, (p + 1) // 2), p * np.arange(1, d, 2))
+    minus = _distinct(d * np.arange(1, p, 2), 2 * p * np.arange(1, (d + 1) // 2))
+    centre = p * np.arange(d)[:, None]
+    first = np.concatenate([(centre[0::2] - plus).ravel(), (centre[1::2] - minus).ravel()]) % L
+    second = np.concatenate([(centre[0::2] + plus).ravel(), (centre[1::2] + minus).ravel()])
+    n1, n2 = np.minimum(first, second), np.maximum(first, second)
+    order = np.lexsort((n2, n1))
+    n1, n2 = n1[order], n2[order]
+    # both numerators have one parity
+    on = (n1 % 2 == 0).tolist()
+    grid = zip((n1 // 2).tolist(), (n2 // 2).tolist())
+    pairs = [pair if ok else None for ok, pair in zip(on, grid)]
+    return n1 / L, n2 / L, on, pairs
+
+
+def _distinct(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The sorted union of x and y, as np.union1d, which would import numpy.ma."""
+    u = np.sort(np.concatenate((x, y)))
+    return u[np.concatenate(([True], u[1:] != u[:-1]))]
+
+
+def _level_pairs(a: int, b: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """t1 and t2 of every pair from the kernel's roots of g_+ and g_-, sorted."""
     half_gaps = _half_gap_roots(a, b, s)
     d = b - a
     centre = np.concatenate([np.full(len(half_gaps[m % 2]), m / (2 * d)) for m in range(d)])
@@ -213,24 +275,7 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
     second = centre + u
     t1, t2 = np.minimum(first, second), np.maximum(first, second)
     order = np.lexsort((t2, t1))
-    t1, t2 = t1[order], t2[order]
-    z1, z2 = eval_complex(spec, t1), eval_complex(spec, t2)
-    x, y = 0.5 * (z1.real + z2.real), 0.5 * (z1.imag + z2.imag)
-
-    pairs = [None] * len(t1)
-    if s == 0.0:
-        # np.rint rounds half to even as round() does; j / n is correctly
-        # rounded, as int / int is
-        n = b * b - a * a
-        j1, j2 = np.rint(t1 * n).astype(np.int64), np.rint(t2 * n).astype(np.int64)
-        on = (np.abs(t1 - j1 / n) < 1e-9) & (np.abs(t2 - j2 / n) < 1e-9)
-        grid = zip((j1 % n).tolist(), (j2 % n).tolist())
-        pairs = [pair if ok else None for ok, pair in zip(on.tolist(), grid)]
-    rows = zip(t1.tolist(), t2.tolist(), x.tolist(), y.tolist(), pairs)
-    return [
-        IntersectionRecord(r1, r2, PlanePoint(px, py), pair is not None, pair)
-        for r1, r2, px, py, pair in rows
-    ]
+    return t1[order], t2[order]
 
 
 def _half_gap_roots(a: int, b: int, s: float) -> list[np.ndarray]:
@@ -243,10 +288,11 @@ def grid_intersection_check(a: int, b: int) -> bool:
     """Check the rational-grid structure of balanced self-intersections.
 
     Builds the brute-force oracle of all grid pairs (j, j') with equal
-    curve points, runs the numerical detector, and requires an exact
-    two-way match within 1e-9: every oracle pair is found and every
-    found pair is either a grid pair or a meeting of two origin passages
-    (those lie at t = h/(2(b-a)), which leaves the grid when a+b is odd).
+    curve points, compares it with self_intersections, whose pairs at s = 0
+    are the exact ones, and requires a two-way match within 1e-9: every
+    oracle pair is found and every found pair is either a grid pair or a
+    meeting of two origin passages (those lie at t = h/(2(b-a)), which
+    leaves the grid when a+b is odd).
     Both the oracle and the matching compare whole blocks of rows at once,
     each block holding about _PAIR_BLOCK comparisons.
     """

@@ -20,7 +20,7 @@ import numpy as np
 
 from .curve import MAX_GRID_SAMPLES, eval_grid
 from .singularity import _zero_rows
-from .spec import TwoTermSpec, predicted_cusp_locus
+from .spec import TwoTermSpec, _integer, predicted_cusp_locus
 
 SVG_NS = 'xmlns="http://www.w3.org/2000/svg"'
 # curve plots: a square canvas of CANVAS_PX pixels shows the window
@@ -56,12 +56,13 @@ def _color_ramp(i: int, count: int) -> str:
 def render_curve(specs: list[TwoTermSpec], samples: int = 1024) -> str:
     """Render one closed polyline per spec into an SVG document.
 
-    Each curve is sampled at samples points, which must lie in
+    Each curve is sampled at samples points, an integer in
     [2, MAX_GRID_SAMPLES]; ValueError is raised before any sampling, as it
     is for an empty list of specs.
     """
     if not specs:
         raise ValueError("nothing to render")
+    samples = _integer(samples, "samples")
     if samples < 2:
         raise ValueError("need n >= 2 samples")
     if samples > MAX_GRID_SAMPLES:

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,8 +50,7 @@ _NEWTON_STEPS = 8
 _PROBE_ULPS = 16
 
 
-@dataclass(frozen=True)
-class CuspCertificate:
+class CuspCertificate(NamedTuple):
     """Evidence that the curve has a cusp at parameter t.
 
     The one-sided unit tangents are limits from below and above t; at a

@@ -48,7 +48,8 @@ class PlanePoint(NamedTuple):
 
 
 def _integer(value, name: str) -> int:
-    """An integer frequency as a plain int; numpy integers pass, bools do not."""
+    """An integer (a frequency, an order or a count) as a plain int; numpy
+    integers pass, bools and other non-integers raise ValueError naming it."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, not a bool")
     try:

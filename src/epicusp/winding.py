@@ -21,7 +21,7 @@ import numpy as np
 from .curve import MAX_GRID_SAMPLES, _unit_roots, curve_scale, eval_grid
 from .errors import NearPole, OnCurve, Unresolved
 # the closed forms are defined in spec and re-exported here
-from .spec import PlanePoint, TwoTermSpec, winding_closed_form, zeros_of_curve
+from .spec import PlanePoint, TwoTermSpec, _integer, winding_closed_form, zeros_of_curve
 
 ORIGIN = PlanePoint(0.0, 0.0)
 
@@ -64,8 +64,8 @@ def winding_numeric(spec: TwoTermSpec, z0: PlanePoint = ORIGIN, n: int = 4096) -
     Raises
     ------
     ValueError
-        If n < 64 or n > MAX_GRID_SAMPLES, or z0 is not finite; no
-        sample is built then.
+        If n is not an integer, n < 64 or n > MAX_GRID_SAMPLES, or z0 is
+        not finite; no sample is built then.
     OnCurve
         If some grid sample comes within 1e-9 * curve scale of z0.
     Unresolved
@@ -74,6 +74,7 @@ def winding_numeric(spec: TwoTermSpec, z0: PlanePoint = ORIGIN, n: int = 4096) -
         largest grid, or the total turning is not close to an integer
         multiple of 2*pi.
     """
+    n = _integer(n, "n")
     if n < 64:
         raise ValueError("need n >= 64")
     if n > MAX_GRID_SAMPLES:
@@ -124,11 +125,12 @@ def kernel_integral(p: KernelParams, n: int = 2048) -> complex:
     Raises
     ------
     ValueError
-        If n < 1 or n > MAX_GRID_SAMPLES.
+        If n is not an integer, n < 1 or n > MAX_GRID_SAMPLES.
     NearPole
         If beta is within 1e-6 (relative) of |alpha|, where the integrand
         has a pole on the contour.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("need n >= 1 grid points")
     if n > MAX_GRID_SAMPLES:

@@ -4,8 +4,10 @@ render_curve, render_singularity_diagram, undefined_derivative_sets and
 the record assembly of self_intersections build their documents and lists
 from arrays.  These are the same outputs built point by point, set by
 set and record by record from the library's own kernels: a Python float
-per coordinate, an f-string per dot, a round() per grid flag.  The array
-builders must match them byte for byte.
+per coordinate and an f-string per dot.  The array builders must match
+them byte for byte.  The balanced records (s = 0) are built from exact
+pairs of Fractions instead, each t being float(Fraction) and each grid
+flag read from the Fractions' denominators.
 
 grid_samples gathers gamma(j/n) from the unit-root table at computed
 indices, term by term, as eval_grid did before it kept per-frequency
@@ -15,6 +17,7 @@ form must give the same verdict.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -128,6 +131,8 @@ def render_singularity_diagram(a: int, b: int) -> str:
 
 def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
     a, b, s = spec.a, spec.b, spec.s
+    if s == 0.0:
+        return balanced_intersections(a, b)
     half_gaps = _half_gap_roots(a, b, s)
     d = b - a
     centre = np.concatenate([np.full(len(half_gaps[m % 2]), m / (2 * d)) for m in range(d)])
@@ -139,16 +144,52 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
     t1, t2 = t1[order], t2[order]
     z1, z2 = eval_complex(spec, t1), eval_complex(spec, t2)
     x, y = 0.5 * (z1.real + z2.real), 0.5 * (z1.imag + z2.imag)
-
-    n = b * b - a * a
     records = []
     for r1, r2, px, py in zip(t1.tolist(), t2.tolist(), x.tolist(), y.tolist()):
-        pair = None
-        if s == 0.0:
-            j1, j2 = round(r1 * n), round(r2 * n)
-            if abs(r1 - j1 / n) < 1e-9 and abs(r2 - j2 / n) < 1e-9:
-                pair = (j1 % n, j2 % n)
-        records.append(IntersectionRecord(r1, r2, PlanePoint(px, py), pair is not None, pair))
+        records.append(IntersectionRecord(r1, r2, PlanePoint(px, py), False, None))
+    return records
+
+
+def balanced_roots(a: int, b: int) -> list[list[Fraction]]:
+    """The roots in (0, 1/2) of g_+ and of g_- at s = 0, as sorted Fractions.
+
+    g_+ has the zeros of sin(pi (a+b) u) and of cos(pi (b-a) u), g_- those
+    of cos(pi (a+b) u) and of sin(pi (b-a) u); a root of both factors is
+    one root.
+    """
+    p, d = a + b, b - a
+    half = Fraction(1, 2)
+    plus = {Fraction(k, p) for k in range(1, p)} | {Fraction(2 * k + 1, 2 * d) for k in range(d)}
+    minus = {Fraction(2 * k + 1, 2 * p) for k in range(p)} | {Fraction(k, d) for k in range(1, d)}
+    return [sorted(u for u in roots if u < half) for roots in (plus, minus)]
+
+
+def balanced_intersections(a: int, b: int) -> list[IntersectionRecord]:
+    """The s = 0 records built one at a time from exact pairs of Fractions.
+
+    Each pair is (m/(2(b-a)) - u mod 1, m/(2(b-a)) + u) for a root u of
+    g_{(-1)^m}, ordered, and the pairs are sorted as Fractions.  Each t is
+    float(Fraction), and a pair is on the grid j/(b^2 - a^2) when that
+    denominator is a multiple of both Fractions' denominators.
+    """
+    d, n = b - a, b * b - a * a
+    roots = balanced_roots(a, b)
+    exact = []
+    for m in range(d):
+        centre = Fraction(m, 2 * d)
+        for u in roots[m % 2]:
+            exact.append(tuple(sorted(((centre - u) % 1, centre + u))))
+    exact.sort()
+    spec = TwoTermSpec(a, b, 0.0)
+    t1 = np.array([float(f1) for f1, _ in exact])
+    t2 = np.array([float(f2) for _, f2 in exact])
+    z1, z2 = eval_complex(spec, t1), eval_complex(spec, t2)
+    x, y = 0.5 * (z1.real + z2.real), 0.5 * (z1.imag + z2.imag)
+    records = []
+    for (f1, f2), px, py in zip(exact, x.tolist(), y.tolist()):
+        on = n % f1.denominator == 0 and n % f2.denominator == 0
+        pair = (int(f1 * n), int(f2 * n)) if on else None
+        records.append(IntersectionRecord(float(f1), float(f2), PlanePoint(px, py), on, pair))
     return records
 
 

@@ -75,6 +75,19 @@ class TestVerifySymmetry:
         with pytest.raises(ValueError, match="need n <="):
             verify_symmetry(TwoTermSpec(1, 3, 0.5), n=MAX_GRID_SAMPLES + 1)
 
+    @pytest.mark.parametrize("n", [1e4, 1024.0, 100.5, True, "1024"])
+    def test_a_count_that_is_not_an_integer_is_refused_before_sampling(self, monkeypatch, n):
+        def no_samples(f, n):
+            raise AssertionError(f"sampled {n} points")
+
+        monkeypatch.setattr(geometry, "_term_samples", no_samples)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            verify_symmetry(TwoTermSpec(1, 3, 0.5), n=n)
+
+    def test_a_numpy_integer_count_is_accepted(self):
+        spec = TwoTermSpec(2, 5, 0.3)
+        assert verify_symmetry(spec, n=np.int64(1000)) == verify_symmetry(spec, n=1000)
+
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
            st.floats(min_value=-0.95, max_value=0.95, allow_nan=False))
     @settings(deadline=None, max_examples=40)
@@ -359,6 +372,18 @@ class TestExactOracles:
         records = self_intersections(TwoTermSpec(1, 6, s))
         assert len(records) == intersection_count(1, 6, Fraction(s)) == 15
         check_records(TwoTermSpec(1, 6, s), records)
+
+    def test_the_kernel_finds_the_balanced_roots(self):
+        # self_intersections takes s = 0 from integers, so this is where the
+        # level-set kernel meets exact roots: the rationals of the module
+        # docstring's factorisation, all found, none more than 16 ulps off
+        # (10 is the worst over these pairs)
+        assert len(COPRIME_40) == 489
+        for a, b in COPRIME_40:
+            for got, exact in zip(geometry._half_gap_roots(a, b, 0.0), per_item.balanced_roots(a, b)):
+                want = np.array([float(u) for u in exact])
+                assert len(got) == len(want), (a, b)
+                assert np.all(np.abs(got - want) <= 16 * np.spacing(want)), (a, b)
 
     @pytest.mark.parametrize("b", range(2, 41))
     def test_balanced_pairs_equal_the_integer_oracle(self, b):

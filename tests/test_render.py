@@ -65,6 +65,15 @@ class TestRenderCurve:
         with pytest.raises(ValueError, match="need n <="):
             render_curve([TwoTermSpec(1, 3, 0.5)], samples=MAX_GRID_SAMPLES + 1)
 
+    @pytest.mark.parametrize("samples", [1e3, 1024.0, 2.5, True, "1024"])
+    def test_a_count_that_is_not_an_integer_is_refused_before_sampling(self, monkeypatch, samples):
+        def no_grid(spec, n):
+            raise AssertionError(f"sampled {n} points")
+
+        monkeypatch.setattr(render, "eval_grid", no_grid)
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            render_curve([TwoTermSpec(1, 3, 0.5)], samples=samples)
+
 
 class TestSingularityDiagram:
     def test_marks_both_predicted_cusps(self):

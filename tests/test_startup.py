@@ -121,6 +121,16 @@ def test_the_public_names_are_exactly_these():
     assert epicusp.__all__ == PUBLIC_NAMES
 
 
+def test_the_result_records_are_named_tuples():
+    # the fields and defaults of the frozen dataclasses they replace
+    record, certificate = epicusp.IntersectionRecord, epicusp.CuspCertificate
+    assert issubclass(record, tuple) and issubclass(certificate, tuple)
+    assert record._fields == ("t1", "t2", "point", "on_rational_grid", "grid_index_pair")
+    assert record._field_defaults == {"grid_index_pair": None}
+    assert certificate._fields == ("s", "t", "tangent_left", "tangent_right", "flip_dot", "proven")
+    assert certificate._field_defaults == {"proven": False}
+
+
 @pytest.mark.parametrize("name", REMOVED_NAMES)
 def test_a_removed_name_raises_attribute_error(name):
     with pytest.raises(AttributeError):

@@ -175,6 +175,15 @@ class TestAliasing:
         with pytest.raises(ValueError, match="need n <="):
             winding_numeric(TwoTermSpec(1, 3, 0.5), ORIGIN, MAX_GRID_SAMPLES + 1)
 
+    @pytest.mark.parametrize("n", [100.5, 4096.0, True, "4096"])
+    def test_a_count_that_is_not_an_integer_is_refused_before_sampling(self, monkeypatch, n):
+        def no_grid(spec, n):
+            raise AssertionError(f"sampled {n} points")
+
+        monkeypatch.setattr(winding, "eval_grid", no_grid)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            winding_numeric(TwoTermSpec(1, 3, 0.5), ORIGIN, n)
+
     def test_a_frequency_past_the_largest_grid_is_refused(self):
         spec = TwoTermSpec(1, MAX_GRID_SAMPLES // 2, 0.5)
         with pytest.raises(Unresolved, match=f"frequency {spec.b} needs more than"):
@@ -237,6 +246,15 @@ class TestKernelIntegral:
 
         monkeypatch.setattr(winding, "_unit_roots", no_grid)
         with pytest.raises(ValueError):
+            kernel_integral(KernelParams(alpha=1.0, beta=2.0), n)
+
+    @pytest.mark.parametrize("n", [True, False, 2048.0, 10.5, "2048"])
+    def test_a_count_that_is_not_an_integer_is_refused(self, n, monkeypatch):
+        def no_grid(n):
+            raise AssertionError(f"built a grid of {n} points")
+
+        monkeypatch.setattr(winding, "_unit_roots", no_grid)
+        with pytest.raises(ValueError, match="n must be an integer"):
             kernel_integral(KernelParams(alpha=1.0, beta=2.0), n)
 
     @given(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
