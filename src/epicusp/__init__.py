@@ -22,7 +22,6 @@ _EXPORTS = {
     "errors": (
         "CurveAnalysisError",
         "NearPole",
-        "NotSingular",
         "OnCurve",
         "Unresolved",
     ),
@@ -39,7 +38,6 @@ _EXPORTS = {
     ),
     "singularity": (
         "CuspCertificate",
-        "certify_cusp",
         "find_cusps",
         "loop_birth_count",
         "rotated_param_deriv",

@@ -15,7 +15,3 @@ class NearPole(CurveAnalysisError):
 
 class Unresolved(CurveAnalysisError):
     """A numerical computation could not be resolved at the allowed grid sizes."""
-
-
-class NotSingular(CurveAnalysisError):
-    """Cusp certification was requested at a point that is not singular."""

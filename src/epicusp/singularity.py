@@ -10,22 +10,28 @@ perpendicular and each singular point is an ordinary (semicubical) cusp
 (Bruce & Giblin, Curves and Singularities, 1992).  find_cusps lists this
 locus and certifies each point independently, all of them in one array
 pass: the one-sided unit tangents must flip direction across it, their
-dot product extrapolating to -1 as the offset shrinks.  certify_cusp
-makes the same singular and flip tests at one point of any curve; points
-and tangents elsewhere come from curve.eval_complex.  The module also
+dot product extrapolating to -1 as the offset shrinks.  Points and
+tangents elsewhere come from curve.eval_complex.  The module also
 carries the closed-form parametric derivative in the frame that puts
 cusp 0 on the vertical axis, the loop-birth count that detects the small
 loop a cusp unfolds into, and the zeros of x'.
 
 The zeros of x'(t) and the self-intersections (geometry.py) are both the
 roots u in (0, 1/2) of w_a*sin(2*pi*a*u) + w_b*sin(2*pi*b*u), i.e. level
-sets of R(u) = sin(2*pi*b*u) / sin(2*pi*a*u); one kernel, _level_root_rows,
-finds them between the breakpoints of R that _monotone_pieces lists.  It
-narrows every bracket with a fixed number of safeguarded Newton steps and
-bisects what is left down to adjacent floats.  Each root it returns is an
-exact zero of the computed sum, a breakpoint double root, or an end of two
-adjacent floats across which the computed sum changes sign; where that sum
-changes sign once near a root, the root has the bits of plain bisection.
+sets of R(u) = sin(2*pi*b*u) / sin(2*pi*a*u), which is monotone between
+breakpoints that do not depend on s.  The breakpoints are the poles
+k/(2a) of R and the zeros of R', which are the roots of a sum of the same
+kind with the frequencies b-a and a+b; each zero of R' lies alone in a
+bracket between points k/(2a) and k/(2b), known in closed form (the
+proof is in _monotone_pieces).  One kernel, _bracket_roots,
+finds all three root sets: the zeros of R' in those brackets, then the
+zeros of x' and the self-intersections between the breakpoints
+(_level_root_rows).  It narrows every bracket with a fixed number of
+safeguarded Newton steps and bisects what is left down to adjacent
+floats.  Each root it returns is an exact zero of the computed sum, a
+breakpoint double root, or an end of two adjacent floats across which the
+computed sum changes sign; where that sum changes sign once near a root,
+the root has the bits of plain bisection.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .curve import derivative_scale, eval_complex
-from .errors import NotSingular, Unresolved
+from .errors import Unresolved
 # the cusp locus is defined in spec and re-exported here
 from .spec import CuspLocus, PlanePoint, TwoTermSpec, _check_pair, predicted_cusp_locus
 
@@ -56,7 +62,7 @@ class CuspCertificate(NamedTuple):
     The one-sided unit tangents are limits from below and above t; at a
     cusp they point in opposite directions, so their dot product is -1.
     find_cusps builds the certificates of all of a pair's cusps in one
-    array pass; certify_cusp builds one.
+    array pass.
     ``proven`` records whether the curve lies in the case a = 1 that the
     paper proves; the derivation in the module docstring covers every a.
     """
@@ -69,38 +75,15 @@ class CuspCertificate(NamedTuple):
     proven: bool = False
 
 
-def certify_cusp(spec: TwoTermSpec, t: float, delta: float = 1e-3) -> Optional[CuspCertificate]:
-    """Certify a singular point as a cusp via the unit-tangent flip.
+def _certify_cusps(spec: TwoTermSpec, ts, delta: float) -> list[Optional[CuspCertificate]]:
+    """Certify each t in ts as a cusp via the unit-tangent flip, from one
+    evaluation of gamma'.
 
     One-sided unit tangents are evaluated at t +- delta/4^k for four
-    shrinking levels, in the one array pass of _certify_cusps.  At a
-    genuine cusp the left/right tangent dot product behaves like
-    -cos(c*delta), so Richardson extrapolation of consecutive levels must
-    land at -1; at a smooth-but-nearly-singular point it tends to +1
-    instead.  Returns None when certification fails (for example at a
-    higher-order singularity).
-
-    Parameters
-    ----------
-    spec : TwoTermSpec
-    t : float
-        Parameter of the candidate point, where gamma' must vanish.
-    delta : float
-        Largest one-sided offset, in (0, 1e-3].
-
-    Raises
-    ------
-    NotSingular
-        If |x'(t)| or |y'(t)| exceeds SINGULAR_RTOL times the curve's
-        derivative scale.
-    """
-    if not 0.0 < delta <= 1e-3:
-        raise ValueError("delta must lie in (0, 1e-3]")
-    return _certify_cusps(spec, [float(t)], delta)[0]
-
-
-def _certify_cusps(spec: TwoTermSpec, ts, delta: float) -> list[Optional[CuspCertificate]]:
-    """certify_cusp at every t in ts, from one evaluation of gamma'.
+    shrinking levels.  At a genuine cusp the left/right tangent dot product
+    behaves like -cos(c*delta), so Richardson extrapolation of consecutive
+    levels must land at -1; at a smooth-but-nearly-singular point it tends
+    to +1 instead.
 
     gamma' is evaluated once on an array of shape (len(ts), 9): each t,
     then t - delta/4^k and t + delta/4^k for k = 0..3.  The singular test,
@@ -109,10 +92,10 @@ def _certify_cusps(spec: TwoTermSpec, ts, delta: float) -> list[Optional[CuspCer
     the point-by-point computation: |d| is hypot(x, y), x and y are divided
     separately, and the dot product of two tangents is lx*rx + ly*ry.
 
-    Returns one entry per t: its certificate, or None where the tangents
-    do not flip or a one-sided speed is 0.  The first t that is not
-    certified decides as it would one point at a time: if it is not
-    singular, NotSingular is raised.
+    Returns one entry per t: its certificate, or None where |x'(t)| or
+    |y'(t)| exceeds SINGULAR_RTOL times the curve's derivative scale, the
+    tangents do not flip (for example at a higher-order singularity) or a
+    one-sided speed is 0.
     """
     ts = np.asarray(ts, dtype=float)
     offsets = [delta / 4**k for k in range(4)]
@@ -130,10 +113,6 @@ def _certify_cusps(spec: TwoTermSpec, ts, delta: float) -> list[Optional[CuspCer
     # does not fail this test
     fails = ((16.0 * flips[:, 1:] - flips[:, :-1]) / 15.0 > -1.0 + CUSP_FLIP_TOL).any(axis=1)
     certified = singular & ~fails & (d[:, 1:] != 0.0).all(axis=1)
-    if not certified.all():
-        first = int(np.argmin(certified))
-        if not singular[first]:
-            raise NotSingular(f"no singular point at t={ts.tolist()[first]}")
 
     # the one-sided tangent angles drift linearly in delta, so a linear
     # Richardson step on the two smallest offsets cancels the drift;
@@ -162,7 +141,7 @@ def find_cusps(a: int, b: int) -> list[CuspCertificate]:
     """Certify every cusp of the family over s in (-1, 1).
 
     The singular points are exactly the points of predicted_cusp_locus.
-    All of them are certified in one array pass, the test of certify_cusp
+    All of them are certified in one array pass, the test of _certify_cusps
     at the float nearest each exact (s, t), with the same bits as one
     point at a time.  Certificates come back sorted by t, b - a of them.
     Those floats are (a-b)/(a+b) and h/d: true division of integers is
@@ -348,7 +327,7 @@ def _newton_narrow(freqs, wa, wb, lo, hi, sign_lo) -> tuple[np.ndarray, np.ndarr
     the returned brackets takes a few rounds where h is not noise there.
 
     Every end stays an end of a sign change of h, with the bits that
-    _level_root_rows bisects, so where h changes sign once near a root the
+    _bisect_brackets bisects, so where h changes sign once near a root the
     bisection finds the same adjacent floats.  The step count is fixed,
     so each entry's iterates depend on that entry alone.
     """
@@ -376,28 +355,47 @@ def _narrow(lo, hi, sign_lo, x, v) -> tuple[np.ndarray, np.ndarray]:
     return np.where(inside & up, x, lo), np.where(inside & ~up, x, hi)
 
 
+def _bracket_roots(freqs, wa, wb, lo, hi, sign_lo) -> np.ndarray:
+    """The root of h = _level(freqs, u, wa, wb) in each sign-change bracket
+    [lo, hi], one entry per bracket: narrowed by _newton_narrow, then
+    bisected by _bisect_brackets down to adjacent floats."""
+    lo, hi = _newton_narrow(freqs, wa, wb, lo, hi, sign_lo)
+    return _bisect_brackets(functools.partial(_level, freqs), lo, hi, sign_lo, wa, wb)
+
+
 @functools.lru_cache(maxsize=64)
 def _monotone_pieces(a: int, b: int) -> np.ndarray:
     """0, the poles k/(2a), the zeros of R' and 1/2, sorted, for coprime a < b.
 
-    Between them R(u) = sin(2*pi*b*u) / sin(2*pi*a*u) is monotone.  R' is a
-    positive multiple of W(u) = (b-a) sin(2 pi (a+b) u) - (a+b) sin(2 pi (b-a) u)
-    off the poles, where W is not 0.  The sign changes of W on
-    u = j/(256(a+b)) are bisected; for b <= 200 the breakpoints lie at least
-    31 such cells apart.  The read-only array does not depend on s.
+    Between them R(u) = sin(2*pi*b*u) / sin(2*pi*a*u) is monotone: off the
+    poles R' is a positive multiple of
+    W(u) = (b-a)*sin(2*pi*(a+b)*u) - (a+b)*sin(2*pi*(b-a)*u).
+
+    With theta = 2*pi*u, W = (a+b)*(b-a)*f(theta) for
+    f = sin((a+b)*theta)/(a+b) - sin((b-a)*theta)/(b-a), whose derivative is
+    cos((a+b)*theta) - cos((b-a)*theta) = -2*sin(b*theta)*sin(a*theta).  So
+    W is strictly monotone between consecutive points of
+    {k/(2a)} u {k/(2b)}, and each such bracket holds at most one zero.  At
+    the points W(k/(2a)) = (-1)^(k+1)*2a*sin(pi*b*k/a) and
+    W(k/(2b)) = (-1)^k*2b*sin(pi*a*k/b).  For coprime a, b and 0 < k < a
+    (or b) neither b*k/a nor a*k/b is an integer: no k/(2a) is a k/(2b),
+    neither sine vanishes, and |W| >= 2a*sin(pi/a) >= 4 there.  The
+    computed W is off by at most about 2*pi*b^2*eps, so the computed signs
+    are the exact ones, and a bracket holds a zero exactly when they
+    change across it.  The first and last brackets hold none: they end at
+    u = 0 and 1/2, where W is 0, and W is monotone on each.
+
+    W is _level with the frequencies (b-a, a+b) and the weights
+    (-(a+b), b-a), so _bracket_roots, the kernel of _level_root_rows, finds
+    its zeros.  The read-only array does not depend on s.
     """
-    n = 256 * (a + b)
-    u = np.arange(1, n // 2) / n
-
-    def w(x):
-        return (b - a) * _sin_turns(a + b, x) - (a + b) * _sin_turns(b - a, x)
-
-    v = w(u)
-    # an exact zero of W on the scan is bracketed by its neighbours
-    u, v = u[v != 0.0], v[v != 0.0]
-    k = np.nonzero(np.sign(v[:-1]) != np.sign(v[1:]))[0]
-    critical = _bisect_brackets(w, u[k], u[k + 1], v[k])
     poles = np.arange(1, a) / (2 * a)
+    points = np.sort(np.concatenate((poles, np.arange(1, b) / (2 * b))))
+    freqs = np.array([[b - a], [a + b]])
+    sign = np.sign(_level(freqs, points, -(a + b), b - a))
+    k = np.nonzero(sign[:-1] != sign[1:])[0]
+    wa, wb = np.full(len(k), -(a + b)), np.full(len(k), b - a)
+    critical = _bracket_roots(freqs, wa, wb, points[k], points[k + 1], sign[k])
     pieces = np.sort(np.concatenate(([0.0], poles, critical, [0.5])))
     pieces.flags.writeable = False
     return pieces
@@ -411,8 +409,9 @@ def _level_root_rows(a: int, b: int, ca, cb, s) -> tuple[np.ndarray, np.ndarray]
     scalars or columns against the weights s, one row each; a < b are
     coprime.  Between two breakpoints of _monotone_pieces
     h = sin(2*pi*a*u) * (wa + wb*R) has a root exactly when it changes
-    sign, and then one.  All brackets are narrowed at once by
-    _newton_narrow and then bisected at once.  At u = 0 and 1/2 the sign is that of g = h / sin(2*pi*u):
+    sign, and then one.  _bracket_roots narrows all brackets at once and
+    then bisects them at once.  At u = 0 and 1/2 the sign is that of
+    g = h / sin(2*pi*u):
     g(0) = wa*a + wb*b, g(1/2) = (-1)^(a-1)*wa*a + (-1)^(b-1)*wb*b.
 
     Root contract: each root is an exact zero of the computed h, a
@@ -439,12 +438,8 @@ def _level_root_rows(a: int, b: int, ca, cb, s) -> tuple[np.ndarray, np.ndarray]
     sign = np.sign(v)
     row_double, at = np.nonzero(sign[:, 1:-1] == 0.0)
     row, k = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
-    wa_k, wb_k = wa[row, 0], wb[row, 0]
-
-    freqs = np.array([[a], [b]])
-    sign_k = sign[row, k]
-    lo, hi = _newton_narrow(freqs, wa_k, wb_k, pieces[k], pieces[k + 1], sign_k)
-    simple = _bisect_brackets(functools.partial(_level, freqs), lo, hi, sign_k, wa_k, wb_k)
+    freqs, wa_k, wb_k = np.array([[a], [b]]), wa[row, 0], wb[row, 0]
+    simple = _bracket_roots(freqs, wa_k, wb_k, pieces[k], pieces[k + 1], sign[row, k])
     rows = np.concatenate([row_double, row])
     roots = np.concatenate([pieces[at + 1], simple])
     order = np.lexsort((roots, rows))

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from epicusp import (
     CuspLocus,
-    NotSingular,
     TwoTermSpec,
     Unresolved,
-    certify_cusp,
     eval_complex,
     find_cusps,
     grid_intersection_check,
@@ -82,16 +80,21 @@ def slope(d: complex) -> float:
     return d.imag / d.real
 
 
+def certify(spec, t: float, delta: float = 1e-3):
+    """_certify_cusps at the one point t."""
+    return _certify_cusps(spec, [t], delta)[0]
+
+
 class TestCertifyCusp:
     def test_certifies_the_known_cusp(self):
-        cert = certify_cusp(CUSP_SPEC, 0.25)
+        cert = certify(CUSP_SPEC, 0.25)
         assert cert is not None
         assert cert.flip_dot <= -1.0 + 1e-6
         assert cert.s == -0.5 and cert.t == 0.25
         assert cert.proven
 
     def test_tangents_are_vertical_and_opposed(self):
-        cert = certify_cusp(CUSP_SPEC, 0.25)
+        cert = certify(CUSP_SPEC, 0.25)
         assert abs(cert.tangent_left.x) < 1e-6
         assert abs(cert.tangent_right.x) < 1e-6
         dot = (cert.tangent_left.x * cert.tangent_right.x
@@ -99,34 +102,24 @@ class TestCertifyCusp:
         assert dot == pytest.approx(-1.0, abs=1e-6)
 
     def test_second_cusp_certifies_too(self):
-        assert certify_cusp(CUSP_SPEC, 0.75) is not None
+        assert certify(CUSP_SPEC, 0.75) is not None
 
     def test_regular_point_is_refused(self):
-        with pytest.raises(NotSingular):
-            certify_cusp(TwoTermSpec(1, 3, 0.3), 0.25)
-
-    @pytest.mark.parametrize("delta", [0.0, -1e-4, 2e-3])
-    def test_offset_range_is_enforced(self, delta):
-        with pytest.raises(ValueError):
-            certify_cusp(CUSP_SPEC, 0.25, delta=delta)
+        # a point where gamma' does not vanish is not certified, and leaves
+        # the singular points next to it certified
+        assert not is_singular(TwoTermSpec(1, 3, 0.3), 0.25)
+        assert certify(TwoTermSpec(1, 3, 0.3), 0.25) is None
+        certs = _certify_cusps(CUSP_SPEC, [0.25, 0.1, 0.75], 1e-3)
+        assert certs[1] is None and certs[0] is not None and certs[2] is not None
 
     def test_flat_tangent_point_is_not_certified(self):
         assert is_singular(NEAR_CUSP_SPEC, 0.25)
-        assert certify_cusp(NEAR_CUSP_SPEC, 0.25, delta=NEAR_CUSP_DELTA) is None
+        assert certify(NEAR_CUSP_SPEC, 0.25, delta=NEAR_CUSP_DELTA) is None
 
     def test_a_stopped_curve_is_not_certified(self, monkeypatch):
         # with gamma' 0 everywhere there is no one-sided tangent
         monkeypatch.setattr(singularity, "eval_complex", lambda spec, t, order: np.zeros(np.shape(t), complex))
-        assert certify_cusp(CUSP_SPEC, 0.25) is None
-
-    def test_the_first_failing_point_decides(self):
-        # t = 0.3 is regular, t = 1/4 singular without a flip: whichever
-        # comes first decides, as it would one point at a time
-        with pytest.raises(NotSingular, match="t=0.3"):
-            _certify_cusps(NEAR_CUSP_SPEC, [0.3, 0.25], NEAR_CUSP_DELTA)
-        assert _certify_cusps(NEAR_CUSP_SPEC, [0.25, 0.3], NEAR_CUSP_DELTA)[0] is None
-        with pytest.raises(NotSingular, match="t=0.1"):
-            _certify_cusps(CUSP_SPEC, [0.25, 0.1, 0.75], 1e-3)
+        assert certify(CUSP_SPEC, 0.25) is None
 
 
 class TestPredictedLocus:
@@ -233,15 +226,15 @@ class TestFindCusps:
 
 
 def reference_certificate(spec, t: float, delta: float = 1e-3):
-    """certify_cusp one point at a time in Python complex arithmetic.
+    """Cusp certification one point at a time in Python complex arithmetic.
 
-    This was certify_cusp before the certificates of a pair were built in
-    one array pass: nine scalar evaluations of gamma', one to classify the
-    point and eight for the one-sided tangents.  It is the reference for
-    the bits of that pass.
+    This was the certification before the certificates of a pair were
+    built in one array pass: nine scalar evaluations of gamma', one to
+    classify the point and eight for the one-sided tangents.  It is the
+    reference for the bits of that pass.
     """
     if not is_singular(spec, t):
-        raise NotSingular(f"no singular point at t={t}")
+        return None
 
     def unit_tangent(u):
         d = complex(eval_complex(spec, u, order=1))
@@ -276,7 +269,7 @@ def reference_cusps(a: int, b: int) -> tuple[TwoTermSpec, float, list]:
 
 
 class TestOneArrayPass:
-    """find_cusps and certify_cusp have the bits of the per-point reference.
+    """find_cusps and _certify_cusps have the bits of the per-point reference.
 
     Both sides are computed in this process: the contract is determinism
     on one machine, so no bytes are stored.
@@ -288,13 +281,15 @@ class TestOneArrayPass:
             spec, delta, want = reference_cusps(a, b)
             assert repr(find_cusps(a, b)) == repr(want), (a, b)
             for cert in want:
-                assert repr(certify_cusp(spec, cert.t, delta=delta)) == repr(cert), (a, b, cert.t)
+                assert repr(certify(spec, cert.t, delta)) == repr(cert), (a, b, cert.t)
 
     def test_certify_cusp_keeps_the_reference_bits_off_the_locus(self):
+        # one point of any curve, a regular one included
         for spec, t, delta in [(CUSP_SPEC, 0.75, 1e-3), (NEAR_CUSP_SPEC, 0.25, 1e-3),
-                               (NEAR_CUSP_SPEC, 0.25, NEAR_CUSP_DELTA), (TwoTermSpec(1, 4, -0.6), 1.0 / 6.0, 1e-3)]:
+                               (NEAR_CUSP_SPEC, 0.25, NEAR_CUSP_DELTA), (TwoTermSpec(1, 4, -0.6), 1.0 / 6.0, 1e-3),
+                               (TwoTermSpec(1, 3, 0.3), 0.25, 1e-3)]:
             want = reference_certificate(spec, t, delta)
-            assert repr(certify_cusp(spec, t, delta)) == repr(want)
+            assert repr(certify(spec, t, delta)) == repr(want)
 
     def test_cli_prints_the_reference_certificates(self, capsys):
         assert main(["cusps", "-a", "7", "-b", "60"]) == 0
@@ -671,7 +666,8 @@ class TestBatchedXPrimeZeros:
             assert got[: len(base)] == [t / g for t in base]
             assert max_x_prime(a, b, s, got) < 1e-12
 
-    @pytest.mark.parametrize("a,b", coprime_pairs(13))
+    # and pairs with b >= 200, past the range TestBreakpointBrackets checks
+    @pytest.mark.parametrize("a,b", coprime_pairs(13) + [(1, 200), (99, 200), (101, 250)])
     def test_breakpoints_are_every_turn_of_r(self, a, b):
         # R's critical points are the zeros of
         # W = (b-a) sin 2 pi (a+b) u - (a+b) sin 2 pi (b-a) u, and W / sin 2 pi u
@@ -691,6 +687,51 @@ class TestBatchedXPrimeZeros:
     def test_every_weight_is_checked(self, weights):
         with pytest.raises(ValueError):
             undefined_derivative_sets(2, 5, weights)
+
+
+def w_at_bracket_ends(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points k/(2a) and k/(2b) inside (0, 1/2), sorted, and
+    W = (b-a) sin 2 pi (a+b) u - (a+b) sin 2 pi (b-a) u at them, computed
+    as _monotone_pieces computes it."""
+    points = np.sort(np.concatenate((np.arange(1, a) / (2 * a), np.arange(1, b) / (2 * b))))
+    return points, singularity._level(np.array([[b - a], [a + b]]), points, -(a + b), b - a)
+
+
+class TestBreakpointBrackets:
+    """The premises of the proof in _monotone_pieces, on every coprime pair
+    with b <= 200."""
+
+    def test_the_computed_signs_are_those_of_the_integer_formula(self):
+        for a, b in coprime_pairs(200):
+            ka, kb = np.arange(1, a), np.arange(1, b)
+            # W(k/(2a)) = (-1)^(k+1) 2a sin(pi bk/a) and W(k/(2b)) = (-1)^k 2b sin(pi ak/b);
+            # sin(pi m/n) > 0 exactly when m mod 2n < n
+            want = np.concatenate((
+                (-1) ** (ka + 1) * np.where(b * ka % (2 * a) < a, 1, -1),
+                (-1) ** kb * np.where(a * kb % (2 * b) < b, 1, -1),
+            ))[np.argsort(np.concatenate((ka / (2 * a), kb / (2 * b))))]
+            points, w = w_at_bracket_ends(a, b)
+            assert np.all(np.diff(points) > 0.0), (a, b)
+            assert np.array_equal(np.sign(w), want), (a, b)
+            # 2n sin(pi m/n) >= 2n sin(pi/n) >= 4, with equality at n = 2
+            assert np.all(np.abs(w) >= 4.0 - 1e-12), (a, b)
+
+    def test_the_first_and_last_brackets_hold_no_zero(self):
+        # W(0) = W(1/2) = 0 and W is monotone on the brackets that end
+        # there, with the slope sign of -sin(b theta) sin(a theta): -1 just
+        # after theta = 0 and (-1)^(a+b+1) just before pi.  So neither
+        # bracket holds a zero when W has these signs at its inner end
+        for a, b in coprime_pairs(200):
+            _, w = w_at_bracket_ends(a, b)
+            assert np.sign(w[0]) == -1.0 and np.sign(w[-1]) == (-1) ** (a + b), (a, b)
+
+    def test_each_end_piece_reaches_a_bracket_from_its_end(self):
+        # a breakpoint is a pole k/(2a) or a zero of W inside a bracket
+        # between the points 1/(2b) and (b-1)/(2b), so none lies closer
+        # than 1/(2b) to 0 or 1/2
+        for a, b in coprime_pairs(200):
+            pieces = _monotone_pieces(a, b)
+            assert pieces[1] >= 1.0 / (2 * b) and pieces[-2] <= 0.5 - 1.0 / (2 * b), (a, b)
 
 
 def computed_h(a: int, b: int, wa: float, wb: float, u) -> np.ndarray:

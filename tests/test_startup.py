@@ -97,14 +97,14 @@ def test_submodules_are_attributes():
 
 PUBLIC_NAMES = [
     "CurveAnalysisError", "CuspCertificate", "CuspLocus", "IntersectionRecord",
-    "KernelParams", "NearPole", "NotSingular", "OnCurve", "PlanePoint",
-    "SymmetryReport", "TwoTermSpec", "Unresolved", "WindingResult", "certify_cusp",
+    "KernelParams", "NearPole", "OnCurve", "PlanePoint",
+    "SymmetryReport", "TwoTermSpec", "Unresolved", "WindingResult",
     "eval_complex", "find_cusps", "grid_intersection_check", "kernel_integral",
     "loop_birth_count", "predicted_cusp_locus", "render_curve", "render_singularity_diagram",
     "rotated_param_deriv", "self_intersections", "undefined_derivative_sets", "verify_symmetry",
     "winding_closed_form", "winding_numeric", "zeros_of_curve",
 ]
-# names the package no longer exports: eval_complex, certify_cusp and
+# names the package no longer exports: eval_complex, find_cusps and
 # kernel_integral cover what they did, TwoTermSpec is the one curve type,
 # render_curve takes its sample count directly and refuses an empty list with
 # ValueError, loop_birth_count centres its window on a cusp and refuses a
@@ -114,6 +114,7 @@ REMOVED_NAMES = [
     "spec_from_wire", "export_samples", "render_param_derivative", "classify_point",
     "PointKind", "winding_decomposition_check", "CurveSpec", "ExponentialTerm", "PlotSpec",
     "EmptyInput", "WindowTooWide", "rotation_angle", "undefined_derivative_set",
+    "certify_cusp", "NotSingular",
 ]
 
 
