@@ -5,7 +5,10 @@ the sum of two terms w * exp(2*pi*i*f*t), which _terms lists as (f, w).
 eval_complex, the package's one public evaluation entry point, gives gamma
 or any t-derivative at a float or an array of floats; a point, a tangent or
 a rotated curve is one complex operation away from it.  eval_grid and the
-sample caches below serve the analyses that sweep the grid t = j/n.  The
+sample caches below serve the analyses that sweep the grid t = j/n, and
+the grid advanced by 1/d that verify_symmetry rotates: each term's samples
+are a gather from a table of n roots of unity, turned by the term's class
+f mod d, whose phases are reduced exactly in integers.  The
 specification TwoTermSpec is defined in spec, which needs no numpy; this
 module re-exports it.
 """
@@ -124,12 +127,11 @@ def eval_grid(spec: TwoTermSpec, n: int) -> np.ndarray:
     # above the limit nothing is kept, so the terms gather from one table
     table = _unit_roots(n) if n > _TABLE_CACHE_LIMIT else None
     for f, w in _terms(spec):
-        out += w * (_term_samples(f, n) if table is None else _gather(table, f))
+        out += w * (_term_samples(f, 1, n) if table is None else _gather(table, f))
     return out
 
 
 _TABLE_CACHE_LIMIT = 65_536  # larger tables are built per call, not kept alive
-_BUILD_BLOCK = 2048  # samples per block when building a table of shifted samples
 
 
 def _kept(maxsize: int):
@@ -153,10 +155,36 @@ def _kept(maxsize: int):
 
 @_kept(16)
 def _unit_roots(n: int) -> np.ndarray:
-    """The read-only table exp(2*pi*i*k/n), k = 0..n-1."""
+    """The read-only table exp(2*pi*i*k/n), k = 0..n-1: the class r = 0 of _roots."""
+    return _roots(0, 1, n)
+
+
+@_kept(2)
+def _class_roots(r: int, d: int, n: int) -> np.ndarray:
+    """_roots(r, d, n) for 0 < r < d.
+
+    Kept apart from the unit roots, so that a sweep over classes does not
+    evict them; two suffice for a sweep over pairs in order of b-a, whose
+    classes a mod (b-a) are few per order and repeat in turn.
+    """
+    return _roots(r, d, n)
+
+
+def _roots(r: int, d: int, n: int) -> np.ndarray:
+    """The read-only table exp(2*pi*i*(k/n + r/d)), k = 0..n-1, for 0 <= r < d.
+
+    The phase is the fraction m/(n*d) with m = (k*d + r*n) mod n*d,
+    reduced exactly in integers, and the angle is 2*pi times its correctly
+    rounded quotient; with r = 0 and d = 1 that is 2*pi*(k/n).  Past 2**53
+    the integers are Python ints, whose true division is still correctly
+    rounded.
+    """
     if n < 1:
         raise ValueError("need n >= 1 grid points")
-    angle = 2.0 * np.pi * (np.arange(n) / n)
+    q = n * d
+    m = np.arange(n, dtype=np.int64 if q < 2**53 else object) * d + r * n
+    m[m >= q] -= q
+    angle = 2.0 * np.pi * np.asarray(m / q, dtype=float)
     table = np.empty(n, dtype=complex)
     np.cos(angle, out=table.real)
     np.sin(angle, out=table.imag)
@@ -164,10 +192,16 @@ def _unit_roots(n: int) -> np.ndarray:
     return table
 
 
-@_kept(4)
-def _term_samples(f: int, n: int) -> np.ndarray:
-    """The read-only exp(2*pi*i*f*j/n), j = 0..n-1: one term's grid samples, unit weight."""
-    e = _gather(_unit_roots(n), f)
+@_kept(8)
+def _term_samples(f: int, d: int, n: int) -> np.ndarray:
+    """The read-only exp(2*pi*i*f*(j/n + 1/d)), j = 0..n-1: one term's samples, unit weight.
+
+    f*(j/n + 1/d) is (f*j mod n)/n + (f mod d)/d mod 1, so the samples are
+    a gather at f*j mod n from the table of the class f mod d.  d = 1 gives
+    the grid samples exp(2*pi*i*f*j/n), gathered from the unit roots.
+    """
+    r = f % d
+    e = _gather(_class_roots(r, d, n) if r else _unit_roots(n), f)
     e.flags.writeable = False
     return e
 
@@ -178,18 +212,3 @@ def _gather(table: np.ndarray, f: int) -> np.ndarray:
     k = (f % n) * np.arange(n)
     k -= k // n * n  # k mod n: numpy divides by a scalar faster than it takes remainders
     return table[k]
-
-
-@_kept(4)
-def _shifted_unit_roots(f: int, d: int, n: int) -> np.ndarray:
-    """The read-only exp(2*pi*i*f*(j/n + 1/d)), j = 0..n-1, from _eval_terms.
-
-    The samples of one term advanced by 1/d, independent of the table.
-    """
-    unit = ((f, complex(1.0)),)
-    e = np.empty(n, dtype=complex)
-    for lo in range(0, n, _BUILD_BLOCK):
-        j = np.arange(lo, min(lo + _BUILD_BLOCK, n))
-        e[lo : lo + len(j)] = _eval_terms(unit, j / n + 1.0 / d, 0)
-    e.flags.writeable = False
-    return e

@@ -6,12 +6,30 @@ coprime a, b: advancing the parameter by 1/(b-a) rotates the point by
 on the grid t_j = j/n.  Each term's grid samples exp(2*pi*i*f*j/n) are
 gathered once from one table of n-th roots of unity, and the curve is
 their weighted sum; the reflection gamma(1 - t_j) = gamma(t_{(n-j) mod n})
-reads the same samples at the mirrored indices.  The rotation is checked
-against the shifted parameters evaluated by eval_complex, independently
-of the table.  Both kinds of per-term samples depend on the frequency and
-n alone, so curve keeps them for the next weight.  The grid is walked in
+reads the same samples at the mirrored indices.  With d = b-a the
+advanced samples exp(2*pi*i*f*(j/n + 1/d)) are a gather from the table
+turned by the class f mod d, whose phases ((f*j mod n)*d + (f mod d)*n)
+mod n*d over n*d are reduced exactly in integers; a and b share that
+class.  Both kinds of per-term samples depend on the frequency and n
+alone, so curve keeps them for the next weight.  The grid is walked in
 blocks of a few thousand samples, read as slices, so a check allocates
 nothing of size n beyond the kept samples.
+
+The group is no larger than D_{b-a} when b-a >= 2 and |s| < 1.  Expanding
+the product of gamma with its conjugate,
+
+    |gamma(t)|^2 = 2(1 + s^2) + 2(1 - s^2) cos(2 pi (b-a) t),
+
+so the modulus is at most 2 and reaches 2 exactly at t = k/(b-a), where
+gamma = 2 exp(2 pi i a k/(b-a)): b-a equally spaced points of the circle
+|z| = 2, distinct since a is prime to b-a.  For b-a >= 2 no disk of radius
+below 2 holds them all, so |z| <= 2 is the image's smallest enclosing
+disk, which is unique.  A symmetry of the image maps that disk to itself,
+so it fixes 0, keeps the modulus and permutes the b-a points; the
+isometries fixing 0 that permute the vertices of a regular (b-a)-gon form
+D_{b-a}.  The image has all of it: the turn by 2*pi*a/(b-a) generates the
+turns by multiples of 2*pi/(b-a), a being prime to b-a.  For b-a = 1 the
+modulus 2 is reached at t = 0 alone, and the question stays open.
 
 Self-intersections reduce to one-dimensional roots.  Write
 t1 = sigma/2 - u and t2 = sigma/2 + u.  Since
@@ -70,14 +88,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .curve import (
-    MAX_GRID_SAMPLES,
-    _shifted_unit_roots,
-    _term_samples,
-    _terms,
-    curve_scale,
-    eval_complex,
-)
+from .curve import MAX_GRID_SAMPLES, _term_samples, _terms, curve_scale, eval_complex
 from .singularity import _level_root_rows
 from .spec import PlanePoint, TwoTermSpec, _check_pair, _integer, zeros_of_curve
 
@@ -124,10 +135,10 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
     are weighted sums of per-term samples that curve keeps per frequency:
     the grid samples exp(2*pi*i*f*j/n), gathered once from the table of
     n-th roots of unity, and the shifted samples exp(2*pi*i*f*(j/n +
-    1/(b-a))), which eval_complex computes independently of the table.
-    So the rotation identity compares two independent evaluations, and a
-    sweep over s gathers and evaluates them once.  Since 1 - j/n =
-    (n-j)/n mod 1, the reflected samples are the grid samples at n-j.
+    1/(b-a))), gathered from the table turned by the class f mod (b-a),
+    whose phases are reduced exactly (module docstring).  So a sweep over s
+    gathers them once.  Since 1 - j/n = (n-j)/n mod 1, the reflected
+    samples are the grid samples at n-j.
 
     The grid is walked in blocks of _SYMMETRY_BLOCK indices j <= n/2.  A
     block reads the samples at j and at their mirrors n-j as two
@@ -150,8 +161,8 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
         raise ValueError(f"need n <= {MAX_GRID_SAMPLES}")
     terms = _terms(spec)
     d = spec.b - spec.a
-    grid = [(w, _term_samples(f, n)) for f, w in terms]
-    shifted = [(w, _shifted_unit_roots(f, d, n)) for f, w in terms]
+    grid = [(w, _term_samples(f, 1, n)) for f, w in terms]
+    shifted = [(w, _term_samples(f, d, n)) for f, w in terms]
     turn = np.exp(2j * np.pi * spec.a / d)
     rotation, reflection = [], []
     half = n // 2 + 1
@@ -287,14 +298,16 @@ def _half_gap_roots(a: int, b: int, s: float) -> list[np.ndarray]:
 def grid_intersection_check(a: int, b: int) -> bool:
     """Check the rational-grid structure of balanced self-intersections.
 
-    Builds the brute-force oracle of all grid pairs (j, j') with equal
-    curve points, compares it with self_intersections, whose pairs at s = 0
-    are the exact ones, and requires a two-way match within 1e-9: every
-    oracle pair is found and every found pair is either a grid pair or a
-    meeting of two origin passages (those lie at t = h/(2(b-a)), which
-    leaves the grid when a+b is odd).
-    Both the oracle and the matching compare whole blocks of rows at once,
-    each block holding about _PAIR_BLOCK comparisons.
+    Builds the brute-force oracle of all grid index pairs (j1, j2), j1 < j2,
+    whose curve points agree within 1e-12 of the curve's scale, and compares
+    it with self_intersections, whose pairs at s = 0 are exact.  A record on
+    the grid must carry an oracle pair as its grid_index_pair, and its t1, t2
+    must equal j1/n, j2/n: both are correctly rounded quotients of the same
+    rationals.  A record off the grid must be a meeting of two origin
+    passages, both t being floats h/(2(b-a)) (these leave the grid when a+b
+    is odd).  The grid pairs found must be the oracle's, each once.  The
+    oracle compares whole blocks of rows at once, each block holding about
+    _PAIR_BLOCK comparisons.
     """
     a, b = _check_pair(a, b)
     if math.gcd(a, b) != 1:
@@ -304,35 +317,23 @@ def grid_intersection_check(a: int, b: int) -> bool:
     tol = 1e-12 * curve_scale(spec)
     pts = eval_complex(spec, np.arange(n) / n)
     rows = max(1, _PAIR_BLOCK // n)
-    oracle = []
+    oracle = set()
     for lo in range(0, n, rows):
         near = np.abs(pts[lo : lo + rows, None] - pts) < tol
         j1, j2 = np.nonzero(np.triu(near, k=lo + 1))  # j2 > j1 only
-        oracle.append(np.column_stack((j1 + lo, j2)) / n)
-    oracle = np.concatenate(oracle)
+        oracle.update(zip((j1 + lo).tolist(), j2.tolist()))
 
-    origin_ts = np.array([float(f) for f in zeros_of_curve(a, b)])
-    i, k = np.triu_indices(len(origin_ts), 1)
-    origin_pairs = np.column_stack((origin_ts[i], origin_ts[k]))
-
-    found = np.array([(r.t1, r.t2) for r in self_intersections(spec)]).reshape(-1, 2)
-    if not _matched(oracle, found).all():
-        return False
-    return bool((_matched(found, oracle) | _matched(found, origin_pairs)).all())
+    origin_pairs = set(itertools.combinations([float(f) for f in zeros_of_curve(a, b)], 2))
+    found = []
+    for r in self_intersections(spec):
+        if r.grid_index_pair is None:
+            if (r.t1, r.t2) not in origin_pairs:
+                return False
+        elif (r.t1, r.t2) != (r.grid_index_pair[0] / n, r.grid_index_pair[1] / n):
+            return False
+        else:
+            found.append(r.grid_index_pair)
+    return sorted(found) == sorted(oracle)
 
 
 _PAIR_BLOCK = 1 << 18  # comparisons per block in grid_intersection_check
-
-
-def _matched(pairs: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Per row (t1, t2) of pairs: is some reference row within 1e-9 of both, mod 1?"""
-    hit = np.zeros(len(pairs), dtype=bool)
-    rows = max(1, _PAIR_BLOCK // max(len(reference), 1))
-    for lo in range(0, len(pairs), rows):
-        block = pairs[lo : lo + rows]
-        near = np.ones((len(block), len(reference)), dtype=bool)
-        for col in (0, 1):
-            d = np.abs(block[:, col, None] - reference[:, col]) % 1.0  # as _circ_dist
-            near &= np.minimum(d, 1.0 - d) < 1e-9
-        hit[lo : lo + rows] = near.any(axis=1)
-    return hit

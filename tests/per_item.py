@@ -12,8 +12,9 @@ flag read from the Fractions' denominators.
 grid_samples gathers gamma(j/n) from the unit-root table at computed
 indices, term by term, as eval_grid did before it kept per-frequency
 samples; eval_grid must match it bit for bit.  grid_intersection_check
-compares every grid pair and every record in Python loops; the array
-form must give the same verdict.
+compares every grid pair and every record in Python loops, within 1e-9;
+the library's check, which matches the records exactly, must give the
+same verdict on the records self_intersections gives.
 """
 
 import math

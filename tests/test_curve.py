@@ -12,8 +12,8 @@ import per_item
 from epicusp import TwoTermSpec, eval_complex
 from epicusp.curve import (
     _TABLE_CACHE_LIMIT,
+    _class_roots,
     _eval_terms,
-    _shifted_unit_roots,
     _term_samples,
     _terms,
     _unit_roots,
@@ -276,28 +276,15 @@ class TestGrid:
     def test_large_tables_are_not_kept(self):
         assert _unit_roots(1 << 17) is not _unit_roots(1 << 17)
 
-    def test_the_cached_shifted_samples_are_read_only(self):
-        e = _shifted_unit_roots(3, 4, 1000)
-        assert e is _shifted_unit_roots(3, 4, 1000)
-        assert _shifted_unit_roots(3, 4, _TABLE_CACHE_LIMIT) is _shifted_unit_roots(3, 4, _TABLE_CACHE_LIMIT)
-        with pytest.raises(ValueError):
-            e[1] = 0.0
-        unit = ((3, complex(1.0)),)
-        assert same_bits(e, _eval_terms(unit, np.arange(1000) / 1000 + 1.0 / 4, 0))
-
-    def test_large_shifted_samples_are_not_kept(self):
-        n = _TABLE_CACHE_LIMIT + 1
-        assert _shifted_unit_roots(3, 4, n) is not _shifted_unit_roots(3, 4, n)
-
     def test_rejects_empty_grids(self):
         with pytest.raises(ValueError):
             eval_grid(TwoTermSpec(1, 3, 0.0), 0)
 
     def test_the_cached_term_samples_are_read_only(self):
-        e = _term_samples(3, 1000)
-        assert e is _term_samples(3, 1000)
-        assert same_bits(_term_samples(1003, 1000), e)  # the same frequency mod n
-        assert _term_samples(3, _TABLE_CACHE_LIMIT) is _term_samples(3, _TABLE_CACHE_LIMIT)
+        e = _term_samples(3, 1, 1000)
+        assert e is _term_samples(3, 1, 1000)
+        assert same_bits(_term_samples(1003, 1, 1000), e)  # the same frequency mod n
+        assert _term_samples(3, 1, _TABLE_CACHE_LIMIT) is _term_samples(3, 1, _TABLE_CACHE_LIMIT)
         with pytest.raises(ValueError):
             e[1] = 0.0
         before = e.copy()
@@ -308,7 +295,61 @@ class TestGrid:
 
     def test_large_term_samples_are_not_kept(self):
         n = _TABLE_CACHE_LIMIT + 1
-        assert _term_samples(3, n) is not _term_samples(3, n)
+        assert _term_samples(3, 1, n) is not _term_samples(3, 1, n)
+        assert _term_samples(3, 4, n) is not _term_samples(3, 4, n)
+
+
+# the sizes the winding kernel's unit-root test uses, and those above
+UNIT_ROOT_SIZES = [1, 2, 7, 512, 1000, 2048, 3000, 10_000, _TABLE_CACHE_LIMIT + 1, 1 << 17]
+
+
+class TestClassTables:
+    """The tables exp(2*pi*i*(k/n + r/d)) and the advanced term samples gathered from them."""
+
+    @pytest.mark.parametrize("n", UNIT_ROOT_SIZES)
+    def test_the_unit_roots_keep_their_bits(self, n):
+        # the class r = 0, d = 1, built as 2*pi*(k/n) before the classes
+        angle = 2.0 * np.pi * (np.arange(n) / n)
+        assert same_bits(_unit_roots(n), np.cos(angle) + 1j * np.sin(angle))
+
+    @pytest.mark.parametrize(
+        "f, d, n",
+        [(3, 4, 1000), (1, 2, 1024), (7, 3, 10_000), (9, 5, 10_000), (16, 7, 10_000),
+         (10, 9, 10_000), (97, 13, 4099), (5, 3, _TABLE_CACHE_LIMIT + 1), (3, 1, 10_000),
+         (4, 2, 1000)],
+    )
+    def test_the_advanced_samples_agree_with_the_kernel(self, f, d, n):
+        # the kernel rounds j/n, 1/d, their sum t < 2 and then f*t: the phase
+        # is off by under 3*f ulps of 1, 2*pi*3*f*2**-52 radians, and the
+        # table by under an ulp of each cos and sin
+        e = _term_samples(f, d, n)
+        want = _eval_terms(((f, complex(1.0)),), np.arange(n) / n + 1.0 / d, 0)
+        assert np.max(np.abs(e - want)) <= 6 * np.pi * (f + 1) * 2.0**-52
+
+    def test_a_class_past_the_exact_int64_range_is_reduced_in_python_integers(self):
+        # n * d >= 2**53: the phases k/n + r/d, as exact fractions; in int64,
+        # k*d + r*n would overflow here
+        r, d, n = 7, 10**15 + 37, 1 << 14
+        e = _term_samples(r, d, n)
+        want = [cmath.exp(2j * math.pi * (((r * j) % n * d + r * n) % (n * d) / (n * d)))
+                for j in range(n)]
+        assert np.max(np.abs(e - np.array(want))) <= 1e-15
+
+    def test_the_cached_class_tables_are_read_only(self):
+        table = _class_roots(3, 4, 1000)
+        assert table is _class_roots(3, 4, 1000)
+        assert _class_roots(3, 4, _TABLE_CACHE_LIMIT) is _class_roots(3, 4, _TABLE_CACHE_LIMIT)
+        with pytest.raises(ValueError):
+            table[1] = 0.0
+        e = _term_samples(7, 4, 1000)  # 7 = 3 mod 4
+        assert _term_samples(7, 4, 1000) is e
+        with pytest.raises(ValueError):
+            e[1] = 0.0
+        assert same_bits(e, table[7 * np.arange(1000) % 1000])
+
+    def test_large_class_tables_are_not_kept(self):
+        n = _TABLE_CACHE_LIMIT + 1
+        assert _class_roots(3, 4, n) is not _class_roots(3, 4, n)
 
 
 class TestGridGather:

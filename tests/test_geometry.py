@@ -68,7 +68,7 @@ class TestVerifySymmetry:
             verify_symmetry(TwoTermSpec(1, 3, 0.0), n=99)
 
     def test_rejects_a_grid_past_the_largest_before_sampling(self, monkeypatch):
-        def no_samples(f, n):
+        def no_samples(f, d, n):
             raise AssertionError(f"sampled {n} points")
 
         monkeypatch.setattr(geometry, "_term_samples", no_samples)
@@ -77,7 +77,7 @@ class TestVerifySymmetry:
 
     @pytest.mark.parametrize("n", [1e4, 1024.0, 100.5, True, "1024"])
     def test_a_count_that_is_not_an_integer_is_refused_before_sampling(self, monkeypatch, n):
-        def no_samples(f, n):
+        def no_samples(f, d, n):
             raise AssertionError(f"sampled {n} points")
 
         monkeypatch.setattr(geometry, "_term_samples", no_samples)
@@ -110,15 +110,39 @@ class TestVerifySymmetry:
         assert not report.verified
 
 
+def advanced_samples(spec: TwoTermSpec, n: int) -> np.ndarray:
+    """gamma(j/n + 1/(b-a)) item by item, each term at its exact phase.
+
+    With d = b-a, f*(j/n + 1/d) is ((f*j mod n)*d + (f mod d)*n) mod n*d
+    over n*d; each sample's angle is 2*pi times that quotient of Python
+    ints, correctly rounded, and the terms are weighted and summed into
+    zeros, as eval_complex does.  The terms are looked up at call time, so
+    that a test can replace them.
+    """
+    d = spec.b - spec.a
+    q = n * d
+    out = np.zeros(n, dtype=complex)
+    for f, w in curve._terms(spec):
+        angle = np.array([2.0 * math.pi * ((f * j % n * d + f % d * n) % q / q) for j in range(n)])
+        e = np.empty(n, dtype=complex)
+        np.cos(angle, out=e.real)
+        np.sin(angle, out=e.imag)
+        np.multiply(w, e, out=e)
+        out += e
+    return out
+
+
 def reference_verify_symmetry(spec: TwoTermSpec, n: int) -> SymmetryReport:
     """verify_symmetry on whole arrays: every sample of each identity at once.
 
     The grid samples and their mirrors are gathered term by term at j and
-    -j mod n (per_item.grid_samples), not read from eval_grid.
+    -j mod n (per_item.grid_samples), not read from eval_grid, and the
+    advanced samples are built item by item (advanced_samples), not
+    gathered from a table.
     """
     j = np.arange(n)
     z, z_mirror = per_item.grid_samples(spec, j, n), per_item.grid_samples(spec, -j, n)
-    shift = eval_complex(spec, j / n + 1.0 / (spec.b - spec.a))
+    shift = advanced_samples(spec, n)
     rot = np.exp(2j * np.pi * spec.a / (spec.b - spec.a)) * z
     return SymmetryReport(
         claimed_order=spec.b - spec.a,
@@ -192,6 +216,27 @@ class WrongFrequency(Broken):
 
     def broken_terms(self):
         return [(self.a, complex(1.0 - self.s)), (self.b + 1, complex(1.0 + self.s))]
+
+
+class TestSymmetryGroupOrder:
+    """The modulus behind the proof, in the module docstring, that the group is D_{b-a}."""
+
+    @pytest.mark.parametrize("a,b", coprime_pairs(12))
+    @pytest.mark.parametrize("s", [-0.9, -0.3, 0.0, 0.5, 0.95])
+    def test_the_modulus_reaches_two_only_at_the_polygon(self, a, b, s):
+        d = b - a
+        t = np.arange(64 * d) / (64 * d)
+        z = eval_complex(TwoTermSpec(a, b, s), t)
+        # |gamma|^2 = 2(1 + s^2) + 2(1 - s^2) cos(2 pi (b-a) t)
+        modulus = 2 * (1 + s * s) + 2 * (1 - s * s) * np.cos(2 * np.pi * d * t)
+        assert np.max(np.abs(np.abs(z) ** 2 - modulus)) < 1e-12
+        # the maxima are the samples t = k/(b-a) alone, at 2 exp(2 pi i a k/(b-a)),
+        # which are b-a distinct points
+        peaks = np.flatnonzero(np.abs(z) > 2 - 1e-9)
+        assert peaks.tolist() == (64 * np.arange(d)).tolist()
+        k = np.arange(d)
+        assert np.max(np.abs(z[peaks] - 2 * np.exp(2j * np.pi * a * k / d))) < 1e-12
+        assert sorted(a * k % d) == k.tolist()
 
 
 def record_near(records: list[IntersectionRecord], t1: float, t2: float, tol: float = 1e-6):
@@ -293,6 +338,46 @@ class TestGridCheck:
     @pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 3)])
     def test_small_pairs_match_the_oracle(self, a, b):
         assert grid_intersection_check(a, b)
+
+    def test_every_pair_up_to_thirty_passes_as_the_pair_loops_do(self):
+        pairs = coprime_pairs(30)
+        assert len(pairs) == 277
+        for a, b in pairs:
+            assert grid_intersection_check(a, b), (a, b)
+            assert per_item.grid_intersection_check(a, b), (a, b)
+
+    @pytest.mark.parametrize("a,b", [(1, 3), (2, 5), (3, 8), (4, 9)])
+    def test_a_dropped_grid_record_fails(self, monkeypatch, a, b):
+        records = self_intersections(TwoTermSpec(a, b, 0.0))
+        i = next(i for i, r in enumerate(records) if r.on_rational_grid)
+        monkeypatch.setattr(geometry, "self_intersections", lambda spec: records[:i] + records[i + 1 :])
+        assert not grid_intersection_check(a, b)
+
+    # a+b odd puts origin passages off the grid
+    @pytest.mark.parametrize(
+        "a,b,on_grid",
+        [(1, 3, True), (2, 5, True), (3, 8, True), (2, 5, False), (3, 8, False), (4, 9, False)],
+    )
+    def test_a_parameter_one_ulp_off_fails(self, monkeypatch, a, b, on_grid):
+        records = self_intersections(TwoTermSpec(a, b, 0.0))
+        i = next(i for i, r in enumerate(records) if r.on_rational_grid == on_grid)
+        moved = list(records)
+        moved[i] = records[i]._replace(t1=float(np.nextafter(records[i].t1, 1.0)))
+        monkeypatch.setattr(geometry, "self_intersections", lambda spec: moved)
+        assert not grid_intersection_check(a, b)
+        # a match within 1e-9, as the pair loops make, accepts the moved record
+        assert per_item.grid_intersection_check(a, b)
+
+    @pytest.mark.parametrize("a,b", [(1, 3), (2, 5), (3, 8), (4, 9)])
+    @pytest.mark.parametrize("extra", ["neither", "origin and grid", "one origin passage twice"])
+    def test_an_extra_off_grid_record_fails(self, monkeypatch, a, b, extra):
+        records = self_intersections(TwoTermSpec(a, b, 0.0))
+        h = float(Fraction(1, 2 * (b - a)))  # the first origin passage
+        t1, t2 = {"neither": (0.2, 0.7), "origin and grid": (h, 1 - 1 / (b * b - a * a)),
+                  "one origin passage twice": (h, h)}[extra]
+        extra = IntersectionRecord(t1, t2, records[0].point, False, None)
+        monkeypatch.setattr(geometry, "self_intersections", lambda spec: records + [extra])
+        assert not grid_intersection_check(a, b)
 
     def test_common_factor_is_rejected(self):
         with pytest.raises(ValueError):

@@ -38,9 +38,24 @@ def loaded_after(code: str) -> tuple[list[str], str]:
     return json.loads(modules), "\n".join(output)
 
 
+def all_loaded_after(code: str) -> set[str]:
+    """Every module in sys.modules of a fresh interpreter after code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys as _sys; print(' '.join(_sys.modules))"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": PKG_ROOT},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
 def test_import_loads_no_submodule_and_no_numpy():
     modules, _ = loaded_after("import epicusp")
     assert modules == ["epicusp"]
+    # nor any other module that a bare interpreter in this environment does
+    # not hold, but for importlib and what it loads where site has not
+    bare = all_loaded_after("pass")
+    importlib_adds = all_loaded_after("import importlib") - bare
+    assert all_loaded_after("import epicusp") - bare - importlib_adds == {"epicusp"}
 
 
 def test_a_spec_name_loads_only_spec():
