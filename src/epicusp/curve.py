@@ -8,9 +8,13 @@ a rotated curve is one complex operation away from it.  eval_grid and the
 sample caches below serve the analyses that sweep the grid t = j/n, and
 the grid advanced by 1/d that verify_symmetry rotates: each term's samples
 are a gather from a table of n roots of unity, turned by the term's class
-f mod d, whose phases are reduced exactly in integers.  The
-specification TwoTermSpec is defined in spec, which needs no numpy; this
-module re-exports it.
+f mod d, whose phases are reduced exactly in integers.  _roots is the
+one table cache, for every class and for the unit roots that
+winding.kernel_integral reads.  _weighted_samples hands eval_grid and
+verify_symmetry each term's weight and samples; above _TABLE_CACHE_LIMIT,
+where nothing is kept, it builds one table per class for the call, which
+the terms of that class share.  The specification TwoTermSpec is defined
+in spec, which needs no numpy; this module re-exports it.
 """
 
 from __future__ import annotations
@@ -94,8 +98,7 @@ def _eval_terms(terms, t, order: int) -> np.ndarray:
     out = np.zeros(t.shape, dtype=complex)
     e = np.empty(t.shape, dtype=complex)
     for f, w in terms:
-        u = f * t
-        angle = 2.0 * np.pi * (u - np.floor(u))
+        angle = _turns(f, t)
         factor = (2j * np.pi * f) ** order
         np.cos(angle, out=e.real)
         np.sin(angle, out=e.imag)
@@ -106,6 +109,15 @@ def _eval_terms(terms, t, order: int) -> np.ndarray:
     return out
 
 
+def _turns(f, t: np.ndarray) -> np.ndarray:
+    """2*pi*f*t with the phase u = f*t reduced to u - floor(u) first; f may be a column.
+
+    eval_complex and singularity's level sets both take their angles from here.
+    """
+    u = f * t
+    return 2.0 * np.pi * (u - np.floor(u))
+
+
 def eval_grid(spec: TwoTermSpec, n: int) -> np.ndarray:
     """gamma(j/n) for j = 0..n-1, summed from per-frequency grid samples.
 
@@ -113,21 +125,23 @@ def eval_grid(spec: TwoTermSpec, n: int) -> np.ndarray:
     roots of unity, so the phase is reduced exactly and each term costs a
     gather instead of a cos and a sin.  The gathered samples depend on the
     frequency and n alone and _term_samples keeps the most recent, so a
-    sweep over the weights gathers once (above _TABLE_CACHE_LIMIT every
-    term gathers from one table built for the call).  Each weight
-    multiplies its term's samples and the products are summed in term
-    order into zeros, as a gather per call would do, so at every n the
-    result has the same bits as that gather.  The table's angles are those
-    eval_complex computes for the exact fractions k/n, so at a power-of-two
-    n, where j/n is exact, the result has the same bits as
+    sweep over the weights gathers once (above _TABLE_CACHE_LIMIT both
+    terms gather from one table built for the call, one term at a time).
+    Each weight multiplies its term's samples and the products are summed
+    in term order into zeros, as a gather per call would do, so at every n
+    the result has the same bits as that gather.  The table's angles are
+    those eval_complex computes for the exact fractions k/n, so at a
+    power-of-two n, where j/n is exact, the result has the same bits as
     eval_complex(spec, np.arange(n) / n).  At other n it is the more
     accurate of the two, by trailing digits.
     """
     out = np.zeros(n, dtype=complex)
-    # above the limit nothing is kept, so the terms gather from one table
-    table = _unit_roots(n) if n > _TABLE_CACHE_LIMIT else None
-    for f, w in _terms(spec):
-        out += w * (_term_samples(f, 1, n) if table is None else _gather(table, f))
+    for w, e in _weighted_samples(spec, 1, n):
+        # a gather above the limit is the call's own array: the weight
+        # multiplies it in place, as numpy multiplies a temporary (e *= w),
+        # and it is freed before the next term's gather is built
+        out += np.multiply(e, w, out=e) if e.flags.writeable else w * e
+        del e
     return out
 
 
@@ -153,23 +167,9 @@ def _kept(maxsize: int):
     return wrap
 
 
-@_kept(16)
-def _unit_roots(n: int) -> np.ndarray:
-    """The read-only table exp(2*pi*i*k/n), k = 0..n-1: the class r = 0 of _roots."""
-    return _roots(0, 1, n)
-
-
-@_kept(2)
-def _class_roots(r: int, d: int, n: int) -> np.ndarray:
-    """_roots(r, d, n) for 0 < r < d.
-
-    Kept apart from the unit roots, so that a sweep over classes does not
-    evict them; two suffice for a sweep over pairs in order of b-a, whose
-    classes a mod (b-a) are few per order and repeat in turn.
-    """
-    return _roots(r, d, n)
-
-
+# one verify pass reads six tables: the unit roots at n = 10,000, 4,096,
+# 2,048 and 1,024 and the two classes a mod (b-a) of a sweep over pairs
+@_kept(6)
 def _roots(r: int, d: int, n: int) -> np.ndarray:
     """The read-only table exp(2*pi*i*(k/n + r/d)), k = 0..n-1, for 0 <= r < d.
 
@@ -200,10 +200,24 @@ def _term_samples(f: int, d: int, n: int) -> np.ndarray:
     a gather at f*j mod n from the table of the class f mod d.  d = 1 gives
     the grid samples exp(2*pi*i*f*j/n), gathered from the unit roots.
     """
-    r = f % d
-    e = _gather(_class_roots(r, d, n) if r else _unit_roots(n), f)
+    e = _gather(_roots(f % d, d, n), f)
     e.flags.writeable = False
     return e
+
+
+def _weighted_samples(spec: TwoTermSpec, d: int, n: int):
+    """Each term's (weight, samples exp(2*pi*i*f*(j/n + 1/d))), in term order.
+
+    Up to _TABLE_CACHE_LIMIT the samples are _term_samples' kept ones.
+    Above it nothing is kept: the call builds one table per class f mod d
+    among the terms, and each term is gathered from its class's table when
+    the caller asks for it, as a writable array of its own.  The samples
+    have the same bits either way.
+    """
+    if n <= _TABLE_CACHE_LIMIT:
+        return [(w, _term_samples(f, d, n)) for f, w in _terms(spec)]
+    table = functools.cache(lambda r: _roots(r, d, n))  # one per class, for this call
+    return ((w, _gather(table(f % d), f)) for f, w in _terms(spec))
 
 
 def _gather(table: np.ndarray, f: int) -> np.ndarray:

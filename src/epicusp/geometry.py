@@ -11,9 +11,11 @@ advanced samples exp(2*pi*i*f*(j/n + 1/d)) are a gather from the table
 turned by the class f mod d, whose phases ((f*j mod n)*d + (f mod d)*n)
 mod n*d over n*d are reduced exactly in integers; a and b share that
 class.  Both kinds of per-term samples depend on the frequency and n
-alone, so curve keeps them for the next weight.  The grid is walked in
-blocks of a few thousand samples, read as slices, so a check allocates
-nothing of size n beyond the kept samples.
+alone, so curve keeps them for the next weight; above its cache limit,
+where nothing is kept, the terms of one class gather from one table built
+for the call.  The grid is walked in blocks of a few thousand samples,
+read as slices, so a check allocates nothing of size n beyond the kept
+samples.
 
 The group is no larger than D_{b-a} when b-a >= 2 and |s| < 1.  Expanding
 the product of gamma with its conjugate,
@@ -88,7 +90,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .curve import MAX_GRID_SAMPLES, _term_samples, _terms, curve_scale, eval_complex
+from .curve import MAX_GRID_SAMPLES, _weighted_samples, curve_scale, eval_complex
 from .singularity import _level_root_rows
 from .spec import PlanePoint, TwoTermSpec, _check_pair, _integer, zeros_of_curve
 
@@ -137,8 +139,9 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
     n-th roots of unity, and the shifted samples exp(2*pi*i*f*(j/n +
     1/(b-a))), gathered from the table turned by the class f mod (b-a),
     whose phases are reduced exactly (module docstring).  So a sweep over s
-    gathers them once.  Since 1 - j/n = (n-j)/n mod 1, the reflected
-    samples are the grid samples at n-j.
+    gathers them once, and above curve's cache limit one table per class
+    serves every term of that class.  Since 1 - j/n = (n-j)/n mod 1, the
+    reflected samples are the grid samples at n-j.
 
     The grid is walked in blocks of _SYMMETRY_BLOCK indices j <= n/2.  A
     block reads the samples at j and at their mirrors n-j as two
@@ -159,10 +162,8 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
         raise ValueError("need n >= 100")
     if n > MAX_GRID_SAMPLES:
         raise ValueError(f"need n <= {MAX_GRID_SAMPLES}")
-    terms = _terms(spec)
     d = spec.b - spec.a
-    grid = [(w, _term_samples(f, 1, n)) for f, w in terms]
-    shifted = [(w, _term_samples(f, d, n)) for f, w in terms]
+    grid, shifted = (list(_weighted_samples(spec, k, n)) for k in (1, d))
     turn = np.exp(2j * np.pi * spec.a / d)
     rotation, reflection = [], []
     half = n // 2 + 1

@@ -25,10 +25,12 @@ kind with the frequencies b-a and a+b; each zero of R' lies alone in a
 bracket between points k/(2a) and k/(2b), known in closed form (the
 proof is in _monotone_pieces).  One kernel, _bracket_roots,
 finds all three root sets: the zeros of R' in those brackets, then the
-zeros of x' and the self-intersections between the breakpoints
-(_level_root_rows).  It narrows every bracket with a fixed number of
-safeguarded Newton steps and bisects what is left down to adjacent
-floats.  Each root it returns is an exact zero of the computed sum, a
+zeros of x', the self-intersections and the axis crossings that
+loop_birth_count counts between the breakpoints (_level_root_rows).  It
+narrows every bracket with a fixed number of safeguarded Newton steps and
+bisects what is left down to adjacent floats, every sum evaluated by
+_level with the phases reduced by curve._turns, as eval_complex reduces
+them.  Each root it returns is an exact zero of the computed sum, a
 breakpoint double root, or an end of two adjacent floats across which the
 computed sum changes sign; where that sum changes sign once near a root,
 the root has the bits of plain bisection.
@@ -38,12 +40,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .curve import derivative_scale, eval_complex
+from .curve import _turns, derivative_scale, eval_complex
 from .errors import Unresolved
 # the cusp locus is defined in spec and re-exported here
 from .spec import CuspLocus, PlanePoint, TwoTermSpec, _check_pair, predicted_cusp_locus
@@ -51,7 +54,7 @@ from .spec import CuspLocus, PlanePoint, TwoTermSpec, _check_pair, predicted_cus
 # |gamma'| below this fraction of its natural scale counts as vanishing
 SINGULAR_RTOL = 1e-7
 CUSP_FLIP_TOL = 1e-6
-# _newton_narrow: Newton steps per bracket, then the probe's half-width in ulps
+# _bracket_roots: Newton steps per bracket, then the probe's half-width in ulps
 _NEWTON_STEPS = 8
 _PROBE_ULPS = 16
 
@@ -171,9 +174,14 @@ def rotated_param_deriv(a: int, b: int, t: float) -> float | None:
     gamma' is a real multiple of i*exp(i*pi*(a+b)*t), so the slope equals
     -tan(pi*(a/(b-a) - (a+b)*t)); returns None at the tangent poles,
     where the rotated curve has a vertical tangent or cusp.
+
+    Raises
+    ------
+    ValueError
+        If t is not a finite real number (a string is refused).
     """
     a, b = _check_pair(a, b)
-    u = a / (b - a) - (a + b) * float(t)
+    u = a / (b - a) - (a + b) * _real(t, "t")
     # pole whenever the tangent argument hits pi/2 mod pi
     frac = u - 0.5
     if abs(frac - round(frac)) < 1e-9:
@@ -187,31 +195,32 @@ def loop_birth_count(a: int, b: int, s: float, half_width: float | None = None) 
     Turned as in rotated_param_deriv, cusp 0 at t = 1/(2(b-a)) sits on the
     vertical axis, and at t = 1/(2(b-a)) + v the rotated x-component is
     -/+[(1-s) sin(2 pi a v) - (1+s) sin(2 pi b v)], the numerator of g_- at
-    u = v (geometry.py).  Its zeros v in [0, 1) are the listing of
-    _zero_rows with the coefficients (1, -1), and the count is the number
-    of them within half_width of v = 0, mod 1.  The zeros are 0 and pairs
-    v, 1 - v, so that is 1 + 2 * #{v in (0, half_width]}; counting each v
-    with its mirror keeps the rounding of 1 - v from splitting a pair.  One
-    means the curve crosses the axis once (no loop); three mean a loop has
-    been born, however small.  A double root of g_-, where two crossings
-    meet, counts as both.  Cusp k is cusp 0 turned by 2*pi*a*k/(b-a), so
-    every cusp has this count.
+    u = v (geometry.py).  Its zeros v in [0, 1) are 0 and pairs v, 1 - v,
+    and the count is the number of them within half_width of v = 0, mod 1:
+    1 + 2 * #{v in (0, half_width]}.  With g = gcd(a, b) those v are u / g
+    for the roots u that _level_root_rows finds for the reduced pair with
+    the coefficients (1, -1); the window ends before 1/(2g), so no other
+    copy (u + k) / g reaches it.  One means the curve crosses the axis once
+    (no loop); three mean a loop has been born, however small.  A double
+    root of g_-, where two crossings meet, counts as both.  Cusp k is cusp
+    0 turned by 2*pi*a*k/(b-a), so every cusp has this count.
 
     half_width defaults to 0.75 / (2(b-a)(a+b)).
 
     Raises
     ------
     ValueError
-        If s is outside [-1, 1], or half_width is not a number in
-        (0, 1/(2(b-a))): a wider window reaches the midpoint to the next
-        cusp.
+        If s is not a real number in [-1, 1], or half_width is not a real
+        number in (0, 1/(2(b-a))): a wider window reaches the midpoint to
+        the next cusp.  A string is refused for either.
     """
     a, b = _check_pair(a, b)
     if half_width is None:
         half_width = 0.75 / (2 * (b - a) * (a + b))
-    if not 0.0 < half_width < 1.0 / (2 * (b - a)):
+    if not (isinstance(half_width, numbers.Real) and 0.0 < half_width < 1.0 / (2 * (b - a))):
         raise ValueError(f"half_width must lie in (0, 1/{2 * (b - a)})")
-    v, _ = _zero_rows(a, b, [s], 1.0, -1.0)
+    g = math.gcd(a, b)
+    v = _level_root_rows(a // g, b // g, 1.0, -1.0, _weights([s], "s"))[0] / g
     return 1 + 2 * int(np.count_nonzero((0.0 < v) & (v <= half_width)))
 
 
@@ -225,19 +234,24 @@ def undefined_derivative_sets(a: int, b: int, weights) -> list[list[float]]:
     weights share one bisection.  With g = gcd(a, b), x' is the x' of
     (a/g, b/g) at g*t, so the zeros of that pair are divided by g and
     repeated with period 1/g.
+
+    Raises
+    ------
+    ValueError
+        If a weight is not a real number in [-1, 1] (a string is refused).
     """
     t, sizes = _zero_rows(a, b, weights)
     flat, ends = t.tolist(), np.cumsum(sizes).tolist()
     return [flat[i:j] for i, j in zip([0] + ends, ends)]
 
 
-def _zero_rows(a: int, b: int, weights, ca=None, cb=None) -> tuple[np.ndarray, np.ndarray]:
-    """The zeros t in [0, 1) of h = ca*(1-s)*sin(2*pi*a*t) + cb*(1+s)*sin(2*pi*b*t)
-    for every s in weights, as one flat array and the length of each row.
+def _zero_rows(a: int, b: int, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros t in [0, 1) of x'(t) for every s in weights, as one flat
+    array and the length of each row: the rows of undefined_derivative_sets.
 
-    With g = gcd(a, b), h is the sum of the reduced pair (a/g, b/g) at g*t.
-    ca and cb default to a/g and b/g, for which h is x'(t) / (-2*pi*g):
-    the rows are then undefined_derivative_sets.
+    With g = gcd(a, b), x'(t) / (-2*pi*g) is
+    h = a'*(1-s)*sin(2*pi*a'*u) + b'*(1+s)*sin(2*pi*b'*u) at u = g*t, for
+    the reduced pair a' = a/g, b' = b/g.
 
     Each row is 0, its roots u of the reduced sum, 1/2 and their mirrors
     1 - u, each of these then copied to (t + k) / g for k = 0..g-1, all in
@@ -246,14 +260,10 @@ def _zero_rows(a: int, b: int, weights, ca=None, cb=None) -> tuple[np.ndarray, n
     and the order of building it on its own.
     """
     a, b = _check_pair(a, b)
-    s = np.array(list(weights), dtype=float)
-    if not np.all((-1.0 <= s) & (s <= 1.0)):
-        raise ValueError("s must lie in [-1, 1]")
+    s = _weights(weights, "weights")
     g = math.gcd(a, b)
     a, b = a // g, b // g
-    if ca is None:
-        ca, cb = a, b
-    u, counts = _level_root_rows(a, b, ca, cb, s)
+    u, counts = _level_root_rows(a, b, a, b, s)
     rows = np.arange(len(s))
     row = np.repeat(rows, counts)
     t = np.concatenate([np.zeros(len(s)), u, np.full(len(s), 0.5), 1.0 - u])
@@ -262,74 +272,62 @@ def _zero_rows(a: int, b: int, weights, ca=None, cb=None) -> tuple[np.ndarray, n
     return t[np.lexsort((t, key))], g * (2 * counts + 2)
 
 
-def _sin_turns(f, t: np.ndarray) -> np.ndarray:
-    """sin(2*pi*f*t) with the phase reduction of eval_complex; f may be a column."""
-    return np.sin(_turns(f, t))
+def _real(value, name: str) -> float:
+    """A finite real number as a float; anything else (a string, a NaN)
+    raises ValueError naming it."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, not {value!r}")
+    return float(value)
 
 
-def _turns(f, t: np.ndarray) -> np.ndarray:
-    """The phase 2*pi*f*t reduced as eval_complex reduces it; f may be a column."""
-    u = f * t
-    return 2.0 * np.pi * (u - np.floor(u))
-
-
-def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, v_lo: np.ndarray, *params) -> np.ndarray:
-    """One root of f in each sign-change bracket [lo, hi], all halved at once.
-
-    v_lo holds f(lo) or its sign.  f(x, *params) maps an array of points,
-    one per bracket, to its values there; each of params holds one entry
-    per bracket.  Every bracket is halved until its ends are adjacent
-    floats; of the two, the end with the smaller |f| is returned, so that
-    a root which is itself a float comes out exactly.  lo only moves to a
-    midpoint of its own sign, so that sign is taken once.  A finished
-    bracket leaves the working arrays, so the rounds that one slow bracket
-    needs do not carry the others; each bracket's halvings depend on that
-    bracket alone.
-    """
-    sign_lo = np.sign(v_lo)
-    out_lo, out_hi = lo.copy(), hi.copy()
-    index, work = np.arange(len(lo)), params
-    while len(index):
-        mid = 0.5 * (lo + hi)
-        # a bracket of adjacent floats is done and must stay put: its mid is
-        # an end, and at lo = 0, where f may be 0 while sign_lo is the
-        # sign next to it, moving hi to that mid would collapse the bracket
-        live = (lo < mid) & (mid < hi)
-        if not live.all():
-            out_lo[index], out_hi[index] = lo, hi
-            index, lo, hi, sign_lo = index[live], lo[live], hi[live], sign_lo[live]
-            work = [p[live] for p in work]
-            continue
-        up = np.sign(f(mid, *work)) == sign_lo
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    return np.where(np.abs(f(out_lo, *params)) <= np.abs(f(out_hi, *params)), out_lo, out_hi)
+def _weights(weights, name: str) -> np.ndarray:
+    """The weights s as a float array; unless each is a real number in
+    [-1, 1], ValueError naming them."""
+    s = np.array(list(weights))
+    if s.dtype.kind not in "biuf":  # astype(float) would parse a string
+        s = np.array([_real(w, name) for w in s.tolist()])
+    if not np.all((-1.0 <= s) & (s <= 1.0)):
+        raise ValueError(f"{name} must lie in [-1, 1]")
+    return s.astype(float)
 
 
 def _level(freqs: np.ndarray, x: np.ndarray, wa, wb) -> np.ndarray:
     """h = wa*sin(2*pi*a*x) + wb*sin(2*pi*b*x), freqs being the column [[a], [b]]."""
-    sa, sb = _sin_turns(freqs, x)
+    sa, sb = np.sin(_turns(freqs, x))
     return wa * sa + wb * sb
 
 
-def _newton_narrow(freqs, wa, wb, lo, hi, sign_lo) -> tuple[np.ndarray, np.ndarray]:
-    """Narrow sign-change brackets of h = _level(freqs, u, wa, wb) around their roots.
+def _bracket_roots(freqs, wa, wb, lo, hi, sign_lo) -> np.ndarray:
+    """The root of h = _level(freqs, u, wa, wb) in each sign-change bracket [lo, hi].
 
-    Safeguarded Newton (rtsafe; Press et al., Numerical Recipes, 9.4), one
-    bracket per entry, all at once.  h and h' come from the same reduced
-    phases at an iterate x, x replaces the end of [lo, hi] of its sign,
-    and the next x is the Newton step, or the midpoint where that step
-    leaves [lo, hi] or h' is 0 or NaN.  A step onto an end has converged:
-    the entry stays there for the remaining steps.  No end moves by h at
-    an end: at u = 0 and 1/2 h is 0 or rounding noise, while the sign
-    there comes from g.  After _NEWTON_STEPS steps the points _PROBE_ULPS
-    ulps either side of x move the ends once more, so that bisection of
-    the returned brackets takes a few rounds where h is not noise there.
+    One bracket per entry of wa, wb, lo, hi and sign_lo, the sign of h at
+    lo; all are solved at once.  First safeguarded Newton (rtsafe; Press
+    et al., Numerical Recipes, 9.4) narrows each bracket.  h and h' come
+    from the same reduced phases at an iterate x, x replaces the end of
+    [lo, hi] of its sign, and the next x is the Newton step, or the
+    midpoint where that step leaves [lo, hi] or h' is 0 or NaN.  A step
+    onto an end has converged: the entry stays there for the remaining
+    steps.  No end moves by h at an end: at u = 0 and 1/2 h is 0 or
+    rounding noise, while the sign there comes from g (_level_root_rows).
+    After _NEWTON_STEPS steps the points _PROBE_ULPS ulps either side of x
+    move the ends once more, so that the bisection takes a few rounds
+    where h is not noise there.
 
-    Every end stays an end of a sign change of h, with the bits that
-    _bisect_brackets bisects, so where h changes sign once near a root the
-    bisection finds the same adjacent floats.  The step count is fixed,
-    so each entry's iterates depend on that entry alone.
+    Then every bracket is halved until its ends are adjacent floats; of
+    the two, the end with the smaller |h| is returned, so that a root
+    which is itself a float comes out exactly.  lo only moves to a
+    midpoint of its own sign.  A finished bracket leaves the working
+    arrays, with its weights, so the rounds that one slow bracket needs do
+    not carry the others.
+
+    Root contract: each root is an exact zero of the computed h, a
+    breakpoint double root (_level_root_rows), or an end of two adjacent
+    floats across which the computed h changes sign.  Every end the Newton
+    steps leave is an end of a sign change of h, so where the computed h
+    changes sign once near a root, that root has the bits of plain
+    bisection of its bracket; where rounding noise gives several sign
+    changes between nearby floats, it may be another of them.  The step
+    count is fixed, so each entry's root depends on that entry alone.
     """
     slope = 2.0 * np.pi * freqs * np.array([wa, wb])
     x = 0.5 * (lo + hi)
@@ -344,7 +342,25 @@ def _newton_narrow(freqs, wa, wb, lo, hi, sign_lo) -> tuple[np.ndarray, np.ndarr
     probe = _PROBE_ULPS * np.spacing(x)
     for x in (x - probe, x + probe):
         lo, hi = _narrow(lo, hi, sign_lo, x, _level(freqs, x, wa, wb))
-    return lo, hi
+
+    out_lo, out_hi = lo.copy(), hi.copy()
+    index, sign, live_wa, live_wb = np.arange(len(lo)), sign_lo, wa, wb
+    while len(index):
+        mid = 0.5 * (lo + hi)
+        # a bracket of adjacent floats is done and must stay put: its mid is
+        # an end, and at lo = 0, where h may be 0 while sign is the sign
+        # next to it, moving hi to that mid would collapse the bracket
+        live = (lo < mid) & (mid < hi)
+        if not live.all():
+            out_lo[index], out_hi[index] = lo, hi
+            index, lo, hi, sign = index[live], lo[live], hi[live], sign[live]
+            live_wa, live_wb = live_wa[live], live_wb[live]
+            continue
+        up = np.sign(_level(freqs, mid, live_wa, live_wb)) == sign
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    v_lo, v_hi = _level(freqs, out_lo, wa, wb), _level(freqs, out_hi, wa, wb)
+    return np.where(np.abs(v_lo) <= np.abs(v_hi), out_lo, out_hi)
 
 
 def _narrow(lo, hi, sign_lo, x, v) -> tuple[np.ndarray, np.ndarray]:
@@ -353,14 +369,6 @@ def _narrow(lo, hi, sign_lo, x, v) -> tuple[np.ndarray, np.ndarray]:
     inside = (lo < x) & (x < hi)
     up = np.sign(v) == sign_lo
     return np.where(inside & up, x, lo), np.where(inside & ~up, x, hi)
-
-
-def _bracket_roots(freqs, wa, wb, lo, hi, sign_lo) -> np.ndarray:
-    """The root of h = _level(freqs, u, wa, wb) in each sign-change bracket
-    [lo, hi], one entry per bracket: narrowed by _newton_narrow, then
-    bisected by _bisect_brackets down to adjacent floats."""
-    lo, hi = _newton_narrow(freqs, wa, wb, lo, hi, sign_lo)
-    return _bisect_brackets(functools.partial(_level, freqs), lo, hi, sign_lo, wa, wb)
 
 
 @functools.lru_cache(maxsize=64)
@@ -409,18 +417,11 @@ def _level_root_rows(a: int, b: int, ca, cb, s) -> tuple[np.ndarray, np.ndarray]
     scalars or columns against the weights s, one row each; a < b are
     coprime.  Between two breakpoints of _monotone_pieces
     h = sin(2*pi*a*u) * (wa + wb*R) has a root exactly when it changes
-    sign, and then one.  _bracket_roots narrows all brackets at once and
-    then bisects them at once.  At u = 0 and 1/2 the sign is that of
+    sign, and then one, which _bracket_roots finds for all brackets at
+    once; its root contract holds for every root, and each row's roots
+    depend on that row alone.  At u = 0 and 1/2 the sign is that of
     g = h / sin(2*pi*u):
     g(0) = wa*a + wb*b, g(1/2) = (-1)^(a-1)*wa*a + (-1)^(b-1)*wb*b.
-
-    Root contract: each root is an exact zero of the computed h, a
-    breakpoint double root (below), or an end of two adjacent floats across
-    which the computed h changes sign.  Where the computed h changes sign
-    once near a root, that root has the bits of plain bisection of its
-    bracket; where rounding noise gives several sign changes between nearby
-    floats, it may be another of them.  Each row's roots depend on that
-    row alone.
 
     Coalescing roots: a breakpoint value within 16*eps*(|ca|*a + |cb|*b)
     counts as 0, a bound on what rounding s to a float and evaluating h
@@ -431,15 +432,15 @@ def _level_root_rows(a: int, b: int, ca, cb, s) -> tuple[np.ndarray, np.ndarray]
     pieces = _monotone_pieces(a, b)
     s = np.asarray(s, dtype=float)[:, None]
     wa, wb = ca * (1.0 - s), cb * (1.0 + s)
-    v = wa * _sin_turns(a, pieces) + wb * _sin_turns(b, pieces)
+    freqs = np.array([[a], [b]])
+    v = _level(freqs, pieces, wa, wb)
     v[:, :1] = wa * a + wb * b
     v[:, -1:] = (-1) ** (a - 1) * wa * a + (-1) ** (b - 1) * wb * b
     v[np.abs(v) <= 16.0 * np.finfo(float).eps * (np.abs(ca) * a + np.abs(cb) * b)] = 0.0
     sign = np.sign(v)
     row_double, at = np.nonzero(sign[:, 1:-1] == 0.0)
     row, k = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
-    freqs, wa_k, wb_k = np.array([[a], [b]]), wa[row, 0], wb[row, 0]
-    simple = _bracket_roots(freqs, wa_k, wb_k, pieces[k], pieces[k + 1], sign[row, k])
+    simple = _bracket_roots(freqs, wa[row, 0], wb[row, 0], pieces[k], pieces[k + 1], sign[row, k])
     rows = np.concatenate([row_double, row])
     roots = np.concatenate([pieces[at + 1], simple])
     order = np.lexsort((roots, rows))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import MAX_GRID_SAMPLES, _unit_roots, curve_scale, eval_grid
+from .curve import MAX_GRID_SAMPLES, _roots, curve_scale, eval_grid
 from .errors import NearPole, OnCurve, Unresolved
 # the closed forms are defined in spec and re-exported here
 from .spec import PlanePoint, TwoTermSpec, _integer, winding_closed_form, zeros_of_curve
@@ -138,4 +138,4 @@ def kernel_integral(p: KernelParams, n: int = 2048) -> complex:
     span = max(p.beta, abs(p.alpha))
     if abs(p.beta - abs(p.alpha)) < 1e-6 * span:
         raise NearPole("beta too close to |alpha|")
-    return complex(np.mean(1.0 / (p.beta + p.alpha * _unit_roots(n))))
+    return complex(np.mean(1.0 / (p.beta + p.alpha * _roots(0, 1, n))))

@@ -12,8 +12,9 @@ flag read from the Fractions' denominators.
 grid_samples gathers gamma(j/n) from the unit-root table at computed
 indices, term by term, as eval_grid did before it kept per-frequency
 samples; eval_grid must match it bit for bit.  grid_intersection_check
-compares every grid pair and every record in Python loops, within 1e-9;
-the library's check, which matches the records exactly, must give the
+compares the grid points and then the records in Python loops, within
+1e-9, each side sorted and walked so that only near neighbours are
+compared; the library's check, which matches the records exactly, must give the
 same verdict on the records self_intersections gives.
 """
 
@@ -26,7 +27,6 @@ from epicusp import curve, geometry, singularity
 from epicusp.curve import (
     PlanePoint,
     TwoTermSpec,
-    _unit_roots,
     curve_scale,
     eval_complex,
     eval_grid,
@@ -206,7 +206,7 @@ def grid_samples(spec, j: np.ndarray, n: int) -> np.ndarray:
 
     The terms are looked up at call time, so that a test can replace them.
     """
-    table = _unit_roots(n)
+    table = curve._roots(0, 1, n)
     out = np.zeros(len(j), dtype=complex)
     for f, w in curve._terms(spec):
         k = (f % n) * j
@@ -226,13 +226,19 @@ def circ_dist(x: float, y: float) -> float:
 def grid_intersection_check(a: int, b: int) -> bool:
     spec = TwoTermSpec(a, b, 0.0)
     n = b * b - a * a
-    scale = curve_scale(spec)
+    tol = 1e-12 * curve_scale(spec)
     pts = eval_complex(spec, np.arange(n) / n)
+    # two points within tol have real parts within tol: walk the points in
+    # order of real part, each against those that follow it within 2*tol
+    xs = pts.real.tolist()
+    order = sorted(range(n), key=xs.__getitem__)
     oracle = set()
-    for j1 in range(n):
-        for j2 in range(j1 + 1, n):
-            if abs(pts[j1] - pts[j2]) < 1e-12 * scale:
-                oracle.add((j1 / n, j2 / n))
+    for i, j1 in enumerate(order):
+        for j2 in order[i + 1 :]:
+            if xs[j2] - xs[j1] > 2 * tol:
+                break
+            if abs(pts[j1] - pts[j2]) < tol:
+                oracle.add((min(j1, j2) / n, max(j1, j2) / n))
 
     origin_ts = [float(f) for f in zeros_of_curve(a, b)]
     origin_pairs = {
@@ -241,17 +247,29 @@ def grid_intersection_check(a: int, b: int) -> bool:
 
     # looked up at call time, so that a test can replace the detector
     found = [(r.t1, r.t2) for r in geometry.self_intersections(spec)]
+    return _all_near(oracle, found) and _all_near(found, oracle | origin_pairs)
 
-    def matches(pair, reference):
-        return any(
-            circ_dist(pair[0], q[0]) < 1e-9 and circ_dist(pair[1], q[1]) < 1e-9
-            for q in reference
-        )
 
-    for pair in oracle:
-        if not matches(pair, found):
-            return False
-    for pair in found:
-        if not matches(pair, oracle) and not matches(pair, origin_pairs):
+def _all_near(pairs, reference, tol: float = 1e-9) -> bool:
+    """Whether each pair lies within tol of some reference pair, both
+    parameters measured by circ_dist.
+
+    Both sides are sorted by their first parameter mod 1 and walked
+    together: a reference is tried only when its first parameter mod 1,
+    or that moved by a period, lies within 2*tol of the pair's.
+    """
+    refs = sorted((q[0] % 1.0 + k, q) for q in reference for k in (-1.0, 0.0, 1.0))
+    lo = 0
+    for p in sorted(pairs, key=lambda p: p[0] % 1.0):
+        x = p[0] % 1.0
+        while lo < len(refs) and refs[lo][0] < x - 2 * tol:
+            lo += 1
+        k = lo
+        while k < len(refs) and refs[k][0] <= x + 2 * tol:
+            q = refs[k][1]
+            if circ_dist(p[0], q[0]) < tol and circ_dist(p[1], q[1]) < tol:
+                break
+            k += 1
+        else:
             return False
     return True

@@ -12,11 +12,10 @@ import per_item
 from epicusp import TwoTermSpec, eval_complex
 from epicusp.curve import (
     _TABLE_CACHE_LIMIT,
-    _class_roots,
     _eval_terms,
+    _roots,
     _term_samples,
     _terms,
-    _unit_roots,
     curve_scale,
     derivative_scale,
     eval_grid,
@@ -264,9 +263,9 @@ class TestGrid:
         assert gap <= 1e-12 * curve_scale(spec)
 
     def test_the_cached_table_is_read_only(self):
-        table = _unit_roots(1000)
+        table = _roots(0, 1, 1000)
         before = table.copy()
-        assert table is _unit_roots(1000)
+        assert table is _roots(0, 1, 1000)
         with pytest.raises(ValueError):
             table[1] = 0.0
         z = eval_grid(TwoTermSpec(1, 2, 0.0), 1000)
@@ -274,7 +273,7 @@ class TestGrid:
         assert same_bits(table, before)
 
     def test_large_tables_are_not_kept(self):
-        assert _unit_roots(1 << 17) is not _unit_roots(1 << 17)
+        assert _roots(0, 1, 1 << 17) is not _roots(0, 1, 1 << 17)
 
     def test_rejects_empty_grids(self):
         with pytest.raises(ValueError):
@@ -291,7 +290,7 @@ class TestGrid:
         z = eval_grid(TwoTermSpec(3, 4, 0.0), 1000)
         z[1] = 0.0  # the result is the caller's own array
         assert same_bits(e, before)
-        assert same_bits(e, _unit_roots(1000)[3 * np.arange(1000) % 1000])
+        assert same_bits(e, _roots(0, 1, 1000)[3 * np.arange(1000) % 1000])
 
     def test_large_term_samples_are_not_kept(self):
         n = _TABLE_CACHE_LIMIT + 1
@@ -310,7 +309,7 @@ class TestClassTables:
     def test_the_unit_roots_keep_their_bits(self, n):
         # the class r = 0, d = 1, built as 2*pi*(k/n) before the classes
         angle = 2.0 * np.pi * (np.arange(n) / n)
-        assert same_bits(_unit_roots(n), np.cos(angle) + 1j * np.sin(angle))
+        assert same_bits(_roots(0, 1, n), np.cos(angle) + 1j * np.sin(angle))
 
     @pytest.mark.parametrize(
         "f, d, n",
@@ -336,9 +335,9 @@ class TestClassTables:
         assert np.max(np.abs(e - np.array(want))) <= 1e-15
 
     def test_the_cached_class_tables_are_read_only(self):
-        table = _class_roots(3, 4, 1000)
-        assert table is _class_roots(3, 4, 1000)
-        assert _class_roots(3, 4, _TABLE_CACHE_LIMIT) is _class_roots(3, 4, _TABLE_CACHE_LIMIT)
+        table = _roots(3, 4, 1000)
+        assert table is _roots(3, 4, 1000)
+        assert _roots(3, 4, _TABLE_CACHE_LIMIT) is _roots(3, 4, _TABLE_CACHE_LIMIT)
         with pytest.raises(ValueError):
             table[1] = 0.0
         e = _term_samples(7, 4, 1000)  # 7 = 3 mod 4
@@ -349,7 +348,7 @@ class TestClassTables:
 
     def test_large_class_tables_are_not_kept(self):
         n = _TABLE_CACHE_LIMIT + 1
-        assert _class_roots(3, 4, n) is not _class_roots(3, 4, n)
+        assert _roots(3, 4, n) is not _roots(3, 4, n)
 
 
 class TestGridGather:

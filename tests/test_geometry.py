@@ -36,8 +36,7 @@ def broken_terms(monkeypatch):
     def terms(spec):
         return spec.broken_terms() if isinstance(spec, Broken) else true_terms(spec)
 
-    for module in (curve, geometry):
-        monkeypatch.setattr(module, "_terms", terms)
+    monkeypatch.setattr(curve, "_terms", terms)
 
 
 @pytest.mark.usefixtures("broken_terms")
@@ -68,19 +67,19 @@ class TestVerifySymmetry:
             verify_symmetry(TwoTermSpec(1, 3, 0.0), n=99)
 
     def test_rejects_a_grid_past_the_largest_before_sampling(self, monkeypatch):
-        def no_samples(f, d, n):
+        def no_samples(spec, d, n):
             raise AssertionError(f"sampled {n} points")
 
-        monkeypatch.setattr(geometry, "_term_samples", no_samples)
+        monkeypatch.setattr(geometry, "_weighted_samples", no_samples)
         with pytest.raises(ValueError, match="need n <="):
             verify_symmetry(TwoTermSpec(1, 3, 0.5), n=MAX_GRID_SAMPLES + 1)
 
     @pytest.mark.parametrize("n", [1e4, 1024.0, 100.5, True, "1024"])
     def test_a_count_that_is_not_an_integer_is_refused_before_sampling(self, monkeypatch, n):
-        def no_samples(f, d, n):
+        def no_samples(spec, d, n):
             raise AssertionError(f"sampled {n} points")
 
-        monkeypatch.setattr(geometry, "_term_samples", no_samples)
+        monkeypatch.setattr(geometry, "_weighted_samples", no_samples)
         with pytest.raises(ValueError, match="n must be an integer"):
             verify_symmetry(TwoTermSpec(1, 3, 0.5), n=n)
 
@@ -185,6 +184,43 @@ class TestSymmetryBlocks:
         for spec in (TwoTermSpec(2, 5, -0.3), ComplexWeights(1, 4, 0.6), WrongFrequency(3, 4, 0.1)):
             for n in (100, 101, 128, 131):
                 assert repr(verify_symmetry(spec, n)) == repr(reference_verify_symmetry(spec, n))
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The (r, d, n) of every table curve._roots builds or finds kept, in order."""
+    builds, build = [], curve._roots
+
+    def counted(r, d, n):
+        builds.append((r, d, n))
+        return build(r, d, n)
+
+    monkeypatch.setattr(curve, "_roots", counted)
+    return builds
+
+
+@pytest.mark.usefixtures("broken_terms")
+class TestOneTablePerClass:
+    """Above the cache limit a call builds one table per class f mod d among its terms."""
+
+    def test_the_terms_of_a_class_share_its_table(self, table_builds):
+        n = curve._TABLE_CACHE_LIMIT + 1
+        verify_symmetry(TwoTermSpec(2, 5, 0.3), n)
+        # the grid class 0 mod 1, then the advanced class 2 mod 3 of a and b
+        assert table_builds == [(0, 1, n), (2, 3, n)]
+
+    def test_terms_of_two_classes_build_two_tables(self, table_builds):
+        # b+1 = 6 lies in the class 0 mod 3, a = 2 in the class 2
+        n = curve._TABLE_CACHE_LIMIT + 1
+        spec = WrongFrequency(2, 5, 0.3)
+        report = verify_symmetry(spec, n)
+        assert table_builds == [(0, 1, n), (2, 3, n), (0, 3, n)]
+        assert repr(report) == repr(reference_verify_symmetry(spec, n))
+
+    def test_eval_grid_gathers_both_terms_from_one_table(self, table_builds):
+        n = curve._TABLE_CACHE_LIMIT + 1
+        curve.eval_grid(TwoTermSpec(2, 5, 0.3), n)
+        assert table_builds == [(0, 1, n)]
 
 
 class Broken(TwoTermSpec):

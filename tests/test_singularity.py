@@ -511,6 +511,32 @@ class TestLoopBirth:
         with pytest.raises(ValueError):
             loop_birth_count(1, 3, 1.5)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: rotated_param_deriv(1, 3, math.inf), "t must be a finite real number"),
+            (lambda: rotated_param_deriv(1, 3, math.nan), "t must be a finite real number"),
+            (lambda: rotated_param_deriv(1, 3, "0.1"), "t must be a finite real number"),
+            (lambda: loop_birth_count(1, 3, 0.5, "0.01"), "half_width must lie in"),
+            (lambda: loop_birth_count(1, 3, "0.5"), "s must be a finite real number"),
+            (lambda: undefined_derivative_sets(1, 3, ["0.5"]), "weights must be a finite real"),
+            (lambda: undefined_derivative_sets(1, 3, [0.5, None]), "weights must be a finite real"),
+            (lambda: undefined_derivative_sets(1, 3, [0.5, 1.5]), "weights must lie in"),
+        ],
+        ids=["t inf", "t nan", "t string", "half_width string", "s string", "weights string",
+             "weights None", "weights outside"],
+    )
+    def test_bad_input_is_refused_naming_the_parameter(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_real_numbers_of_any_type_are_accepted(self):
+        count = loop_birth_count(1, 3, 0.5, 0.01)
+        assert loop_birth_count(1, 3, np.float32(0.5), Fraction(1, 100)) == count
+        sets = undefined_derivative_sets(1, 3, [-0.5, 0.0])
+        assert undefined_derivative_sets(1, 3, [Fraction(-1, 2), 0]) == sets
+        assert rotated_param_deriv(1, 3, np.float64(0.1)) == rotated_param_deriv(1, 3, 0.1)
+
 
 class TestUndefinedDerivativeSet:
     def test_small_weight_has_only_the_fixed_pair(self):

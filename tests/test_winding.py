@@ -21,7 +21,7 @@ from epicusp import (
     zeros_of_curve,
 )
 from epicusp import winding
-from epicusp.curve import MAX_GRID_SAMPLES, _TABLE_CACHE_LIMIT, _unit_roots, eval_grid
+from epicusp.curve import MAX_GRID_SAMPLES, _TABLE_CACHE_LIMIT, _roots, eval_grid
 
 ORIGIN = PlanePoint(0.0, 0.0)
 
@@ -232,28 +232,28 @@ class TestKernelIntegral:
 
     def test_the_cached_grid_is_read_only(self):
         # the grid is eval_grid's unit-root table, which no call may change
-        e = _unit_roots(2048)
+        e = _roots(0, 1, 2048)
         before = e.copy()
         kernel_integral(KernelParams(alpha=1.0, beta=2.0), 2048)
-        assert e is _unit_roots(2048) and e.tobytes() == before.tobytes()
+        assert e is _roots(0, 1, 2048) and e.tobytes() == before.tobytes()
         with pytest.raises(ValueError):
             e[0] = 0.0
 
     @pytest.mark.parametrize("n", [0, -1, MAX_GRID_SAMPLES + 1])
     def test_empty_grids_are_refused(self, n, monkeypatch):
-        def no_grid(n):
+        def no_grid(r, d, n):
             raise AssertionError(f"built a grid of {n} points")
 
-        monkeypatch.setattr(winding, "_unit_roots", no_grid)
+        monkeypatch.setattr(winding, "_roots", no_grid)
         with pytest.raises(ValueError):
             kernel_integral(KernelParams(alpha=1.0, beta=2.0), n)
 
     @pytest.mark.parametrize("n", [True, False, 2048.0, 10.5, "2048"])
     def test_a_count_that_is_not_an_integer_is_refused(self, n, monkeypatch):
-        def no_grid(n):
+        def no_grid(r, d, n):
             raise AssertionError(f"built a grid of {n} points")
 
-        monkeypatch.setattr(winding, "_unit_roots", no_grid)
+        monkeypatch.setattr(winding, "_roots", no_grid)
         with pytest.raises(ValueError, match="n must be an integer"):
             kernel_integral(KernelParams(alpha=1.0, beta=2.0), n)
 
