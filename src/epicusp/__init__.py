@@ -6,8 +6,9 @@ self-intersection structure, with deterministic SVG rendering and a CLI.
 
 Importing the package loads none of its submodules and no numpy.  Each
 public name is imported from the submodule that defines it on first access
-(PEP 562), so ``from epicusp import TwoTermSpec`` loads only the numpy-free
-spec module, while ``epicusp.find_cusps`` loads singularity and numpy.
+(PEP 562), so ``from epicusp import TwoTermSpec`` or ``epicusp.find_cusps``
+loads only the numpy-free spec module, while ``epicusp.loop_birth_count``
+loads singularity and numpy.
 Submodules are reachable as attributes too: ``epicusp.geometry`` imports
 geometry.
 """
@@ -37,16 +38,16 @@ _EXPORTS = {
         "render_singularity_diagram",
     ),
     "singularity": (
-        "CuspCertificate",
-        "find_cusps",
         "loop_birth_count",
         "rotated_param_deriv",
         "undefined_derivative_sets",
     ),
     "spec": (
+        "CuspCertificate",
         "CuspLocus",
         "PlanePoint",
         "TwoTermSpec",
+        "find_cusps",
         "predicted_cusp_locus",
         "winding_closed_form",
         "zeros_of_curve",

@@ -8,6 +8,7 @@ imported from the modules under test.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -82,39 +83,64 @@ def criterion_kernel_dichotomy() -> tuple[bool, str]:
     return True, f"100 seeded pairs, worst error {worst:.2e}"
 
 
+# _cusp_gap measures gamma' CUSP_OFFSET/(a+b) either side of a cusp, where
+# its direction has turned by about pi*CUSP_OFFSET from the limit
+CUSP_OFFSET = 1e-6
+CUSP_TANGENT_TOL = 1e-4
+
+
+def _cusp_gap(a: int, b: int, cert) -> float:
+    """The largest distance of gamma'/|gamma'| at t - delta and t + delta,
+    delta = CUSP_OFFSET/(a+b), from tangent_left and tangent_right, and of
+    the two from a flip; inf where gamma' vanishes."""
+    delta = CUSP_OFFSET / (a + b)
+    d = eval_complex(TwoTermSpec(a, b, cert.s), [cert.t - delta, cert.t + delta], order=1)
+    if not d.all():
+        return math.inf
+    left, right = (z / abs(z) for z in d.tolist())
+    tl, tr = cert.tangent_left.as_complex(), cert.tangent_right.as_complex()
+    return max(abs(left - tl), abs(right - tr), abs(left + right))
+
+
+def _locus_error(a: int, b: int) -> str | None:
+    """None if find_cusps(a, b) gives the b - a points of predicted_cusp_locus
+    within 1e-6, proven exactly when a = 1, each with a _cusp_gap of at most
+    CUSP_TANGENT_TOL; else what is wrong."""
+    certs = singularity.find_cusps(a, b)
+    locus = singularity.predicted_cusp_locus(a, b)
+    if len(certs) != b - a:
+        return f"({a},{b}): expected {b - a} cusps, found {len(certs)}"
+    for cert, t_ref in zip(certs, sorted(locus.t_values)):
+        if abs(cert.s - float(locus.s_bar)) > 1e-6 or abs(cert.t - float(t_ref)) > 1e-6:
+            return f"({a},{b}): cusp at ({cert.s}, {cert.t}) off locus"
+        if cert.proven != (a == 1):
+            return f"({a},{b}): certificate marked proven={cert.proven}"
+        gap = _cusp_gap(a, b, cert)
+        if not gap <= CUSP_TANGENT_TOL:
+            return f"({a},{b}): tangents at t={cert.t} off gamma' by {gap:.2e}"
+    return None
+
+
 def criterion_two_cusp_certificates() -> tuple[bool, str]:
-    """find_cusps(1,3) certifies exactly the two known cusps."""
-    certs = singularity.find_cusps(1, 3)
-    if len(certs) != 2:
-        return False, f"expected 2 certificates, got {len(certs)}"
-    for cert, t_ref in zip(certs, (0.25, 0.75)):
-        if abs(cert.s + 0.5) > 1e-6 or abs(cert.t - t_ref) > 1e-6:
-            return False, f"certificate at ({cert.s}, {cert.t}) misses ({-0.5}, {t_ref})"
-        if cert.flip_dot > -1 + 1e-6:
-            return False, f"flip_dot {cert.flip_dot} not at -1"
-        for tangent in (cert.tangent_left, cert.tangent_right):
-            if abs(tangent.x) > 1e-4 or abs(abs(tangent.y) - 1.0) > 1e-4:
-                return False, f"tangent {tangent} not vertical"
-        dot = (
-            cert.tangent_left.x * cert.tangent_right.x
-            + cert.tangent_left.y * cert.tangent_right.y
-        )
-        if dot > -1 + 1e-4:
-            return False, "one-sided tangents do not oppose"
-    return True, "2 certificates at (-0.5, 1/4) and (-0.5, 3/4), vertical flipped tangents"
+    """find_cusps(1,3) certifies exactly the two known cusps, with vertical tangents."""
+    error = _locus_error(1, 3)
+    if error:
+        return False, error
+    for cert, t_ref in zip(singularity.find_cusps(1, 3), (0.25, 0.75)):
+        if abs(cert.s + 0.5) > 1e-6 or abs(cert.t - t_ref) > 1e-6 or cert.flip_dot > -1 + 1e-6:
+            return False, f"{cert} is not the cusp at (-0.5, {t_ref})"
+        if abs(cert.tangent_right.x) > 1e-4:
+            return False, f"tangent {cert.tangent_right} not vertical"
+    return True, "2 certificates at (-0.5, 1/4) and (-0.5, 3/4), vertical tangents that gamma' flips"
 
 
 def criterion_unit_a_locus() -> tuple[bool, str]:
     """find_cusps(1,b) recovers the b-1 predicted cusps for b in 2..8."""
     for b in range(2, 9):
-        certs = singularity.find_cusps(1, b)
-        locus = singularity.predicted_cusp_locus(1, b)
-        if len(certs) != b - 1:
-            return False, f"(1,{b}): expected {b - 1} cusps, found {len(certs)}"
-        for cert, t_ref in zip(certs, sorted(locus.t_values)):
-            if abs(cert.s - float(locus.s_bar)) > 1e-6 or abs(cert.t - float(t_ref)) > 1e-6:
-                return False, f"(1,{b}): cusp at ({cert.s}, {cert.t}) off locus"
-    return True, "b in 2..8: all b-1 certificates on the predicted locus within 1e-6"
+        error = _locus_error(1, b)
+        if error:
+            return False, error
+    return True, "b in 2..8: all b-1 certificates on the predicted locus within 1e-6, tangents within 1e-4 of gamma'"
 
 
 def criterion_general_a_locus() -> tuple[bool, str]:
@@ -124,16 +150,10 @@ def criterion_general_a_locus() -> tuple[bool, str]:
     of the stdout of epicusp verify, which the benchmark checks.
     """
     for a, b in ((2, 3), (2, 5), (3, 5)):
-        certs = singularity.find_cusps(a, b)
-        locus = singularity.predicted_cusp_locus(a, b)
-        if len(certs) != b - a:
-            return False, f"({a},{b}): expected {b - a} cusps, found {len(certs)}"
-        for cert, t_ref in zip(certs, sorted(locus.t_values)):
-            if abs(cert.s - float(locus.s_bar)) > 1e-6 or abs(cert.t - float(t_ref)) > 1e-6:
-                return False, f"({a},{b}): cusp at ({cert.s}, {cert.t}) off locus"
-            if cert.proven:
-                return False, f"({a},{b}): certificate wrongly marked proven"
-    return True, "(2,3), (2,5), (3,5) match the conjectural locus, proven=False"
+        error = _locus_error(a, b)
+        if error:
+            return False, error
+    return True, "(2,3), (2,5), (3,5) match the conjectural locus, proven=False, tangents within 1e-4 of gamma'"
 
 
 def criterion_loop_birth() -> tuple[bool, str]:
@@ -191,13 +211,15 @@ def criterion_origin_zeros() -> tuple[bool, str]:
 
 
 def criterion_rotated_closed_forms() -> tuple[bool, str]:
-    """Rotated-frame slope matches -cot(4 pi t); undefined-set counts."""
-    for k in range(1, 1000):
-        t = k / 1000.0
-        if min(abs(t - p / 4.0) for p in range(5)) < 5e-3:
-            continue
-        lhs = singularity.rotated_param_deriv(1, 3, t)
-        rhs = -1.0 / math.tan(4.0 * math.pi * t)
+    """Rotated-frame slope matches the turned gamma' of (1,3); undefined-set counts."""
+    a, b = 1, 3
+    ts = [k / 1000.0 for k in range(1, 1000)]
+    ts = [t for t in ts if min(abs(t - p / 4.0) for p in range(5)) >= 5e-3]
+    turn = cmath.exp(1j * math.pi * (0.5 - a / (b - a)))
+    measured = turn * eval_complex(TwoTermSpec(a, b, -0.5), ts, order=1)
+    for t, d in zip(ts, measured.tolist()):
+        lhs = singularity.rotated_param_deriv(a, b, t)
+        rhs = d.imag / d.real
         if lhs is None or abs(lhs - rhs) >= 1e-9:
             return False, f"slope mismatch at t={t}: {lhs} vs {rhs}"
     weights, counts = (-0.9, -0.75, -0.5, -0.25, 0.0, 1.0), (2, 2, 4, 6, 6, 6)
@@ -205,7 +227,7 @@ def criterion_rotated_closed_forms() -> tuple[bool, str]:
     for s, count, values in zip(weights, counts, sets):
         if len(values) != count:
             return False, f"cardinality {len(values)} != {count} at s={s}"
-    return True, "closed-form slope within 1e-9; cardinalities 2/4/6 across s = -1/2"
+    return True, f"closed-form slope within 1e-9 of gamma' at {len(ts)} points; cardinalities 2/4/6 across s = -1/2"
 
 
 def criterion_render_determinism() -> tuple[bool, str]:

@@ -7,8 +7,8 @@ early (no traceback), 2 usage error, 3 verification failure.
 
 Only the standard library, errors and the numpy-free spec module are
 imported up front.  Each handler imports the module it calls, so a cold
-`epicusp wind` without --numeric or --z0 and `epicusp cusps
---predicted-only` never load numpy.
+`epicusp wind` without --numeric or --z0 and `epicusp cusps`, which prints
+closed forms from spec, never load numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .errors import CurveAnalysisError
-from .spec import PlanePoint, TwoTermSpec, predicted_cusp_locus, winding_closed_form
+from .spec import PlanePoint, TwoTermSpec, find_cusps, predicted_cusp_locus, winding_closed_form
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -155,9 +155,7 @@ def _cmd_cusps(args) -> int:
             )
         )
         return EXIT_OK
-    from . import singularity
-
-    for cert in singularity.find_cusps(args.a, args.b):
+    for cert in find_cusps(args.a, args.b):
         print(
             json.dumps(
                 {

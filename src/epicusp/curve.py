@@ -47,11 +47,6 @@ def curve_scale(spec: TwoTermSpec) -> float:
     return float(sum(abs(w) for _, w in _terms(spec)))
 
 
-def derivative_scale(spec: TwoTermSpec) -> float:
-    """2*pi*(a*|1-s| + b*|1+s|), an upper bound on |gamma'(t)|."""
-    return float(sum(2.0 * math.pi * abs(f) * abs(w) for f, w in _terms(spec)))
-
-
 def eval_complex(spec: TwoTermSpec, t, order: int = 0) -> np.ndarray:
     """Vectorized evaluation of gamma or one of its t-derivatives.
 
@@ -128,8 +123,10 @@ def eval_grid(spec: TwoTermSpec, n: int) -> np.ndarray:
     sweep over the weights gathers once (above _TABLE_CACHE_LIMIT both
     terms gather from one table built for the call, one term at a time).
     Each weight multiplies its term's samples and the products are summed
-    in term order into zeros, as a gather per call would do, so at every n
-    the result has the same bits as that gather.  The table's angles are
+    in term order into zeros, as a gather per call would do.  For real
+    weights, which every TwoTermSpec has, the result so has the same bits
+    as that gather at every n; above _TABLE_CACHE_LIMIT a complex weight
+    multiplies in place and may round differently.  The table's angles are
     those eval_complex computes for the exact fractions k/n, so at a
     power-of-two n, where j/n is exact, the result has the same bits as
     eval_complex(spec, np.arange(n) / n).  At other n it is the more

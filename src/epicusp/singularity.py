@@ -1,4 +1,4 @@
-"""Singular points of the two-term family: location and certification.
+"""Singular points of the two-term family, the rotated-frame slope and the zeros of x'.
 
 Write z = exp(2*pi*i*t).  The k-th derivative of gamma_{a,b}^s is
 (2*pi*i)^k * ((1-s)*a^k*z^a + (1+s)*b^k*z^b), so gamma'(t) = 0 forces
@@ -7,14 +7,14 @@ are exactly s = (a-b)/(a+b), t = h/(2(b-a)) with h odd.  There
 gamma'' = (2*pi*i)^2 * (1-s)*a*z^a*(a-b) is nonzero and
 gamma''' = 2*pi*i*(a+b) * gamma'', so gamma'' and gamma''' are
 perpendicular and each singular point is an ordinary (semicubical) cusp
-(Bruce & Giblin, Curves and Singularities, 1992).  find_cusps lists this
-locus and certifies each point independently, all of them in one array
-pass: the one-sided unit tangents must flip direction across it, their
-dot product extrapolating to -1 as the offset shrinks.  Points and
-tangents elsewhere come from curve.eval_complex.  The module also
-carries the closed-form parametric derivative in the frame that puts
-cusp 0 on the vertical axis, the loop-birth count that detects the small
-loop a cusp unfolds into, and the zeros of x'.
+(Bruce & Giblin, Curves and Singularities, 1992).  As
+gamma'' = 4*pi^2*(1-s)*a*(b-a) * z^a, the one-sided unit tangents there are
+-z^a from below and z^a from above, and they flip exactly.  spec.find_cusps
+builds every cusp's certificate from these closed forms, with no arrays;
+this module re-exports it, as it does CuspCertificate and the locus.  The
+module carries the closed-form parametric derivative in the frame that
+puts cusp 0 on the vertical axis, the loop-birth count that detects the
+small loop a cusp unfolds into, and the zeros of x'.
 
 The zeros of x'(t) and the self-intersections (geometry.py) are both the
 roots u in (0, 1/2) of w_a*sin(2*pi*a*u) + w_b*sin(2*pi*b*u), i.e. level
@@ -41,129 +41,23 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from fractions import Fraction
-from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .curve import _turns, derivative_scale, eval_complex
-from .errors import Unresolved
-# the cusp locus is defined in spec and re-exported here
-from .spec import CuspLocus, PlanePoint, TwoTermSpec, _check_pair, predicted_cusp_locus
+from .curve import _turns
+# the cusp locus and certificates are defined in spec and re-exported here
+from .spec import (
+    CuspCertificate,
+    CuspLocus,
+    _check_pair,
+    _real,
+    find_cusps,
+    predicted_cusp_locus,
+)
 
-# |gamma'| below this fraction of its natural scale counts as vanishing
-SINGULAR_RTOL = 1e-7
-CUSP_FLIP_TOL = 1e-6
 # _bracket_roots: Newton steps per bracket, then the probe's half-width in ulps
 _NEWTON_STEPS = 8
 _PROBE_ULPS = 16
-
-
-class CuspCertificate(NamedTuple):
-    """Evidence that the curve has a cusp at parameter t.
-
-    The one-sided unit tangents are limits from below and above t; at a
-    cusp they point in opposite directions, so their dot product is -1.
-    find_cusps builds the certificates of all of a pair's cusps in one
-    array pass.
-    ``proven`` records whether the curve lies in the case a = 1 that the
-    paper proves; the derivation in the module docstring covers every a.
-    """
-
-    s: float
-    t: float
-    tangent_left: PlanePoint
-    tangent_right: PlanePoint
-    flip_dot: float
-    proven: bool = False
-
-
-def _certify_cusps(spec: TwoTermSpec, ts, delta: float) -> list[Optional[CuspCertificate]]:
-    """Certify each t in ts as a cusp via the unit-tangent flip, from one
-    evaluation of gamma'.
-
-    One-sided unit tangents are evaluated at t +- delta/4^k for four
-    shrinking levels.  At a genuine cusp the left/right tangent dot product
-    behaves like -cos(c*delta), so Richardson extrapolation of consecutive
-    levels must land at -1; at a smooth-but-nearly-singular point it tends
-    to +1 instead.
-
-    gamma' is evaluated once on an array of shape (len(ts), 9): each t,
-    then t - delta/4^k and t + delta/4^k for k = 0..3.  The singular test,
-    unit tangents, flips and final tangents are array operations on it,
-    written in real arithmetic so that every certificate has the bits of
-    the point-by-point computation: |d| is hypot(x, y), x and y are divided
-    separately, and the dot product of two tangents is lx*rx + ly*ry.
-
-    Returns one entry per t: its certificate, or None where |x'(t)| or
-    |y'(t)| exceeds SINGULAR_RTOL times the curve's derivative scale, the
-    tangents do not flip (for example at a higher-order singularity) or a
-    one-sided speed is 0.
-    """
-    ts = np.asarray(ts, dtype=float)
-    offsets = [delta / 4**k for k in range(4)]
-    # t + (-o) is exactly t - o
-    steps = np.array([0.0] + [-o for o in offsets] + offsets)
-    d = eval_complex(spec, ts[:, None] + steps, order=1)
-    tol = SINGULAR_RTOL * derivative_scale(spec)
-    singular = (np.abs(d.real[:, 0]) <= tol) & (np.abs(d.imag[:, 0]) <= tol)
-
-    # columns 0..3 are the left tangents, 4..7 the right ones
-    ux, uy = _unit(d.real[:, 1:], d.imag[:, 1:])
-    flips = ux[:, :4] * ux[:, 4:] + uy[:, :4] * uy[:, 4:]
-    # flip_dot(delta) = -1 + O(delta^2): the fourth-order extrapolant of
-    # each consecutive level pair removes that error to O(delta^4); a NaN
-    # does not fail this test
-    fails = ((16.0 * flips[:, 1:] - flips[:, :-1]) / 15.0 > -1.0 + CUSP_FLIP_TOL).any(axis=1)
-    certified = singular & ~fails & (d[:, 1:] != 0.0).all(axis=1)
-
-    # the one-sided tangent angles drift linearly in delta, so a linear
-    # Richardson step on the two smallest offsets cancels the drift;
-    # column 0 is the left tangent, column 1 the right one
-    tx, ty = _unit(4.0 * ux[:, 3::4] - ux[:, 2::4], 4.0 * uy[:, 3::4] - uy[:, 2::4])
-    flip_dot = tx[:, 0] * tx[:, 1] + ty[:, 0] * ty[:, 1]
-
-    proven = spec.a == 1
-    rows = zip(certified.tolist(), ts.tolist(), tx.tolist(), ty.tolist(), flip_dot.tolist())
-    return [
-        CuspCertificate(spec.s, t, PlanePoint(x[0], y[0]), PlanePoint(x[1], y[1]), dot, proven)
-        if ok
-        else None
-        for ok, t, x, y, dot in rows
-    ]
-
-
-def _unit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) / hypot(x, y), each part divided separately; (0, 0) gives NaN."""
-    r = np.hypot(x, y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return x / r, y / r
-
-
-def find_cusps(a: int, b: int) -> list[CuspCertificate]:
-    """Certify every cusp of the family over s in (-1, 1).
-
-    The singular points are exactly the points of predicted_cusp_locus.
-    All of them are certified in one array pass, the test of _certify_cusps
-    at the float nearest each exact (s, t), with the same bits as one
-    point at a time.  Certificates come back sorted by t, b - a of them.
-    Those floats are (a-b)/(a+b) and h/d: true division of integers is
-    correctly rounded, so they are float(Fraction) of the locus.
-
-    Raises
-    ------
-    Unresolved
-        If a locus point fails certification.
-    """
-    a, b = _check_pair(a, b)
-    d = 2 * (b - a)
-    spec = TwoTermSpec(a, b, (a - b) / (a + b))
-    delta = min(1e-3, 0.01 / (a + b))
-    certs = _certify_cusps(spec, np.arange(1, d, 2) / d, delta)
-    for h, cert in zip(range(1, d, 2), certs):
-        if cert is None:
-            raise Unresolved(f"({a},{b}): no tangent flip at t = {Fraction(h, d)}")
-    return certs
 
 
 def rotated_param_deriv(a: int, b: int, t: float) -> float | None:
@@ -270,14 +164,6 @@ def _zero_rows(a: int, b: int, weights) -> tuple[np.ndarray, np.ndarray]:
     t = ((t + np.arange(g)[:, None]) / g).ravel()
     key = np.tile(np.concatenate([rows, row, rows, row]), g)
     return t[np.lexsort((t, key))], g * (2 * counts + 2)
-
-
-def _real(value, name: str) -> float:
-    """A finite real number as a float; anything else (a string, a NaN)
-    raises ValueError naming it."""
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, not {value!r}")
-    return float(value)
 
 
 def _weights(weights, name: str) -> np.ndarray:

@@ -11,17 +11,19 @@ is the input of every analysis.
 The paper's two headline results are closed forms in a, b and s alone: the
 winding number about the origin (winding_closed_form) and the cusp locus
 (predicted_cusp_locus), together with the origin passages of the balanced
-curve (zeros_of_curve).  They live here, beside the specification, because
-this module imports nothing beyond the standard library and errors:
-`epicusp wind` without --numeric or --z0 and `epicusp cusps
---predicted-only` load it and never numpy.  curve, winding and singularity
-re-export every name they used to define, so their import paths and
-pickles written under them still resolve.
+curve (zeros_of_curve).  find_cusps builds the certificates of the cusps
+from the proof in the singularity module docstring, so they too need no
+arrays.  These live here, beside the specification, because this module
+imports nothing beyond the standard library and errors: `epicusp wind`
+without --numeric or --z0 and `epicusp cusps` load it and never numpy.
+curve, winding and singularity re-export every name they used to define,
+so their import paths and pickles written under them still resolve.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +60,17 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer") from exc
 
 
+def _real(value, name: str) -> float:
+    """A finite real number as a float; anything else (a string, None, a
+    NaN, an int too large for a float) raises ValueError naming it."""
+    try:
+        if isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be a finite real number, not {value!r}")
+
+
 def _check_pair(a, b) -> tuple[int, int]:
     """Frequencies as plain ints, with 1 <= a < b."""
     a, b = _integer(a, "frequency a"), _integer(b, "frequency b")
@@ -78,9 +91,10 @@ class TwoTermSpec:
         a, b = _check_pair(self.a, self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if not -1.0 <= self.s <= 1.0:
+        s = _real(self.s, "s")
+        if not -1.0 <= s <= 1.0:
             raise ValueError("s must lie in [-1, 1]")
-        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "s", s)
 
 
 def winding_closed_form(spec: TwoTermSpec) -> int:
@@ -134,3 +148,38 @@ def predicted_cusp_locus(a: int, b: int) -> CuspLocus:
         t_values=tuple(Fraction(h, d) for h in range(1, d, 2)),
         proven=(a == 1),
     )
+
+
+class CuspCertificate(NamedTuple):
+    """Evidence that the curve has a cusp at parameter t: the one-sided unit
+    tangents from below and above t, which a cusp flips (flip_dot = -1).
+    ``proven`` records whether a = 1, the case the paper proves; the
+    derivation in the singularity module docstring covers every a."""
+
+    s: float
+    t: float
+    tangent_left: PlanePoint
+    tangent_right: PlanePoint
+    flip_dot: float
+    proven: bool = False
+
+
+def find_cusps(a: int, b: int) -> list[CuspCertificate]:
+    """The certificates of the b - a cusps of the family, sorted by t.
+
+    They follow from the proof in the singularity module docstring: at
+    t = h/d, d = 2(b-a), the unit tangents are -exp(2*pi*i*a*t) from below
+    and exp(2*pi*i*a*t) from above, whose angle 2*pi*((a*h) mod d)/d is
+    reduced in integers, and flip_dot is exactly -1.  s and t are
+    (a-b)/(a+b) and h/d, correctly rounded divisions of integers, so they
+    are float(Fraction) of the locus.
+    """
+    a, b = _check_pair(a, b)
+    d = 2 * (b - a)
+    s = (a - b) / (a + b)
+    certs = []
+    for h in range(1, d, 2):
+        angle = 2.0 * math.pi * (a * h % d) / d
+        x, y = math.cos(angle), math.sin(angle)
+        certs.append(CuspCertificate(s, h / d, PlanePoint(-x, -y), PlanePoint(x, y), -1.0, a == 1))
+    return certs

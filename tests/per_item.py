@@ -9,6 +9,11 @@ them byte for byte.  The balanced records (s = 0) are built from exact
 pairs of Fractions instead, each t being float(Fraction) and each grid
 flag read from the Fractions' denominators.
 
+find_cusps certifies each point of the cusp locus numerically, one point
+at a time in Python complex arithmetic, as the library did before its
+certificates came from the closed form: the one numeric oracle that the
+closed-form certificates are compared against.
+
 grid_samples gathers gamma(j/n) from the unit-root table at computed
 indices, term by term, as eval_grid did before it kept per-frequency
 samples; eval_grid must match it bit for bit.  grid_intersection_check
@@ -23,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from epicusp import curve, geometry, singularity
+from epicusp import curve, geometry
 from epicusp.curve import (
     PlanePoint,
     TwoTermSpec,
@@ -33,7 +38,8 @@ from epicusp.curve import (
 )
 from epicusp.geometry import IntersectionRecord, _half_gap_roots
 from epicusp.render import CANVAS_PX, DIAGRAM_WEIGHT_COUNT, HALF_EXTENT, SVG_NS, _color_ramp, _px
-from epicusp.singularity import _level_root_rows, predicted_cusp_locus
+from epicusp.singularity import _level_root_rows
+from epicusp.spec import CuspCertificate, predicted_cusp_locus
 from epicusp.winding import zeros_of_curve
 
 
@@ -194,11 +200,68 @@ def balanced_intersections(a: int, b: int) -> list[IntersectionRecord]:
     return records
 
 
+# |gamma'| below this fraction of derivative_scale counts as vanishing, and
+# the extrapolated tangent flip must come within this of -1
+SINGULAR_RTOL = 1e-7
+CUSP_FLIP_TOL = 1e-6
+
+
+def derivative_scale(spec) -> float:
+    """2*pi*(a*|1-s| + b*|1+s|), an upper bound on |gamma'(t)|."""
+    return 2.0 * math.pi * (spec.a * abs(1.0 - spec.s) + spec.b * abs(1.0 + spec.s))
+
+
+def is_singular(spec, t: float) -> bool:
+    """x'(t) and y'(t) both within SINGULAR_RTOL of the derivative scale."""
+    d = complex(eval_complex(spec, float(t), order=1))
+    tol = SINGULAR_RTOL * derivative_scale(spec)
+    return abs(d.real) <= tol and abs(d.imag) <= tol
+
+
+def certificate(spec, t: float, delta: float = 1e-3):
+    """The cusp certificate of one point from nine evaluations of gamma', or None.
+
+    One evaluation classifies the point as singular.  The one-sided unit
+    tangents at t -+ delta/4^k, k = 0..3, must flip: the fourth-order
+    Richardson extrapolant of each consecutive pair of tangent dot products
+    must land within CUSP_FLIP_TOL of -1 (at a smooth point it tends to +1).
+    A linear Richardson step on the two smallest offsets then cancels the
+    tangents' drift.  None where the point is not singular or the tangents
+    do not flip.
+    """
+    if not is_singular(spec, t):
+        return None
+
+    def unit_tangent(u):
+        d = complex(eval_complex(spec, u, order=1))
+        return d / abs(d)
+
+    offsets = [delta / 4**k for k in range(4)]
+    left = [unit_tangent(t - d) for d in offsets]
+    right = [unit_tangent(t + d) for d in offsets]
+    flips = [(lt.conjugate() * rt).real for lt, rt in zip(left, right)]
+    for coarse, fine in zip(flips, flips[1:]):
+        if (16.0 * fine - coarse) / 15.0 > -1.0 + CUSP_FLIP_TOL:
+            return None
+    tl = 4.0 * left[3] - left[2]
+    tr = 4.0 * right[3] - right[2]
+    tl, tr = tl / abs(tl), tr / abs(tr)
+    return CuspCertificate(
+        s=spec.s,
+        t=float(t),
+        tangent_left=PlanePoint.from_complex(tl),
+        tangent_right=PlanePoint.from_complex(tr),
+        flip_dot=(tl.conjugate() * tr).real,
+        proven=(spec.a == 1),
+    )
+
+
 def find_cusps(a: int, b: int):
+    """certificate at every point of the locus, at the offset min(1e-3, 0.01/(a+b))."""
     locus = predicted_cusp_locus(a, b)
     spec = TwoTermSpec(a, b, float(locus.s_bar))
-    ts = [float(t) for t in locus.t_values]
-    return singularity._certify_cusps(spec, ts, min(1e-3, 0.01 / (a + b)))
+    delta = min(1e-3, 0.01 / (a + b))
+    return [certificate(spec, float(t), delta) for t in locus.t_values]
 
 
 def grid_samples(spec, j: np.ndarray, n: int) -> np.ndarray:

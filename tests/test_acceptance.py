@@ -7,7 +7,14 @@ values independently of the library internals wherever possible (brute
 force oracles, closed forms, byte comparisons).
 """
 
+import cmath
+
+import pytest
+
+from epicusp import singularity
 from epicusp.acceptance import CRITERIA
+from epicusp.singularity import rotated_param_deriv
+from epicusp.spec import PlanePoint, find_cusps
 
 
 def _run(number: int) -> None:
@@ -71,3 +78,40 @@ def test_criterion_11_render_determinism():
 
 def test_criterion_count_is_complete():
     assert len(CRITERIA) == 11
+
+
+def swapped(cert):
+    return cert._replace(tangent_left=cert.tangent_right, tangent_right=cert.tangent_left)
+
+
+def turned(cert):
+    turn = cmath.exp(1e-3j)
+    return cert._replace(
+        tangent_left=PlanePoint.from_complex(turn * cert.tangent_left.as_complex()),
+        tangent_right=PlanePoint.from_complex(turn * cert.tangent_right.as_complex()),
+    )
+
+
+@pytest.mark.parametrize("damage", [swapped, turned])
+@pytest.mark.parametrize("number", [3, 4, 5])
+def test_the_cusp_criteria_refuse_wrong_tangents(monkeypatch, number, damage):
+    # the criteria check the certificates against gamma' measured either side
+    monkeypatch.setattr(singularity, "find_cusps", lambda a, b: [damage(c) for c in find_cusps(a, b)])
+    passed, detail = CRITERIA[number - 1][1]()
+    assert not passed, detail
+
+
+@pytest.mark.parametrize(
+    "slope",
+    [lambda t: -slope_of(t), lambda t: slope_of(t) + 2e-9, lambda t: slope_of(t) * (1.0 + 1e-8)],
+    ids=["negated", "shifted by 2e-9", "scaled by 1 + 1e-8"],
+)
+def test_criterion_10_refuses_a_wrong_slope(monkeypatch, slope):
+    monkeypatch.setattr(singularity, "rotated_param_deriv", lambda a, b, t: slope(t))
+    passed, detail = CRITERIA[9][1]()
+    assert not passed and detail.startswith("slope mismatch"), detail
+
+
+def slope_of(t: float) -> float:
+    """The slope the library gives, read before a test replaces it."""
+    return rotated_param_deriv(1, 3, t)

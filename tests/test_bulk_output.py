@@ -11,7 +11,6 @@ import per_item
 from epicusp import geometry
 from epicusp import (
     TwoTermSpec,
-    find_cusps,
     render_curve,
     render_singularity_diagram,
     self_intersections,
@@ -87,11 +86,6 @@ class TestResultLists:
             if math.gcd(a, b) == 1:
                 spec = TwoTermSpec(a, b, 0.0)
                 assert repr(self_intersections(spec)) == repr(per_item.self_intersections(spec))
-
-    @pytest.mark.parametrize("b", [2, 7, 16, 41, 60])
-    def test_cusps_match_the_fraction_locus(self, b):
-        for a in range(1, b):
-            assert repr(find_cusps(a, b)) == repr(per_item.find_cusps(a, b))
 
 
 class TestGridIntersectionCheck:

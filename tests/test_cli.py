@@ -116,14 +116,6 @@ class TestCusps:
             assert row["flip_dot"] <= -1.0 + 1e-6
             assert row["proven"]
 
-    def test_failed_certification_reports_the_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            epicusp.singularity, "_certify_cusps", lambda spec, ts, delta: [None] * len(ts)
-        )
-        rc, out = run_cli(capsys, "cusps", "-a", "2", "-b", "5")
-        assert rc == 1
-        assert json.loads(out)["error"] == "Unresolved"
-
 
 class TestSampleBound:
     """-n one past the largest grid is refused like -n below the minimum:

@@ -2,6 +2,7 @@ import cmath
 import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from epicusp.curve import (
     _term_samples,
     _terms,
     curve_scale,
-    derivative_scale,
     eval_grid,
 )
+from per_item import derivative_scale
 
 
 def point(spec, t: float, order: int = 0) -> complex:
@@ -413,6 +414,15 @@ class TestSpecValidation:
     def test_rejects_bad_parameters(self, a, b, s):
         with pytest.raises(ValueError):
             TwoTermSpec(a, b, s)
+
+    @pytest.mark.parametrize("s", ["0.5", None, math.inf, 10**400], ids=["string", "None", "inf", "huge int"])
+    def test_a_weight_that_is_no_finite_real_number_is_refused_naming_s(self, s):
+        with pytest.raises(ValueError, match="s must be a finite real number"):
+            TwoTermSpec(1, 3, s)
+
+    def test_real_weights_of_any_type_give_the_float(self):
+        for s in (Fraction(-1, 2), np.float32(-0.5), np.int64(0)):
+            assert TwoTermSpec(1, 3, s).s == float(s) and type(TwoTermSpec(1, 3, s).s) is float
 
     @pytest.mark.parametrize(
         "spec, order",

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from epicusp import (
     CuspLocus,
+    PlanePoint,
     TwoTermSpec,
-    Unresolved,
     eval_complex,
     find_cusps,
     grid_intersection_check,
@@ -21,15 +21,10 @@ from epicusp import (
     undefined_derivative_sets,
     zeros_of_curve,
 )
-from epicusp import singularity
+from epicusp import acceptance, singularity
+from epicusp.acceptance import CUSP_TANGENT_TOL, _cusp_gap
 from epicusp.cli import main
-from epicusp.curve import derivative_scale
-from epicusp.singularity import (
-    CUSP_FLIP_TOL,
-    SINGULAR_RTOL,
-    _certify_cusps,
-    _monotone_pieces,
-)
+from epicusp.singularity import _monotone_pieces
 from epicusp.geometry import _half_gap_roots
 from exact_counts import (
     chebyshev_u,
@@ -40,24 +35,16 @@ from exact_counts import (
     u_sum,
     x_prime_count,
 )
-from per_item import circ_dist
-
-CUSP_SPEC = TwoTermSpec(1, 3, -0.5)
+import per_item
+from per_item import circ_dist, derivative_scale, is_singular
 
 
 # 1e-9 above the cusp weight of (1, 3), gamma' at t = 1/4 is within
-# SINGULAR_RTOL of 0, and a loop 1.4e-5 across has been born there.
-# Offsets of 1e-6 and less fall inside it, where the tangent flip does not
-# extrapolate to -1: singular, but no cusp at that scale
+# per_item.SINGULAR_RTOL of 0, and a loop 1.4e-5 across has been born there.
+# Offsets of 1e-6 and less fall inside it, where the tangents do not flip:
+# singular, but no cusp at that scale
 NEAR_CUSP_SPEC = TwoTermSpec(1, 3, -0.5 + 1e-9)
 NEAR_CUSP_DELTA = 1e-6
-
-
-def is_singular(spec, t: float) -> bool:
-    """x'(t) and y'(t) both within SINGULAR_RTOL of the derivative scale."""
-    d = complex(eval_complex(spec, float(t), order=1))
-    tol = SINGULAR_RTOL * derivative_scale(spec)
-    return abs(d.real) <= tol and abs(d.imag) <= tol
 
 
 def turn_angle(a: int, b: int) -> float:
@@ -80,46 +67,69 @@ def slope(d: complex) -> float:
     return d.imag / d.real
 
 
-def certify(spec, t: float, delta: float = 1e-3):
-    """_certify_cusps at the one point t."""
-    return _certify_cusps(spec, [t], delta)[0]
+def turned(tangent, angle: float):
+    """A PlanePoint turned by angle."""
+    return PlanePoint.from_complex(cmath.exp(1j * angle) * tangent.as_complex())
 
 
 class TestCertifyCusp:
+    """The closed-form certificates, and the acceptance battery's numeric
+    check of them (_cusp_gap), which must refuse what is no cusp."""
+
     def test_certifies_the_known_cusp(self):
-        cert = certify(CUSP_SPEC, 0.25)
-        assert cert is not None
-        assert cert.flip_dot <= -1.0 + 1e-6
+        cert = find_cusps(1, 3)[0]
+        assert cert.flip_dot == -1.0
         assert cert.s == -0.5 and cert.t == 0.25
         assert cert.proven
+        assert _cusp_gap(1, 3, cert) <= CUSP_TANGENT_TOL
 
     def test_tangents_are_vertical_and_opposed(self):
-        cert = certify(CUSP_SPEC, 0.25)
+        cert = find_cusps(1, 3)[0]
         assert abs(cert.tangent_left.x) < 1e-6
         assert abs(cert.tangent_right.x) < 1e-6
-        dot = (cert.tangent_left.x * cert.tangent_right.x
-               + cert.tangent_left.y * cert.tangent_right.y)
-        assert dot == pytest.approx(-1.0, abs=1e-6)
+        assert cert.tangent_right.y == 1.0
+        assert cert.tangent_left == (-cert.tangent_right.x, -cert.tangent_right.y)
 
     def test_second_cusp_certifies_too(self):
-        assert certify(CUSP_SPEC, 0.75) is not None
+        cert = find_cusps(1, 3)[1]
+        assert cert.t == 0.75 and cert.tangent_right.y == -1.0
+        assert _cusp_gap(1, 3, cert) <= CUSP_TANGENT_TOL
 
     def test_regular_point_is_refused(self):
-        # a point where gamma' does not vanish is not certified, and leaves
-        # the singular points next to it certified
+        # gamma' does not vanish at s = 0.3, so it points the same way on
+        # both sides: sqrt(2) from either vertical tangent, 2 from a flip
         assert not is_singular(TwoTermSpec(1, 3, 0.3), 0.25)
-        assert certify(TwoTermSpec(1, 3, 0.3), 0.25) is None
-        certs = _certify_cusps(CUSP_SPEC, [0.25, 0.1, 0.75], 1e-3)
-        assert certs[1] is None and certs[0] is not None and certs[2] is not None
+        assert per_item.certificate(TwoTermSpec(1, 3, 0.3), 0.25) is None
+        gap = _cusp_gap(1, 3, find_cusps(1, 3)[0]._replace(s=0.3))
+        assert gap == pytest.approx(2.0)
+        # and a certificate whose tangents follow gamma' there does not flip
+        d = complex(eval_complex(TwoTermSpec(1, 3, 0.3), 0.25, order=1))
+        along = PlanePoint.from_complex(d / abs(d))
+        cert = find_cusps(1, 3)[0]._replace(s=0.3, tangent_left=along, tangent_right=along)
+        assert _cusp_gap(1, 3, cert) == pytest.approx(2.0)
 
     def test_flat_tangent_point_is_not_certified(self):
+        # _cusp_gap measures 2.5e-7 either side, inside the loop
         assert is_singular(NEAR_CUSP_SPEC, 0.25)
-        assert certify(NEAR_CUSP_SPEC, 0.25, delta=NEAR_CUSP_DELTA) is None
+        assert per_item.certificate(NEAR_CUSP_SPEC, 0.25, delta=NEAR_CUSP_DELTA) is None
+        cert = find_cusps(1, 3)[0]._replace(s=NEAR_CUSP_SPEC.s)
+        assert _cusp_gap(1, 3, cert) > CUSP_TANGENT_TOL
 
     def test_a_stopped_curve_is_not_certified(self, monkeypatch):
         # with gamma' 0 everywhere there is no one-sided tangent
-        monkeypatch.setattr(singularity, "eval_complex", lambda spec, t, order: np.zeros(np.shape(t), complex))
-        assert certify(CUSP_SPEC, 0.25) is None
+        monkeypatch.setattr(acceptance, "eval_complex", lambda spec, t, order: np.zeros(np.shape(t), complex))
+        assert _cusp_gap(1, 3, find_cusps(1, 3)[0]) == math.inf
+
+    @pytest.mark.parametrize("a,b", [(1, 3), (2, 5), (3, 8), (7, 60)])
+    def test_swapped_or_turned_tangents_are_refused(self, a, b):
+        for cert in find_cusps(a, b):
+            assert _cusp_gap(a, b, cert) <= CUSP_TANGENT_TOL
+            left, right = cert.tangent_left, cert.tangent_right
+            swapped = cert._replace(tangent_left=right, tangent_right=left)
+            assert _cusp_gap(a, b, swapped) == pytest.approx(2.0, abs=1e-4)
+            for angle in (1e-3, -1e-3):
+                turned_cert = cert._replace(tangent_left=turned(left, angle), tangent_right=turned(right, angle))
+                assert _cusp_gap(a, b, turned_cert) > CUSP_TANGENT_TOL
 
 
 class TestPredictedLocus:
@@ -199,11 +209,6 @@ class TestFindCusps:
         for u in ts:
             assert min(circ_dist(t, u) for _, t in found) < 1e-6
 
-    def test_failed_certification_raises(self, monkeypatch):
-        monkeypatch.setattr(singularity, "_certify_cusps", lambda spec, ts, delta: [None] * len(ts))
-        with pytest.raises(Unresolved):
-            find_cusps(2, 5)
-
     @pytest.mark.parametrize("a,b", [(True, 3), (1.5, 3), (1, 3.0), ("1", 3)])
     def test_frequencies_must_be_integers(self, a, b):
         # every function of a frequency pair checks it with spec._check_pair
@@ -225,77 +230,30 @@ class TestFindCusps:
         assert find_cusps(np.int64(2), np.int64(5)) == find_cusps(2, 5)
 
 
-def reference_certificate(spec, t: float, delta: float = 1e-3):
-    """Cusp certification one point at a time in Python complex arithmetic.
+class TestAgainstTheNumericCertifier:
+    """find_cusps against the per-point numeric reference, per_item.find_cusps.
 
-    This was the certification before the certificates of a pair were
-    built in one array pass: nine scalar evaluations of gamma', one to
-    classify the point and eight for the one-sided tangents.  It is the
-    reference for the bits of that pass.
-    """
-    if not is_singular(spec, t):
-        return None
-
-    def unit_tangent(u):
-        d = complex(eval_complex(spec, u, order=1))
-        return d / abs(d)
-
-    offsets = [delta / 4**k for k in range(4)]
-    left = [unit_tangent(t - d) for d in offsets]
-    right = [unit_tangent(t + d) for d in offsets]
-    flips = [(lt.conjugate() * rt).real for lt, rt in zip(left, right)]
-    for coarse, fine in zip(flips, flips[1:]):
-        if (16.0 * fine - coarse) / 15.0 > -1.0 + CUSP_FLIP_TOL:
-            return None
-    tl = 4.0 * left[3] - left[2]
-    tr = 4.0 * right[3] - right[2]
-    tl, tr = tl / abs(tl), tr / abs(tr)
-    return singularity.CuspCertificate(
-        s=spec.s,
-        t=float(t),
-        tangent_left=singularity.PlanePoint.from_complex(tl),
-        tangent_right=singularity.PlanePoint.from_complex(tr),
-        flip_dot=(tl.conjugate() * tr).real,
-        proven=(spec.a == 1),
-    )
-
-
-def reference_cusps(a: int, b: int) -> tuple[TwoTermSpec, float, list]:
-    """The spec, offset and per-point reference certificates find_cusps uses."""
-    locus = predicted_cusp_locus(a, b)
-    spec = TwoTermSpec(a, b, float(locus.s_bar))
-    delta = min(1e-3, 0.01 / (a + b))
-    return spec, delta, [reference_certificate(spec, float(t), delta) for t in locus.t_values]
-
-
-class TestOneArrayPass:
-    """find_cusps and _certify_cusps have the bits of the per-point reference.
-
-    Both sides are computed in this process: the contract is determinism
-    on one machine, so no bytes are stored.
+    s, t and proven have the reference's bits, the tangents agree within
+    1e-9 and the reference's extrapolated flip reaches -1: the closed form
+    is what numeric certification finds.
     """
 
     @pytest.mark.parametrize("b", range(2, 61))
-    def test_every_pair_up_to_sixty_has_the_reference_bits(self, b):
+    def test_every_pair_up_to_sixty_matches_the_reference(self, b):
         for a in range(1, b):
-            spec, delta, want = reference_cusps(a, b)
-            assert repr(find_cusps(a, b)) == repr(want), (a, b)
-            for cert in want:
-                assert repr(certify(spec, cert.t, delta)) == repr(cert), (a, b, cert.t)
+            got, want = find_cusps(a, b), per_item.find_cusps(a, b)
+            assert len(got) == len(want) == b - a
+            for cert, ref in zip(got, want):
+                assert repr((cert.s, cert.t, cert.proven)) == repr((ref.s, ref.t, ref.proven)), (a, b)
+                assert math.dist(cert.tangent_left, ref.tangent_left) <= 1e-9, (a, b, cert.t)
+                assert math.dist(cert.tangent_right, ref.tangent_right) <= 1e-9, (a, b, cert.t)
+                assert cert.flip_dot == -1.0 and ref.flip_dot <= -1.0 + 1e-6
 
-    def test_certify_cusp_keeps_the_reference_bits_off_the_locus(self):
-        # one point of any curve, a regular one included
-        for spec, t, delta in [(CUSP_SPEC, 0.75, 1e-3), (NEAR_CUSP_SPEC, 0.25, 1e-3),
-                               (NEAR_CUSP_SPEC, 0.25, NEAR_CUSP_DELTA), (TwoTermSpec(1, 4, -0.6), 1.0 / 6.0, 1e-3),
-                               (TwoTermSpec(1, 3, 0.3), 0.25, 1e-3)]:
-            want = reference_certificate(spec, t, delta)
-            assert repr(certify(spec, t, delta)) == repr(want)
-
-    def test_cli_prints_the_reference_certificates(self, capsys):
+    def test_cli_prints_the_certificates(self, capsys):
         assert main(["cusps", "-a", "7", "-b", "60"]) == 0
         lines = [
-            json.dumps({"s": c.s, "t": c.t, "flip_dot": c.flip_dot, "proven": c.proven}) + "\n"
-            for c in reference_cusps(7, 60)[2]
+            json.dumps({"s": c.s, "t": c.t, "flip_dot": -1.0, "proven": False}) + "\n"
+            for c in per_item.find_cusps(7, 60)
         ]
         assert capsys.readouterr().out == "".join(lines)
 
@@ -517,13 +475,14 @@ class TestLoopBirth:
             (lambda: rotated_param_deriv(1, 3, math.inf), "t must be a finite real number"),
             (lambda: rotated_param_deriv(1, 3, math.nan), "t must be a finite real number"),
             (lambda: rotated_param_deriv(1, 3, "0.1"), "t must be a finite real number"),
+            (lambda: rotated_param_deriv(1, 3, 10**400), "t must be a finite real number"),
             (lambda: loop_birth_count(1, 3, 0.5, "0.01"), "half_width must lie in"),
             (lambda: loop_birth_count(1, 3, "0.5"), "s must be a finite real number"),
             (lambda: undefined_derivative_sets(1, 3, ["0.5"]), "weights must be a finite real"),
             (lambda: undefined_derivative_sets(1, 3, [0.5, None]), "weights must be a finite real"),
             (lambda: undefined_derivative_sets(1, 3, [0.5, 1.5]), "weights must lie in"),
         ],
-        ids=["t inf", "t nan", "t string", "half_width string", "s string", "weights string",
+        ids=["t inf", "t nan", "t string", "t huge int", "half_width string", "s string", "weights string",
              "weights None", "weights outside"],
     )
     def test_bad_input_is_refused_naming_the_parameter(self, call, message):

@@ -59,22 +59,24 @@ def test_import_loads_no_submodule_and_no_numpy():
 
 
 def test_a_spec_name_loads_only_spec():
-    modules, _ = loaded_after("from epicusp import TwoTermSpec, predicted_cusp_locus")
+    modules, _ = loaded_after("from epicusp import TwoTermSpec, find_cusps, predicted_cusp_locus")
     assert modules == ["epicusp", "epicusp.errors", "epicusp.spec"]
 
 
 @pytest.mark.parametrize(
     "argv, stdout",
     [
-        (["wind", "-a", "1", "-b", "3", "-s", "0.5"], {"value": 3, "method": "closed_form"}),
-        (["wind", "-a", "1", "-b", "3", "-s", "-1/2"], {"value": 1, "method": "closed_form"}),
+        (["wind", "-a", "1", "-b", "3", "-s", "0.5"], [{"value": 3, "method": "closed_form"}]),
+        (["wind", "-a", "1", "-b", "3", "-s", "-1/2"], [{"value": 1, "method": "closed_form"}]),
         (["cusps", "-a", "2", "-b", "5", "--predicted-only"],
-         {"s": -3 / 7, "t": [1 / 6, 0.5, 5 / 6], "proven": False}),
+         [{"s": -3 / 7, "t": [1 / 6, 0.5, 5 / 6], "proven": False}]),
+        (["cusps", "-a", "2", "-b", "5"],
+         [{"s": -3 / 7, "t": t, "flip_dot": -1.0, "proven": False} for t in (1 / 6, 0.5, 5 / 6)]),
     ],
 )
 def test_closed_form_commands_load_no_numpy(argv, stdout):
     modules, out = loaded_after(f"from epicusp.cli import main; main({argv!r})")
-    assert json.loads(out) == stdout
+    assert [json.loads(line) for line in out.splitlines()] == stdout
     assert modules == ["epicusp", "epicusp.cli", "epicusp.errors", "epicusp.spec"]
 
 
@@ -164,7 +166,8 @@ def test_an_unknown_name_raises_attribute_error():
     [
         (curve, ("PlanePoint", "_integer", "TwoTermSpec")),
         (winding, ("winding_closed_form", "zeros_of_curve")),
-        (singularity, ("CuspLocus", "predicted_cusp_locus", "_check_pair")),
+        (singularity, ("CuspCertificate", "CuspLocus", "find_cusps", "predicted_cusp_locus",
+                       "_check_pair", "_real")),
     ],
 )
 def test_moved_names_are_the_same_objects(module, names):
@@ -172,7 +175,8 @@ def test_moved_names_are_the_same_objects(module, names):
         assert getattr(module, name) is getattr(spec, name)
 
 
-# pickles written while these classes were defined in curve and singularity
+# pickles written while these classes were defined in curve and singularity;
+# the certificate's tangents are those of the numeric certifier of that time
 OLD_PICKLES = [
     (
         b"\x80\x04\x95B\x00\x00\x00\x00\x00\x00\x00\x8c\repicusp.curve\x94\x8c\x0bTwoTermSpec"
@@ -192,6 +196,18 @@ OLD_PICKLES = [
         b"Fraction\x94\x93\x94J\xff\xff\xff\xffK\x02\x86\x94R\x94\x8c\x08t_values\x94h\x08K\x01"
         b"K\x04\x86\x94R\x94h\x08K\x03K\x04\x86\x94R\x94\x86\x94\x8c\x06proven\x94\x88ub.",
         spec.predicted_cusp_locus(1, 3),
+    ),
+    (
+        b"\x80\x04\x95\x98\x00\x00\x00\x00\x00\x00\x00\x8c\x13epicusp.singularity\x94\x8c\x0f"
+        b"CuspCertificate\x94\x93\x94(G\xbf\xe0\x00\x00\x00\x00\x00\x00G?\xd0\x00\x00\x00\x00"
+        b"\x00\x00\x8c\x0cepicusp.spec\x94\x8c\nPlanePoint\x94\x93\x94G\xbd\xbb\xfb<\x9ax\x19"
+        b"\x18G\xbf\xf0\x00\x00\x00\x00\x00\x00\x86\x94\x81\x94h\x05G\xbd\xbb\xfbH\xecx\t(G?"
+        b"\xf0\x00\x00\x00\x00\x00\x00\x86\x94\x81\x94G\xbf\xf0\x00\x00\x00\x00\x00\x00\x88t"
+        b"\x94\x81\x94.",
+        spec.CuspCertificate(
+            -0.5, 0.25, spec.PlanePoint(-2.544892912230493e-11, -1.0),
+            spec.PlanePoint(-2.544910010097435e-11, 1.0), -1.0, True,
+        ),
     ),
 ]
 
