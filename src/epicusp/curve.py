@@ -24,14 +24,10 @@ import math
 
 import numpy as np
 
-# PlanePoint and TwoTermSpec are re-exported: the benchmark harness reads
-# curve.TwoTermSpec, and pickles written when both were defined here name
-# this module
-from .spec import PlanePoint, TwoTermSpec, _integer
-
-# the most samples winding_numeric, kernel_integral, verify_symmetry and render_curve
-# take: 16 MB per complex array
-MAX_GRID_SAMPLES = 1 << 20
+# PlanePoint, TwoTermSpec and MAX_GRID_SAMPLES are re-exported: the benchmark
+# harness reads curve.TwoTermSpec, pickles written when both classes were
+# defined here name this module, and curve.MAX_GRID_SAMPLES is read by name
+from .spec import MAX_GRID_SAMPLES, PlanePoint, TwoTermSpec, _integer
 
 
 def _terms(spec: TwoTermSpec) -> tuple[tuple[int, complex], tuple[int, complex]]:

@@ -90,9 +90,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .curve import MAX_GRID_SAMPLES, _weighted_samples, curve_scale, eval_complex
+from .curve import _weighted_samples, curve_scale, eval_complex
 from .singularity import _level_root_rows
-from .spec import PlanePoint, TwoTermSpec, _check_pair, _integer, zeros_of_curve
+from .spec import PlanePoint, TwoTermSpec, _check_pair, _grid_size, zeros_of_curve
 
 
 _SYMMETRY_BLOCK = 4096  # indices j per block, and as many mirrors: 64 KB per complex array
@@ -157,11 +157,7 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
     [100, MAX_GRID_SAMPLES]; ValueError is raised before any sample is
     built.
     """
-    n = _integer(n, "n")
-    if n < 100:
-        raise ValueError("need n >= 100")
-    if n > MAX_GRID_SAMPLES:
-        raise ValueError(f"need n <= {MAX_GRID_SAMPLES}")
+    n = _grid_size(n, 100)
     d = spec.b - spec.a
     grid, shifted = (list(_weighted_samples(spec, k, n)) for k in (1, d))
     turn = np.exp(2j * np.pi * spec.a / d)

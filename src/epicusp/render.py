@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curve import MAX_GRID_SAMPLES, eval_grid
+from .curve import eval_grid
 from .singularity import _zero_rows
-from .spec import TwoTermSpec, _integer, predicted_cusp_locus
+# MAX_GRID_SAMPLES is re-exported: the command line reads render.MAX_GRID_SAMPLES
+from .spec import MAX_GRID_SAMPLES, TwoTermSpec, _grid_size, predicted_cusp_locus
 
 SVG_NS = 'xmlns="http://www.w3.org/2000/svg"'
 # curve plots: a square canvas of CANVAS_PX pixels shows the window
@@ -62,11 +63,7 @@ def render_curve(specs: list[TwoTermSpec], samples: int = 1024) -> str:
     """
     if not specs:
         raise ValueError("nothing to render")
-    samples = _integer(samples, "samples")
-    if samples < 2:
-        raise ValueError("need n >= 2 samples")
-    if samples > MAX_GRID_SAMPLES:
-        raise ValueError(f"need n <= {MAX_GRID_SAMPLES} samples")
+    samples = _grid_size(samples, 2, "samples")
     size, extent = CANVAS_PX, HALF_EXTENT
 
     def to_px(x, y):

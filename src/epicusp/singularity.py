@@ -45,15 +45,9 @@ import numbers
 import numpy as np
 
 from .curve import _turns
+from .spec import _check_pair, _real, _weight
 # the cusp locus and certificates are defined in spec and re-exported here
-from .spec import (
-    CuspCertificate,
-    CuspLocus,
-    _check_pair,
-    _real,
-    find_cusps,
-    predicted_cusp_locus,
-)
+from .spec import CuspCertificate, CuspLocus, find_cusps, predicted_cusp_locus
 
 # _bracket_roots: Newton steps per bracket, then the probe's half-width in ulps
 _NEWTON_STEPS = 8
@@ -72,7 +66,7 @@ def rotated_param_deriv(a: int, b: int, t: float) -> float | None:
     Raises
     ------
     ValueError
-        If t is not a finite real number (a string is refused).
+        If t is not a finite real number (a bool or a string is refused).
     """
     a, b = _check_pair(a, b)
     u = a / (b - a) - (a + b) * _real(t, "t")
@@ -104,9 +98,9 @@ def loop_birth_count(a: int, b: int, s: float, half_width: float | None = None) 
     Raises
     ------
     ValueError
-        If s is not a real number in [-1, 1], or half_width is not a real
-        number in (0, 1/(2(b-a))): a wider window reaches the midpoint to
-        the next cusp.  A string is refused for either.
+        If s is not a finite real number in [-1, 1], or half_width is not a
+        real number in (0, 1/(2(b-a))): a wider window reaches the midpoint
+        to the next cusp.  A bool or a string is refused for s.
     """
     a, b = _check_pair(a, b)
     if half_width is None:
@@ -114,7 +108,7 @@ def loop_birth_count(a: int, b: int, s: float, half_width: float | None = None) 
     if not (isinstance(half_width, numbers.Real) and 0.0 < half_width < 1.0 / (2 * (b - a))):
         raise ValueError(f"half_width must lie in (0, 1/{2 * (b - a)})")
     g = math.gcd(a, b)
-    v = _level_root_rows(a // g, b // g, 1.0, -1.0, _weights([s], "s"))[0] / g
+    v = _level_root_rows(a // g, b // g, 1.0, -1.0, [_weight(s, "s")])[0] / g
     return 1 + 2 * int(np.count_nonzero((0.0 < v) & (v <= half_width)))
 
 
@@ -132,16 +126,17 @@ def undefined_derivative_sets(a: int, b: int, weights) -> list[list[float]]:
     Raises
     ------
     ValueError
-        If a weight is not a real number in [-1, 1] (a string is refused).
+        If a weight is not a finite real number in [-1, 1] (a bool or a
+        string is refused).
     """
-    t, sizes = _zero_rows(a, b, weights)
+    t, sizes = _zero_rows(a, b, np.array([_weight(w, "weights") for w in weights], dtype=float))
     flat, ends = t.tolist(), np.cumsum(sizes).tolist()
     return [flat[i:j] for i, j in zip([0] + ends, ends)]
 
 
-def _zero_rows(a: int, b: int, weights) -> tuple[np.ndarray, np.ndarray]:
-    """The zeros t in [0, 1) of x'(t) for every s in weights, as one flat
-    array and the length of each row: the rows of undefined_derivative_sets.
+def _zero_rows(a: int, b: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of undefined_derivative_sets for the checked float weights s:
+    the zeros t in [0, 1) of x'(t), as one flat array, and each row's length.
 
     With g = gcd(a, b), x'(t) / (-2*pi*g) is
     h = a'*(1-s)*sin(2*pi*a'*u) + b'*(1+s)*sin(2*pi*b'*u) at u = g*t, for
@@ -154,7 +149,6 @@ def _zero_rows(a: int, b: int, weights) -> tuple[np.ndarray, np.ndarray]:
     and the order of building it on its own.
     """
     a, b = _check_pair(a, b)
-    s = _weights(weights, "weights")
     g = math.gcd(a, b)
     a, b = a // g, b // g
     u, counts = _level_root_rows(a, b, a, b, s)
@@ -164,17 +158,6 @@ def _zero_rows(a: int, b: int, weights) -> tuple[np.ndarray, np.ndarray]:
     t = ((t + np.arange(g)[:, None]) / g).ravel()
     key = np.tile(np.concatenate([rows, row, rows, row]), g)
     return t[np.lexsort((t, key))], g * (2 * counts + 2)
-
-
-def _weights(weights, name: str) -> np.ndarray:
-    """The weights s as a float array; unless each is a real number in
-    [-1, 1], ValueError naming them."""
-    s = np.array(list(weights))
-    if s.dtype.kind not in "biuf":  # astype(float) would parse a string
-        s = np.array([_real(w, name) for w in s.tolist()])
-    if not np.all((-1.0 <= s) & (s <= 1.0)):
-        raise ValueError(f"{name} must lie in [-1, 1]")
-    return s.astype(float)
 
 
 def _level(freqs: np.ndarray, x: np.ndarray, wa, wb) -> np.ndarray:

@@ -18,6 +18,9 @@ imports nothing beyond the standard library and errors: `epicusp wind`
 without --numeric or --z0 and `epicusp cusps` load it and never numpy.
 curve, winding and singularity re-export every name they used to define,
 so their import paths and pickles written under them still resolve.
+Every public entry point checks each scalar argument with one call to
+_integer, _real, _weight, _check_pair, _grid_size or _point, defined here;
+each raises ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import OnCurve
+
+# the most samples an entry point takes (_grid_size): 16 MB per complex array
+MAX_GRID_SAMPLES = 1 << 20
 
 
 class PlanePoint(NamedTuple):
@@ -61,14 +67,46 @@ def _integer(value, name: str) -> int:
 
 
 def _real(value, name: str) -> float:
-    """A finite real number as a float; anything else (a string, None, a
-    NaN, an int too large for a float) raises ValueError naming it."""
+    """A finite real number as a float; anything else (a bool, a string,
+    None, a NaN, an int too large for a float) raises ValueError naming it."""
     try:
-        if isinstance(value, numbers.Real) and math.isfinite(value):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
             return float(value)
     except OverflowError:
         pass
     raise ValueError(f"{name} must be a finite real number, not {value!r}")
+
+
+def _weight(value, name: str) -> float:
+    """A weight s of the family: a real number in [-1, 1], as a float."""
+    s = _real(value, name)
+    if not -1.0 <= s <= 1.0:
+        raise ValueError(f"{name} must lie in [-1, 1]")
+    return s
+
+
+def _grid_size(n, least: int, name: str = "n") -> int:
+    """A sample count: an integer in [least, MAX_GRID_SAMPLES], as a plain int."""
+    n = _integer(n, name)
+    if not least <= n <= MAX_GRID_SAMPLES:
+        raise ValueError(f"need n >= {least}" if n < least else f"need n <= {MAX_GRID_SAMPLES}")
+    return n
+
+
+def _point(value, name: str) -> complex:
+    """A finite point as a complex number, from a PlanePoint of two reals or
+    a complex number; a bool, a string, None or a plain tuple is refused."""
+    plane = isinstance(value, PlanePoint)
+    kind = numbers.Real if plane else numbers.Complex
+    if any(isinstance(v, bool) or not isinstance(v, kind) for v in (value if plane else (value,))):
+        raise ValueError(f"{name} must be a PlanePoint or a complex number, not {value!r}")
+    try:
+        z = value.as_complex() if plane else complex(value)
+        if math.isfinite(z.real) and math.isfinite(z.imag):
+            return z
+    except OverflowError:  # an int or a Fraction too large for a float
+        pass
+    raise ValueError(f"{name} must be finite")
 
 
 def _check_pair(a, b) -> tuple[int, int]:
@@ -81,7 +119,10 @@ def _check_pair(a, b) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TwoTermSpec:
-    """The two-term family with frequencies 1 <= a < b and weights 1-s, 1+s."""
+    """The two-term family with frequencies 1 <= a < b and weights 1-s, 1+s.
+
+    Raises ValueError unless a, b are integers and s is a finite real
+    number in [-1, 1]; bools and strings are refused."""
 
     a: int
     b: int
@@ -91,10 +132,7 @@ class TwoTermSpec:
         a, b = _check_pair(self.a, self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        s = _real(self.s, "s")
-        if not -1.0 <= s <= 1.0:
-            raise ValueError("s must lie in [-1, 1]")
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", _weight(self.s, "s"))
 
 
 def winding_closed_form(spec: TwoTermSpec) -> int:
@@ -138,16 +176,11 @@ def predicted_cusp_locus(a: int, b: int) -> CuspLocus:
     """Cusp parameters: s = (a-b)/(a+b), t = h/(2(b-a)), h odd.
 
     These are all the singular points of the family, each an ordinary
-    cusp, for every a (see the singularity module docstring).  The proven
-    flag records whether a = 1, the case the paper proves.
+    cusp, for every a (see the singularity module docstring); the t are
+    zeros_of_curve.  The proven flag records whether a = 1, the paper's case.
     """
     a, b = _check_pair(a, b)
-    d = 2 * (b - a)
-    return CuspLocus(
-        s_bar=Fraction(a - b, a + b),
-        t_values=tuple(Fraction(h, d) for h in range(1, d, 2)),
-        proven=(a == 1),
-    )
+    return CuspLocus(s_bar=Fraction(a - b, a + b), t_values=tuple(zeros_of_curve(a, b)), proven=(a == 1))
 
 
 class CuspCertificate(NamedTuple):

@@ -12,16 +12,16 @@ itself is defined in spec, which needs no numpy, and re-exported here.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import MAX_GRID_SAMPLES, _roots, curve_scale, eval_grid
+from .curve import _roots, curve_scale, eval_grid
 from .errors import NearPole, OnCurve, Unresolved
+from .spec import MAX_GRID_SAMPLES, PlanePoint, TwoTermSpec, _grid_size, _point, _real
 # the closed forms are defined in spec and re-exported here
-from .spec import PlanePoint, TwoTermSpec, _integer, winding_closed_form, zeros_of_curve
+from .spec import winding_closed_form, zeros_of_curve
 
 ORIGIN = PlanePoint(0.0, 0.0)
 
@@ -37,14 +37,17 @@ class WindingResult:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Parameters of the integrand 1 / (beta + alpha * exp(2*pi*i*t))."""
+    """Parameters of the integrand 1 / (beta + alpha * exp(2*pi*i*t)).
+
+    Raises ValueError unless alpha and beta are finite real numbers and
+    beta > 0; bools and strings are refused."""
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", _real(self.beta, "beta"))
         if not self.beta > 0:
             raise ValueError("beta must be strictly positive")
 
@@ -64,8 +67,8 @@ def winding_numeric(spec: TwoTermSpec, z0: PlanePoint = ORIGIN, n: int = 4096) -
     Raises
     ------
     ValueError
-        If n is not an integer, n < 64 or n > MAX_GRID_SAMPLES, or z0 is
-        not finite; no sample is built then.
+        If n is not an integer in [64, MAX_GRID_SAMPLES], or z0 is not a
+        finite PlanePoint or complex number (see spec._point); no sample is built.
     OnCurve
         If some grid sample comes within 1e-9 * curve scale of z0.
     Unresolved
@@ -74,14 +77,8 @@ def winding_numeric(spec: TwoTermSpec, z0: PlanePoint = ORIGIN, n: int = 4096) -
         largest grid, or the total turning is not close to an integer
         multiple of 2*pi.
     """
-    n = _integer(n, "n")
-    if n < 64:
-        raise ValueError("need n >= 64")
-    if n > MAX_GRID_SAMPLES:
-        raise ValueError(f"need n <= {MAX_GRID_SAMPLES}")
-    z0c = z0.as_complex() if isinstance(z0, PlanePoint) else complex(z0)
-    if not cmath.isfinite(z0c):
-        raise ValueError("z0 must be finite")
+    n = _grid_size(n, 64)
+    z0c = _point(z0, "z0")
     dist_tol = 1e-9 * curve_scale(spec)
     # a z0 with a part of 2^500 or more is far off the curve (|gamma| <= 2),
     # and the products of consecutive samples below would overflow there;
@@ -125,16 +122,12 @@ def kernel_integral(p: KernelParams, n: int = 2048) -> complex:
     Raises
     ------
     ValueError
-        If n is not an integer, n < 1 or n > MAX_GRID_SAMPLES.
+        If n is not an integer in [1, MAX_GRID_SAMPLES] (a bool is refused).
     NearPole
         If beta is within 1e-6 (relative) of |alpha|, where the integrand
         has a pole on the contour.
     """
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError("need n >= 1 grid points")
-    if n > MAX_GRID_SAMPLES:
-        raise ValueError(f"need n <= {MAX_GRID_SAMPLES} grid points")
+    n = _grid_size(n, 1)
     span = max(p.beta, abs(p.alpha))
     if abs(p.beta - abs(p.alpha)) < 1e-6 * span:
         raise NearPole("beta too close to |alpha|")

@@ -415,7 +415,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TwoTermSpec(a, b, s)
 
-    @pytest.mark.parametrize("s", ["0.5", None, math.inf, 10**400], ids=["string", "None", "inf", "huge int"])
+    @pytest.mark.parametrize(
+        "s", ["0.5", None, math.inf, 10**400, True, np.True_], ids=["string", "None", "inf", "huge int", "bool", "np.bool_"]
+    )
     def test_a_weight_that_is_no_finite_real_number_is_refused_naming_s(self, s):
         with pytest.raises(ValueError, match="s must be a finite real number"):
             TwoTermSpec(1, 3, s)

@@ -399,13 +399,20 @@ class TestLoopBirth:
         assert loop_birth_count(1, 3, -0.4, np.nextafter(0.25, 0.0)) == 3
 
     @pytest.mark.parametrize(
-        "s,half_width",
-        [(math.nan, 0.01), (math.inf, 0.01), (0.25, math.nan), (0.25, math.inf), (0.25, 0.0), (0.25, -0.01)],
+        "s,half_width,message",
+        [
+            (math.nan, 0.01, "s must be a finite real number"),
+            (math.inf, 0.01, "s must be a finite real number"),
+            (0.25, math.nan, "half_width must lie in"),
+            (0.25, math.inf, "half_width must lie in"),
+            (0.25, 0.0, "half_width must lie in"),
+            (0.25, -0.01, "half_width must lie in"),
+        ],
     )
-    def test_a_window_that_is_not_finite_and_open_is_refused(self, s, half_width):
+    def test_a_window_that_is_not_finite_and_open_is_refused(self, s, half_width, message):
         # a negative half-width would count -1 crossings; a weight that is
-        # not finite is refused as well
-        with pytest.raises(ValueError, match="must lie in"):
+        # not finite is refused as TwoTermSpec refuses it
+        with pytest.raises(ValueError, match=message):
             loop_birth_count(1, 3, s, half_width)
 
     @given(
@@ -476,14 +483,18 @@ class TestLoopBirth:
             (lambda: rotated_param_deriv(1, 3, math.nan), "t must be a finite real number"),
             (lambda: rotated_param_deriv(1, 3, "0.1"), "t must be a finite real number"),
             (lambda: rotated_param_deriv(1, 3, 10**400), "t must be a finite real number"),
+            (lambda: rotated_param_deriv(1, 3, True), "t must be a finite real number"),
             (lambda: loop_birth_count(1, 3, 0.5, "0.01"), "half_width must lie in"),
             (lambda: loop_birth_count(1, 3, "0.5"), "s must be a finite real number"),
+            (lambda: loop_birth_count(1, 3, True), "s must be a finite real number"),
             (lambda: undefined_derivative_sets(1, 3, ["0.5"]), "weights must be a finite real"),
             (lambda: undefined_derivative_sets(1, 3, [0.5, None]), "weights must be a finite real"),
             (lambda: undefined_derivative_sets(1, 3, [0.5, 1.5]), "weights must lie in"),
+            (lambda: undefined_derivative_sets(1, 3, [True]), "weights must be a finite real"),
+            (lambda: undefined_derivative_sets(1, 3, [np.True_]), "weights must be a finite real"),
         ],
-        ids=["t inf", "t nan", "t string", "t huge int", "half_width string", "s string", "weights string",
-             "weights None", "weights outside"],
+        ids=["t inf", "t nan", "t string", "t huge int", "t bool", "half_width string", "s string", "s bool",
+             "weights string", "weights None", "weights outside", "weights bool", "weights np.bool_"],
     )
     def test_bad_input_is_refused_naming_the_parameter(self, call, message):
         with pytest.raises(ValueError, match=message):

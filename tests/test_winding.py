@@ -92,6 +92,38 @@ class TestNumeric:
             with pytest.raises(ValueError, match="z0 must be finite"):
                 winding_numeric(TwoTermSpec(1, 3, 0.5), z0)
 
+    @pytest.mark.parametrize(
+        "z0", ["3", True, np.True_, None, (0.5, 0.5), PlanePoint("1", 0.0), PlanePoint(0.5, True)]
+    )
+    def test_a_base_point_that_is_no_point_is_refused_before_sampling(self, monkeypatch, z0):
+        def no_grid(spec, n):
+            raise AssertionError(f"sampled {n} points")
+
+        monkeypatch.setattr(winding, "eval_grid", no_grid)
+        with pytest.raises(ValueError, match="z0 must be a PlanePoint or a complex number"):
+            winding_numeric(TwoTermSpec(1, 3, 0.5), z0)
+
+    @pytest.mark.parametrize("z0", [10**400, PlanePoint(0.0, -(10**400)), Fraction(10**400)])
+    def test_a_base_point_too_large_for_a_float_is_refused_before_sampling(self, monkeypatch, z0):
+        monkeypatch.setattr(winding, "eval_grid", None)
+        with pytest.raises(ValueError, match="z0 must be finite"):
+            winding_numeric(TwoTermSpec(1, 3, 0.5), z0)
+
+    @pytest.mark.parametrize(
+        "z0, point",
+        [
+            (0.5, PlanePoint(0.5, 0.0)),
+            (3, PlanePoint(3.0, 0.0)),
+            (Fraction(1, 2), PlanePoint(0.5, 0.0)),
+            (np.float32(0.5), PlanePoint(0.5, 0.0)),
+            (np.complex64(0.5 + 0.25j), PlanePoint(0.5, 0.25)),
+            (PlanePoint(1, Fraction(1, 4)), PlanePoint(1.0, 0.25)),
+        ],
+    )
+    def test_base_points_of_any_number_type_are_accepted(self, z0, point):
+        spec = TwoTermSpec(2, 5, 0.25)
+        assert winding_numeric(spec, z0) == winding_numeric(spec, point)
+
     @pytest.mark.parametrize("x,y", [(1e160, 1e160), (1e155, 0.0), (-1.7e308, 1.7e308), (0.0, -2.0**501)])
     def test_a_far_base_point_winds_zero(self, x, y):
         # past ~1.3e154 the products of consecutive samples would overflow
@@ -213,10 +245,21 @@ class TestKernelIntegral:
             KernelParams(alpha=1.0, beta=0.0)
 
     @pytest.mark.parametrize(
-        "alpha,beta", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf)]
+        "alpha,beta,name",
+        [
+            (math.nan, 1.0, "alpha"),
+            (1.0, math.nan, "beta"),
+            (math.inf, 1.0, "alpha"),
+            (-math.inf, 1.0, "alpha"),
+            (1.0, math.inf, "beta"),
+            ("1", 2.0, "alpha"),
+            (None, 2.0, "alpha"),
+            (True, 2.0, "alpha"),
+            (0.5, True, "beta"),
+        ],
     )
-    def test_alpha_and_beta_must_be_finite(self, alpha, beta):
-        with pytest.raises(ValueError, match="finite"):
+    def test_alpha_and_beta_must_be_finite_real_numbers(self, alpha, beta, name):
+        with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
             KernelParams(alpha, beta)
 
     @given(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
