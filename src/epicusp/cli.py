@@ -7,8 +7,9 @@ early (no traceback), 2 usage error, 3 verification failure.
 
 Only the standard library, errors and the numpy-free spec module are
 imported up front.  Each handler imports the module it calls, so a cold
-`epicusp wind` without --numeric or --z0 and `epicusp cusps`, which prints
-closed forms from spec, never load numpy.
+`epicusp wind` without --numeric or --z0 and `epicusp cusps`, which print
+closed forms from spec, and `epicusp plot` and `epicusp sweep`, whose
+render module samples curves in plain Python, never load numpy.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ import numpy as np
 # PlanePoint, TwoTermSpec and MAX_GRID_SAMPLES are re-exported: the benchmark
 # harness reads curve.TwoTermSpec, pickles written when both classes were
 # defined here name this module, and curve.MAX_GRID_SAMPLES is read by name
-from .spec import MAX_GRID_SAMPLES, PlanePoint, TwoTermSpec, _integer
+from .spec import MAX_GRID_SAMPLES, PlanePoint, TwoTermSpec, _curve, _integer
 
 
 def _terms(spec: TwoTermSpec) -> tuple[tuple[int, complex], tuple[int, complex]]:
@@ -55,7 +55,7 @@ def eval_complex(spec: TwoTermSpec, t, order: int = 0) -> np.ndarray:
     Parameters
     ----------
     spec : TwoTermSpec
-    t : array_like of float
+    t : array_like of int or float
     order : int
         0 for the curve itself, k >= 1 for d^k/dt^k.
 
@@ -65,11 +65,19 @@ def eval_complex(spec: TwoTermSpec, t, order: int = 0) -> np.ndarray:
 
     Raises
     ------
+    TypeError
+        If spec is not a TwoTermSpec.
     ValueError
-        If ``order`` is not an integer >= 0 (a bool is refused), or so
-        large that 2*(2*pi*b)**order, a bound on the derivative, overflows
-        a float.
+        If ``t`` is not an integer or a float or an array of them (its
+        array dtype decides: a bool, a string, None, a complex number or
+        an int past int64 is refused), or ``order`` is not an integer >= 0
+        (a bool is refused), or so large that 2*(2*pi*b)**order, a bound
+        on the derivative, overflows a float.
     """
+    _curve(spec)
+    t = np.asarray(t)
+    if t.dtype.kind not in "iuf":
+        raise ValueError(f"t must be an int or a float or an array of them, not {t.dtype.name}")
     if type(order) is not int:
         order = _integer(order, "order")
     if order < 0:
@@ -126,8 +134,10 @@ def eval_grid(spec: TwoTermSpec, n: int) -> np.ndarray:
     those eval_complex computes for the exact fractions k/n, so at a
     power-of-two n, where j/n is exact, the result has the same bits as
     eval_complex(spec, np.arange(n) / n).  At other n it is the more
-    accurate of the two, by trailing digits.
+    accurate of the two, by trailing digits.  render._curve_samples
+    computes the same floats in plain Python for the curve plots.
     """
+    _curve(spec)
     out = np.zeros(n, dtype=complex)
     for w, e in _weighted_samples(spec, 1, n):
         # a gather above the limit is the call's own array: the weight

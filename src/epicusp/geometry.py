@@ -92,7 +92,7 @@ import numpy as np
 
 from .curve import _weighted_samples, curve_scale, eval_complex
 from .singularity import _level_root_rows
-from .spec import PlanePoint, TwoTermSpec, _check_pair, _grid_size, zeros_of_curve
+from .spec import PlanePoint, TwoTermSpec, _check_pair, _curve, _grid_size, zeros_of_curve
 
 
 _SYMMETRY_BLOCK = 4096  # indices j per block, and as many mirrors: 64 KB per complex array
@@ -155,8 +155,9 @@ def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
     error; |s| = 1 is flagged degenerate (the image is a circle, whose
     symmetry group is larger).  n must be an integer in
     [100, MAX_GRID_SAMPLES]; ValueError is raised before any sample is
-    built.
+    built, as TypeError is for a spec that is not a TwoTermSpec.
     """
+    _curve(spec)
     n = _grid_size(n, 100)
     d = spec.b - spec.a
     grid, shifted = (list(_weighted_samples(spec, k, n)) for k in (1, d))
@@ -223,8 +224,7 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
         If the intersections form a continuum: a and b share a factor, or
         s = 1, or s = -1 with a >= 2.  Each curve retraces itself.
     """
-    if not isinstance(spec, TwoTermSpec):
-        raise TypeError(f"self_intersections needs a TwoTermSpec, not {spec!r}")
+    _curve(spec)
     a, b, s = spec.a, spec.b, spec.s
     if math.gcd(a, b) > 1 or s == 1.0 or (s == -1.0 and a > 1):
         raise ValueError(

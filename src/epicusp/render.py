@@ -6,9 +6,24 @@ plotting toolkit.  Curves are drawn as closed polylines, and the
 singularity diagram shows where the parametric derivative is undefined
 across the weight range with the predicted cusps overlaid as bold markers.
 
-Curve polylines and the diagram's dots are formatted in bulk.  Their
-pixel coordinates are the float operations of one point at a time, done
-elementwise on arrays, so they have the same bits.  Each polyline, and
+Curve plots need no numpy: this module imports only the standard library
+and spec, and render_singularity_diagram imports numpy and singularity
+when it is called, so a cold `epicusp plot` or `epicusp sweep` loads
+neither.  _curve_samples computes eval_grid's floats in plain Python.
+Each term's samples exp(2*pi*i*f*j/n) are the entries (f mod n)*j mod n
+of one table of cos and sin of 2*pi*(k/n), as in curve._roots; k/n is
+the correctly rounded quotient in Python as in numpy.  The terms are
+summed in term order as (0.0 + w_a*e_a) + w_b*e_b.  Each weight is real,
+and a real number times a complex sample rounds each part once, so each
+part of the sum has eval_grid's bits, signed zeros included, wherever
+math.cos and math.sin round as np.cos and np.sin do.
+tests/test_bulk_output.py pins this, and CI runs it at each of numpy's
+SIMD levels.  One table serves every curve of a call, and each frequency
+is gathered from it once.
+
+The pixel coordinates are the float operations of one point at a time:
+elementwise on arrays for the diagram's dots and one comprehension per
+coordinate for a polyline, so they have the same bits.  Each polyline, and
 each run of up to 256 of a diagram's dots, is one % format over a repeated
 "%.3f" template; "%.3f" % v gives the bytes of f"{v:.3f}" for every float,
 -0.000 included, so the documents are those of formatting point by point.
@@ -16,12 +31,10 @@ each run of up to 256 of a diagram's dots, is one % format over a repeated
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .curve import eval_grid
-from .singularity import _zero_rows
 # MAX_GRID_SAMPLES is re-exported: the command line reads render.MAX_GRID_SAMPLES
-from .spec import MAX_GRID_SAMPLES, TwoTermSpec, _grid_size, predicted_cusp_locus
+from .spec import MAX_GRID_SAMPLES, TwoTermSpec, _curve, _grid_size, predicted_cusp_locus
 
 SVG_NS = 'xmlns="http://www.w3.org/2000/svg"'
 # curve plots: a square canvas of CANVAS_PX pixels shows the window
@@ -59,39 +72,71 @@ def render_curve(specs: list[TwoTermSpec], samples: int = 1024) -> str:
 
     Each curve is sampled at samples points, an integer in
     [2, MAX_GRID_SAMPLES]; ValueError is raised before any sampling, as it
-    is for an empty list of specs.
+    is for an empty list of specs, and TypeError for an item that is not
+    a TwoTermSpec.
     """
     if not specs:
         raise ValueError("nothing to render")
     samples = _grid_size(samples, 2, "samples")
+    specs = [_curve(spec, f"specs[{i}]") for i, spec in enumerate(specs)]
     size, extent = CANVAS_PX, HALF_EXTENT
-
-    def to_px(x, y):
-        return (
-            (x + extent) / (2 * extent) * size,
-            (extent - y) / (2 * extent) * size,
-        )
+    width = 2 * extent
 
     lines = [
         f'<svg {SVG_NS} width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
     points = " ".join(["%.3f,%.3f"] * (samples + 1))
-    for i, spec in enumerate(specs):
-        z = eval_grid(spec, samples)
-        closed = np.append(z, z[:1])
-        coords = points % _interleave(*to_px(closed.real, closed.imag))
+    for i, (x, y) in enumerate(_curve_samples(specs, samples)):
+        px = [(v + extent) / width * size for v in x]
+        py = [(extent - v) / width * size for v in y]
+        # closed: the first point again at the end
+        px.append(px[0])
+        py.append(py[0])
         lines.append(
-            f'<polyline points="{coords}" fill="none" '
+            f'<polyline points="{points % _interleave(px, py)}" fill="none" '
             f'stroke="{_color_ramp(i, len(specs))}" stroke-width="1.5"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def _interleave(x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
-    """x0, y0, x1, y1, ... as Python floats, the arguments of one % format."""
-    return tuple(np.stack((x, y), axis=1).ravel().tolist())
+def _root_table(n: int) -> tuple[list[float], list[float]]:
+    """cos and sin of 2*pi*(k/n), k = 0..n-1: the parts of curve._roots(0, 1, n)."""
+    tau = 2.0 * math.pi
+    angles = [tau * (k / n) for k in range(n)]
+    return list(map(math.cos, angles)), list(map(math.sin, angles))
+
+
+def _curve_samples(specs: list[TwoTermSpec], n: int):
+    """For each spec, the lists x and y of gamma(j/n), j = 0..n-1.
+
+    They are the real and imaginary parts of eval_grid(spec, n), bit for
+    bit (module docstring).  One table is built for the call, and each
+    frequency's samples are gathered from it once.
+    """
+    cos, sin = _root_table(n)
+    gathered = {}
+    for spec in specs:
+        fa, fb = spec.a % n, spec.b % n
+        for f in (fa, fb):
+            if f not in gathered:
+                k = [f * j % n for j in range(n)]
+                gathered[f] = [cos[i] for i in k], [sin[i] for i in k]
+        (ca, sa), (cb, sb) = gathered[fa], gathered[fb]
+        wa, wb = 1.0 - spec.s, 1.0 + spec.s
+        yield (
+            [0.0 + wa * p + wb * q for p, q in zip(ca, cb)],
+            [0.0 + wa * p + wb * q for p, q in zip(sa, sb)],
+        )
+
+
+def _interleave(x: list[float], y: list[float]) -> tuple[float, ...]:
+    """x0, y0, x1, y1, ... from two lists of one length, the arguments of one % format."""
+    xy = [0.0] * (2 * len(x))
+    xy[0::2] = x
+    xy[1::2] = y
+    return tuple(xy)
 
 
 def render_singularity_diagram(a: int, b: int) -> str:
@@ -103,6 +148,10 @@ def render_singularity_diagram(a: int, b: int) -> str:
     the branch curves.  The predicted cusps are overlaid as bold markers
     carrying their (s, t) in data attributes.
     """
+    import numpy as np
+
+    from .singularity import _zero_rows
+
     width = height = 800
     s_lo, s_hi = -1.0, 1.0
     t_lo, t_hi = -0.08, 1.08
@@ -140,7 +189,8 @@ def render_singularity_diagram(a: int, b: int) -> str:
     n = DIAGRAM_WEIGHT_COUNT
     weights = s_lo + (s_hi - s_lo) * np.arange(n) / (n - 1)
     t, sizes = _zero_rows(a, b, weights)
-    xy = _interleave(*to_px(np.repeat(weights, sizes), t))
+    # x0, y0, x1, y1, ... as Python floats, the arguments of the % formats
+    xy = tuple(np.stack(to_px(np.repeat(weights, sizes), t), axis=1).ravel().tolist())
     for i in range(0, len(xy), 2 * _DOTS_PER_FORMAT):
         part = xy[i : i + 2 * _DOTS_PER_FORMAT]
         lines.append("\n".join([_UDEF_DOT] * (len(part) // 2)) % part)

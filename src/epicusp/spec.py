@@ -20,7 +20,8 @@ curve, winding and singularity re-export every name they used to define,
 so their import paths and pickles written under them still resolve.
 Every public entry point checks each scalar argument with one call to
 _integer, _real, _weight, _check_pair, _grid_size or _point, defined here;
-each raises ValueError naming the argument.
+each raises ValueError naming the argument.  _curve checks that a curve
+argument is a TwoTermSpec and raises TypeError naming it.
 """
 
 from __future__ import annotations
@@ -135,6 +136,14 @@ class TwoTermSpec:
         object.__setattr__(self, "s", _weight(self.s, "s"))
 
 
+def _curve(value, name: str = "spec") -> TwoTermSpec:
+    """A curve argument, which must be a TwoTermSpec; anything else (a plain
+    tuple of a, b, s included) raises TypeError naming it."""
+    if not isinstance(value, TwoTermSpec):
+        raise TypeError(f"{name} must be a TwoTermSpec, not {value!r}")
+    return value
+
+
 def winding_closed_form(spec: TwoTermSpec) -> int:
     """Winding number of the two-term curve about the origin.
 
@@ -144,10 +153,13 @@ def winding_closed_form(spec: TwoTermSpec) -> int:
 
     Raises
     ------
+    TypeError
+        If spec is not a TwoTermSpec.
     OnCurve
         If s = 0: the curve passes through the origin and the winding
         number is undefined there.
     """
+    _curve(spec)
     if spec.s == 0:
         raise OnCurve("curve passes through the origin at s=0")
     return spec.a if spec.s < 0 else spec.b

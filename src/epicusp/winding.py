@@ -19,7 +19,7 @@ import numpy as np
 
 from .curve import _roots, curve_scale, eval_grid
 from .errors import NearPole, OnCurve, Unresolved
-from .spec import MAX_GRID_SAMPLES, PlanePoint, TwoTermSpec, _grid_size, _point, _real
+from .spec import MAX_GRID_SAMPLES, PlanePoint, TwoTermSpec, _curve, _grid_size, _point, _real
 # the closed forms are defined in spec and re-exported here
 from .spec import winding_closed_form, zeros_of_curve
 
@@ -66,6 +66,8 @@ def winding_numeric(spec: TwoTermSpec, z0: PlanePoint = ORIGIN, n: int = 4096) -
 
     Raises
     ------
+    TypeError
+        If spec is not a TwoTermSpec; no sample is built.
     ValueError
         If n is not an integer in [64, MAX_GRID_SAMPLES], or z0 is not a
         finite PlanePoint or complex number (see spec._point); no sample is built.
@@ -77,6 +79,7 @@ def winding_numeric(spec: TwoTermSpec, z0: PlanePoint = ORIGIN, n: int = 4096) -
         largest grid, or the total turning is not close to an integer
         multiple of 2*pi.
     """
+    _curve(spec)
     n = _grid_size(n, 64)
     z0c = _point(z0, "z0")
     dist_tol = 1e-9 * curve_scale(spec)

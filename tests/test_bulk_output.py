@@ -15,7 +15,8 @@ from epicusp import (
     render_singularity_diagram,
     self_intersections,
 )
-from epicusp.render import _interleave, _px
+from epicusp.curve import eval_grid
+from epicusp.render import _curve_samples, _interleave, _px
 from epicusp.singularity import undefined_derivative_sets
 from exact_counts import coprime_pairs
 
@@ -27,7 +28,25 @@ COPRIME_PAIRS = st.sampled_from(coprime_pairs(20))
 CURVES = st.builds(lambda pair, s: TwoTermSpec(*pair, s), PAIRS, WEIGHTS)
 
 
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 class TestRenderCurve:
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 1000, 1024, 65537])
+    def test_samples_have_the_bits_of_eval_grid(self, n):
+        # the byte test below rounds to 0.001 px and hides what lies under
+        # it; the plain floats must be eval_grid's, signed zeros included
+        specs = [
+            TwoTermSpec(a, b, s)
+            for b in range(2, 13)
+            for a in range(1, b)
+            for s in (-1.0, -0.5, 0.0, 0.3, 1.0)
+        ]
+        for spec, (x, y) in zip(specs, _curve_samples(specs, n), strict=True):
+            z = eval_grid(spec, n)
+            assert same_bits(np.array(x), z.real) and same_bits(np.array(y), z.imag), spec
+
     @given(st.lists(CURVES, min_size=1, max_size=9), st.sampled_from([2, 3, 255, 256, 1000, 1024]))
     @settings(deadline=None, max_examples=60)
     # the circles of radius 2 at s = -1 and 1 reach furthest
@@ -41,7 +60,7 @@ class TestRenderCurve:
         # "%.3f" % v and f"{v:.3f}" round alike, -0.000 included
         half = len(values) // 2
         x, y = values[:half], values[half : 2 * half]
-        got = " ".join(["%.3f,%.3f"] * half) % _interleave(np.array(x), np.array(y))
+        got = " ".join(["%.3f,%.3f"] * half) % _interleave(x, y)
         assert got == " ".join(f"{_px(u)},{_px(v)}" for u, v in zip(x, y))
 
     def test_too_few_samples_are_refused(self):

@@ -10,7 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import per_item
-from epicusp import TwoTermSpec, eval_complex
+from epicusp import (
+    TwoTermSpec,
+    eval_complex,
+    self_intersections,
+    verify_symmetry,
+    winding_closed_form,
+    winding_numeric,
+)
 from epicusp.curve import (
     _TABLE_CACHE_LIMIT,
     _eval_terms,
@@ -440,6 +447,37 @@ class TestSpecValidation:
         for t in (0.1, np.array([0.1, 0.2])):
             with pytest.raises(ValueError, match="order"):
                 eval_complex(spec, t, order)
+
+    @pytest.mark.parametrize(
+        "t", ["0.25", b"0.25", True, np.True_, [True, False], None, [0.5, None], 0.25 + 0j, [0.5j], 2**70]
+    )
+    def test_a_t_that_is_not_ints_or_floats_is_refused_naming_t(self, t):
+        with pytest.raises(ValueError, match="t must be an int or a float"):
+            eval_complex(TwoTermSpec(1, 3, 0.5), t)
+
+    def test_int_and_float_t_keep_the_bits_of_their_floats(self):
+        spec = TwoTermSpec(2, 5, -0.3)
+        low = np.array([0.1, 0.7], dtype=np.float32)
+        for t in (1, np.int32(3), np.float32(0.25), [0, 1, 2], [0, 0.5], low, np.arange(5, dtype=np.uint8)):
+            for order in (0, 2):
+                want = eval_complex(spec, np.asarray(t, dtype=float), order)
+                assert same_bits(eval_complex(spec, t, order), want), t
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: eval_complex(c, 0.1),
+            lambda c: eval_grid(c, 8),
+            lambda c: verify_symmetry(c),
+            lambda c: winding_numeric(c),
+            lambda c: winding_closed_form(c),
+            lambda c: self_intersections(c),
+        ],
+    )
+    @pytest.mark.parametrize("curve", [(1, 3, 0.5), None, "1 3 0.5"])
+    def test_a_curve_that_is_not_a_spec_is_refused_naming_it(self, call, curve):
+        with pytest.raises(TypeError, match="spec must be a TwoTermSpec"):
+            call(curve)
 
     @pytest.mark.parametrize("spec, top", [(TwoTermSpec(1, 3, 0.5), 241), (TwoTermSpec(1, 7, 1.0), 187), (TwoTermSpec(10**6, 10**9 + 7, -1.0), 31)])
     def test_an_order_past_the_float_range_is_refused(self, spec, top):

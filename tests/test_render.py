@@ -21,6 +21,16 @@ def polylines(doc: str) -> list[list[tuple[float, float]]]:
     return out
 
 
+@pytest.fixture
+def no_table(monkeypatch):
+    """Fail any test that builds the table of roots of unity a curve is sampled from."""
+
+    def refuse(n):
+        raise AssertionError(f"built a table of {n} roots")
+
+    monkeypatch.setattr(render, "_root_table", refuse)
+
+
 class TestRenderCurve:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="nothing to render"):
@@ -57,22 +67,26 @@ class TestRenderCurve:
         # the start point gamma(0) = 2 sits at 4.2/4.4 of the width
         assert first[0] == (pytest.approx(763.636, abs=1e-3), pytest.approx(400.0, abs=1e-3))
 
-    def test_rejects_a_curve_past_the_largest_grid_before_sampling(self, monkeypatch):
-        def no_grid(spec, n):
-            raise AssertionError(f"sampled {n} points")
-
-        monkeypatch.setattr(render, "eval_grid", no_grid)
+    def test_rejects_a_curve_past_the_largest_grid_before_sampling(self, no_table):
         with pytest.raises(ValueError, match="need n <="):
             render_curve([TwoTermSpec(1, 3, 0.5)], samples=MAX_GRID_SAMPLES + 1)
 
     @pytest.mark.parametrize("samples", [1e3, 1024.0, 2.5, True, "1024"])
-    def test_a_count_that_is_not_an_integer_is_refused_before_sampling(self, monkeypatch, samples):
-        def no_grid(spec, n):
-            raise AssertionError(f"sampled {n} points")
-
-        monkeypatch.setattr(render, "eval_grid", no_grid)
+    def test_a_count_that_is_not_an_integer_is_refused_before_sampling(self, no_table, samples):
         with pytest.raises(ValueError, match="samples must be an integer"):
             render_curve([TwoTermSpec(1, 3, 0.5)], samples=samples)
+
+    @pytest.mark.parametrize("bad", [(1, 3, 0.5), None, "spec"])
+    def test_an_item_that_is_not_a_spec_is_refused_before_sampling(self, no_table, bad):
+        with pytest.raises(TypeError, match=r"specs\[1\] must be a TwoTermSpec"):
+            render_curve([TwoTermSpec(1, 3, 0.5), bad, TwoTermSpec(1, 2, 0.0)])
+
+    def test_one_table_serves_a_sweep(self, monkeypatch):
+        built = []
+        table = render._root_table
+        monkeypatch.setattr(render, "_root_table", lambda n: built.append(n) or table(n))
+        render_curve([TwoTermSpec(1, 3, s) for s in (-0.5, 0.0, 0.5)], samples=256)
+        assert built == [256]
 
 
 class TestSingularityDiagram:

@@ -1,5 +1,5 @@
-"""What a cold process loads: the package, the closed-form commands and the
-names the package re-exports.
+"""What a cold process loads: the package, the closed-form commands, the
+curve plots and the names the package re-exports.
 
 Each load check runs in a fresh interpreter, since this test process has
 long since imported numpy and every submodule.
@@ -78,6 +78,30 @@ def test_closed_form_commands_load_no_numpy(argv, stdout):
     modules, out = loaded_after(f"from epicusp.cli import main; main({argv!r})")
     assert [json.loads(line) for line in out.splitlines()] == stdout
     assert modules == ["epicusp", "epicusp.cli", "epicusp.errors", "epicusp.spec"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plot", "-a", "2", "-b", "7", "-s", "0.3", "-n", "256"],
+        ["plot", "-a", "1", "-b", "3", "-s", "-1/2"],
+        ["sweep", "-a", "3", "-b", "8", "--count", "5"],
+    ],
+)
+def test_curve_plots_load_no_numpy(tmp_path, argv):
+    out = tmp_path / "curve.svg"
+    modules, stdout = loaded_after(f"from epicusp.cli import main; main({argv + ['--out', str(out)]!r})")
+    assert json.loads(stdout)["bytes"] == len(out.read_text())
+    assert modules == ["epicusp", "epicusp.cli", "epicusp.errors", "epicusp.render", "epicusp.spec"]
+
+
+def test_render_curve_loads_no_numpy():
+    modules, out = loaded_after(
+        "from epicusp import TwoTermSpec, render_curve"
+        "\nprint(render_curve([TwoTermSpec(1, 3, 0.5)], 64).count('<polyline'))"
+    )
+    assert out == "1"
+    assert modules == ["epicusp", "epicusp.errors", "epicusp.render", "epicusp.spec"]
 
 
 def test_the_acceptance_battery_loads_no_numpy_random():
