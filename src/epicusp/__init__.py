@@ -27,7 +27,6 @@ _EXPORTS = {
         "Unresolved",
     ),
     "geometry": (
-        "IntersectionRecord",
         "SymmetryReport",
         "grid_intersection_check",
         "self_intersections",
@@ -45,6 +44,7 @@ _EXPORTS = {
     "spec": (
         "CuspCertificate",
         "CuspLocus",
+        "IntersectionRecord",
         "PlanePoint",
         "TwoTermSpec",
         "find_cusps",

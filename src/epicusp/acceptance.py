@@ -11,17 +11,15 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from . import geometry, render, singularity, winding
 from .curve import eval_complex
-from .spec import TwoTermSpec
+from .spec import TwoTermSpec, _Record
 from .winding import KernelParams
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(_Record):
     number: int
     name: str
     passed: bool

@@ -6,10 +6,13 @@ human-facing goes to stderr.  Exit codes: 0 success, 1 analysis error
 early (no traceback), 2 usage error, 3 verification failure.
 
 Only the standard library, errors and the numpy-free spec module are
-imported up front.  Each handler imports the module it calls, so a cold
-`epicusp wind` without --numeric or --z0 and `epicusp cusps`, which print
-closed forms from spec, and `epicusp plot` and `epicusp sweep`, whose
-render module samples curves in plain Python, never load numpy.
+imported up front, and fractions only to parse a weight written as p/q.
+Each handler imports the module it calls, so a cold `epicusp wind`
+without --numeric or --z0, `epicusp cusps` and `epicusp intersect -s 0`,
+which print closed forms and integer listings from spec, and `epicusp
+plot` and `epicusp sweep`, whose render module samples curves in plain
+Python, never load numpy.  numpy is loaded by `wind --numeric` or
+`--z0`, `symmetry`, `intersect` at any other weight, and `verify`.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .errors import CurveAnalysisError
-from .spec import PlanePoint, TwoTermSpec, find_cusps, predicted_cusp_locus, winding_closed_form
+from .spec import PlanePoint, TwoTermSpec, _balanced_intersections, find_cusps, predicted_cusp_locus
+from .spec import winding_closed_form
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -33,7 +36,12 @@ EXIT_VERIFY = 3
 def _parse_s(text: str) -> float:
     """Weight parameter as a decimal or an exact rational like -1/2."""
     try:
-        value = float(Fraction(text)) if "/" in text else float(text)
+        if "/" in text:
+            from fractions import Fraction
+
+            value = float(Fraction(text))
+        else:
+            value = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
     if not -1.0 <= value <= 1.0:
@@ -190,9 +198,13 @@ def _cmd_symmetry(args) -> int:
 
 
 def _cmd_intersect(args) -> int:
-    from . import geometry
+    spec = TwoTermSpec(args.a, args.b, args.s)
+    if spec.s == 0.0:
+        records = _balanced_intersections(spec)
+    else:
+        from . import geometry
 
-    records = geometry.self_intersections(TwoTermSpec(args.a, args.b, args.s))
+        records = geometry.self_intersections(spec)
     if args.format == "csv":
         sys.stdout.write("t1,t2,x,y,on_grid\r\n")
         for r in records:

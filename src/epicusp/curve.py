@@ -70,11 +70,15 @@ def eval_complex(spec: TwoTermSpec, t, order: int = 0) -> np.ndarray:
     ValueError
         If ``t`` is not an integer or a float or an array of them (its
         array dtype decides: a bool, a string, None, a complex number or
-        an int past int64 is refused), or ``order`` is not an integer >= 0
-        (a bool is refused), or so large that 2*(2*pi*b)**order, a bound
-        on the derivative, overflows a float.
+        an int past int64 is refused, and so is a bool anywhere inside a
+        list or tuple, which numpy would read as 0 or 1), or ``order`` is
+        not an integer >= 0 (a bool is refused), or so large that
+        2*(2*pi*b)**order, a bound on the derivative, overflows a float.
     """
     _curve(spec)
+    # numpy reads a bool among ints as an int, so t = [1, True] would be [1, 1]
+    if isinstance(t, (list, tuple)) and _holds_bool(t):
+        raise ValueError("t must be an int or a float or an array of them, not bool")
     t = np.asarray(t)
     if t.dtype.kind not in "iuf":
         raise ValueError(f"t must be an int or a float or an array of them, not {t.dtype.name}")
@@ -89,6 +93,16 @@ def eval_complex(spec: TwoTermSpec, t, order: int = 0) -> np.ndarray:
     except OverflowError:
         raise ValueError(f"order {order} overflows a float for frequency {spec.b}") from None
     return _eval_terms(_terms(spec), t, order)
+
+
+def _holds_bool(t) -> bool:
+    """Whether a bool, Python's or numpy's, lies anywhere in the nested lists and tuples t."""
+    kinds = set(map(type, t))
+    if bool in kinds or np.bool_ in kinds:
+        return True
+    if not any(issubclass(k, (list, tuple)) for k in kinds):
+        return False  # flat: no item is looked at in Python
+    return any(_holds_bool(x) for x in t if isinstance(x, (list, tuple)))
 
 
 def _eval_terms(terms, t, order: int) -> np.ndarray:
@@ -134,7 +148,7 @@ def eval_grid(spec: TwoTermSpec, n: int) -> np.ndarray:
     those eval_complex computes for the exact fractions k/n, so at a
     power-of-two n, where j/n is exact, the result has the same bits as
     eval_complex(spec, np.arange(n) / n).  At other n it is the more
-    accurate of the two, by trailing digits.  render._curve_samples
+    accurate of the two, by trailing digits.  render._curve_pixels
     computes the same floats in plain Python for the curve plots.
     """
     _curve(spec)

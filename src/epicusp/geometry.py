@@ -63,43 +63,30 @@ s = (a-b)/(a+b), where the loop a cusp gives birth to still has zero size.
 singularity._level_root_rows finds the roots from g's numerator, whose
 sign it shares inside (0, 1/2).
 
-For the balanced weight s = 0 both numerators factor.  With p = a+b and
-d = b-a,
-
-    sin(2 pi a u) + sin(2 pi b u) = 2 sin(pi p u) cos(pi d u),
-    sin(2 pi a u) - sin(2 pi b u) = -2 cos(pi p u) sin(pi d u),
-
-so the roots in (0, 1/2) are rational: k/p and (2k+1)/(2d) for g_+,
-(2k+1)/(2p) and k/d for g_-, a root of both factors counting once.  Over
-L = 2(b^2 - a^2) = 2pd their numerators U are 2dk and p(2k+1) for g_+,
-d(2k+1) and 2pk for g_-, and the centre m/(2(b-a)) is mp/L, so every
-self-intersection is the pair of rationals ((mp - U) mod L, mp + U) / L.
-Both numerators have the parity of mp + U.  When it is even the pair lies
-on the grid j/(b^2 - a^2).  When it is odd, p is odd, and so is d; an odd
-mp + U needs U = p(2k+1) with m even, or U = 2pk with m odd, and then both
-numerators are p times an odd number: the pair is a meeting of two
-origin passages h/(2(b-a)), h odd, which lie off the grid.
+For the balanced weight s = 0 the roots are rational, and spec lists the
+pairs from integers (spec._balanced_intersections, which proves it); the
+listing needs no numpy, so `epicusp intersect -s 0` calls it directly.
+Only the other weights load singularity, for _level_root_rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .curve import _weighted_samples, curve_scale, eval_complex
-from .singularity import _level_root_rows
-from .spec import PlanePoint, TwoTermSpec, _check_pair, _curve, _grid_size, zeros_of_curve
+from .spec import PlanePoint, TwoTermSpec, _check_pair, _curve, _grid_size, _Record, zeros_of_curve
+# IntersectionRecord is defined in spec and re-exported: pickles written
+# while it was defined here name this module
+from .spec import IntersectionRecord, _balanced_intersections, _check_isolated
 
 
 _SYMMETRY_BLOCK = 4096  # indices j per block, and as many mirrors: 64 KB per complex array
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(_Record):
     """Measured deviations from the dihedral symmetry identities."""
 
     claimed_order: int
@@ -115,16 +102,6 @@ class SymmetryReport:
             and self.rotation_deviation < 1e-9
             and self.reflection_deviation < 1e-9
         )
-
-
-class IntersectionRecord(NamedTuple):
-    """A self-intersection: gamma(t1) = gamma(t2) with t1 < t2."""
-
-    t1: float
-    t2: float
-    point: PlanePoint
-    on_rational_grid: bool
-    grid_index_pair: Optional[tuple[int, int]] = None
 
 
 def verify_symmetry(spec: TwoTermSpec, n: int = 1024) -> SymmetryReport:
@@ -208,13 +185,11 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
     is one record.  Records are sorted by t1, then t2, and their point is
     the mean of gamma(t1) and gamma(t2).
 
-    For the balanced weight s = 0 the pairs are the exact rationals n/L of
-    the module docstring, sorted by their numerators: t1 and t2 are n/L,
-    which is correctly rounded, so they equal float(Fraction(n, L)).  Both
-    numerators even set on_rational_grid and the index pair (n1/2, n2/2)
-    on the grid j/(b^2 - a^2).  For any other weight
-    singularity._level_root_rows finds the roots, and records are off the
-    grid.
+    For the balanced weight s = 0 the pairs are the exact rationals of
+    spec._balanced_intersections, whose records are on the grid
+    j/(b^2 - a^2) but for meetings of two origin passages.  For any other
+    weight singularity._level_root_rows finds the roots, and records are off
+    the grid.
 
     Raises
     ------
@@ -225,50 +200,15 @@ def self_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
         s = 1, or s = -1 with a >= 2.  Each curve retraces itself.
     """
     _curve(spec)
-    a, b, s = spec.a, spec.b, spec.s
-    if math.gcd(a, b) > 1 or s == 1.0 or (s == -1.0 and a > 1):
-        raise ValueError(
-            f"({a},{b},{s}) retraces itself, so its self-intersections form a continuum"
-        )
-    if s == 0.0:
-        t1, t2, on, pairs = _balanced_pairs(a, b)
-    else:
-        t1, t2 = _level_pairs(a, b, s)
-        on, pairs = itertools.repeat(False), itertools.repeat(None)
+    if spec.s == 0.0:
+        return _balanced_intersections(spec)
+    _check_isolated(spec)
+    t1, t2 = _level_pairs(spec.a, spec.b, spec.s)
     z1, z2 = eval_complex(spec, t1), eval_complex(spec, t2)
     x, y = 0.5 * (z1.real + z2.real), 0.5 * (z1.imag + z2.imag)
     points = map(PlanePoint._make, zip(x.tolist(), y.tolist()))
+    on, pairs = itertools.repeat(False), itertools.repeat(None)
     return list(map(IntersectionRecord._make, zip(t1.tolist(), t2.tolist(), points, on, pairs)))
-
-
-def _balanced_pairs(a: int, b: int) -> tuple[np.ndarray, np.ndarray, list, list]:
-    """t1, t2, the grid flags and the index pairs (or None) at s = 0, sorted.
-
-    The pairs are built as integer numerators over L = 2(b^2 - a^2), as in
-    the module docstring, and sorted as integers, so ties keep their exact
-    order.
-    """
-    p, d = a + b, b - a
-    L = 2 * p * d
-    plus = _distinct(2 * d * np.arange(1, (p + 1) // 2), p * np.arange(1, d, 2))
-    minus = _distinct(d * np.arange(1, p, 2), 2 * p * np.arange(1, (d + 1) // 2))
-    centre = p * np.arange(d)[:, None]
-    first = np.concatenate([(centre[0::2] - plus).ravel(), (centre[1::2] - minus).ravel()]) % L
-    second = np.concatenate([(centre[0::2] + plus).ravel(), (centre[1::2] + minus).ravel()])
-    n1, n2 = np.minimum(first, second), np.maximum(first, second)
-    order = np.lexsort((n2, n1))
-    n1, n2 = n1[order], n2[order]
-    # both numerators have one parity
-    on = (n1 % 2 == 0).tolist()
-    grid = zip((n1 // 2).tolist(), (n2 // 2).tolist())
-    pairs = [pair if ok else None for ok, pair in zip(on, grid)]
-    return n1 / L, n2 / L, on, pairs
-
-
-def _distinct(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The sorted union of x and y, as np.union1d, which would import numpy.ma."""
-    u = np.sort(np.concatenate((x, y)))
-    return u[np.concatenate(([True], u[1:] != u[:-1]))]
 
 
 def _level_pairs(a: int, b: int, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -288,6 +228,8 @@ def _level_pairs(a: int, b: int, s: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _half_gap_roots(a: int, b: int, s: float) -> list[np.ndarray]:
     """The roots of g_+ and of g_- in (0, 1/2), each sorted, for coprime a, b."""
+    from .singularity import _level_root_rows
+
     roots, counts = _level_root_rows(a, b, 1.0, np.array([[1.0], [-1.0]]), np.full(2, s))
     return np.split(roots, counts[:1])
 

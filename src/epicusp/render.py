@@ -9,7 +9,7 @@ across the weight range with the predicted cusps overlaid as bold markers.
 Curve plots need no numpy: this module imports only the standard library
 and spec, and render_singularity_diagram imports numpy and singularity
 when it is called, so a cold `epicusp plot` or `epicusp sweep` loads
-neither.  _curve_samples computes eval_grid's floats in plain Python.
+neither.  _curve_pixels computes eval_grid's floats in plain Python.
 Each term's samples exp(2*pi*i*f*j/n) are the entries (f mod n)*j mod n
 of one table of cos and sin of 2*pi*(k/n), as in curve._roots; k/n is
 the correctly rounded quotient in Python as in numpy.  The terms are
@@ -22,11 +22,12 @@ SIMD levels.  One table serves every curve of a call, and each frequency
 is gathered from it once.
 
 The pixel coordinates are the float operations of one point at a time:
-elementwise on arrays for the diagram's dots and one comprehension per
-coordinate for a polyline, so they have the same bits.  Each polyline, and
-each run of up to 256 of a diagram's dots, is one % format over a repeated
-"%.3f" template; "%.3f" % v gives the bytes of f"{v:.3f}" for every float,
--0.000 included, so the documents are those of formatting point by point.
+elementwise on arrays for the diagram's dots and, for a polyline, one
+comprehension per coordinate straight from the gathered samples, so they
+have the same bits.  Each polyline, and each run of up to 256 of a
+diagram's dots, is one % format over a repeated "%.3f" template; "%.3f" % v
+gives the bytes of f"{v:.3f}" for every float, -0.000 included, so the
+documents are those of formatting point by point.
 """
 
 from __future__ import annotations
@@ -79,17 +80,13 @@ def render_curve(specs: list[TwoTermSpec], samples: int = 1024) -> str:
         raise ValueError("nothing to render")
     samples = _grid_size(samples, 2, "samples")
     specs = [_curve(spec, f"specs[{i}]") for i, spec in enumerate(specs)]
-    size, extent = CANVAS_PX, HALF_EXTENT
-    width = 2 * extent
-
+    size = CANVAS_PX
     lines = [
         f'<svg {SVG_NS} width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
     points = " ".join(["%.3f,%.3f"] * (samples + 1))
-    for i, (x, y) in enumerate(_curve_samples(specs, samples)):
-        px = [(v + extent) / width * size for v in x]
-        py = [(extent - v) / width * size for v in y]
+    for i, (px, py) in enumerate(_curve_pixels(specs, samples)):
         # closed: the first point again at the end
         px.append(px[0])
         py.append(py[0])
@@ -108,13 +105,18 @@ def _root_table(n: int) -> tuple[list[float], list[float]]:
     return list(map(math.cos, angles)), list(map(math.sin, angles))
 
 
-def _curve_samples(specs: list[TwoTermSpec], n: int):
-    """For each spec, the lists x and y of gamma(j/n), j = 0..n-1.
+def _curve_pixels(specs: list[TwoTermSpec], n: int):
+    """For each spec, the lists px and py of the pixel coordinates of gamma(j/n), j = 0..n-1.
 
-    They are the real and imaginary parts of eval_grid(spec, n), bit for
-    bit (module docstring).  One table is built for the call, and each
-    frequency's samples are gathered from it once.
+    The point x + iy is eval_grid(spec, n)[j], bit for bit (module
+    docstring), and each coordinate is one comprehension over the gathered
+    samples, (x + HALF_EXTENT) / width * CANVAS_PX and (HALF_EXTENT - y) /
+    width * CANVAS_PX, so no list of x or y is held next to them.  One
+    table is built for the call, and each frequency's samples are gathered
+    from it once.
     """
+    size, extent = CANVAS_PX, HALF_EXTENT
+    width = 2 * extent
     cos, sin = _root_table(n)
     gathered = {}
     for spec in specs:
@@ -126,8 +128,8 @@ def _curve_samples(specs: list[TwoTermSpec], n: int):
         (ca, sa), (cb, sb) = gathered[fa], gathered[fb]
         wa, wb = 1.0 - spec.s, 1.0 + spec.s
         yield (
-            [0.0 + wa * p + wb * q for p, q in zip(ca, cb)],
-            [0.0 + wa * p + wb * q for p, q in zip(sa, sb)],
+            [(0.0 + wa * p + wb * q + extent) / width * size for p, q in zip(ca, cb)],
+            [(extent - (0.0 + wa * p + wb * q)) / width * size for p, q in zip(sa, sb)],
         )
 
 

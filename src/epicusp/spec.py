@@ -12,12 +12,19 @@ The paper's two headline results are closed forms in a, b and s alone: the
 winding number about the origin (winding_closed_form) and the cusp locus
 (predicted_cusp_locus), together with the origin passages of the balanced
 curve (zeros_of_curve).  find_cusps builds the certificates of the cusps
-from the proof in the singularity module docstring, so they too need no
-arrays.  These live here, beside the specification, because this module
-imports nothing beyond the standard library and errors: `epicusp wind`
-without --numeric or --z0 and `epicusp cusps` load it and never numpy.
-curve, winding and singularity re-export every name they used to define,
-so their import paths and pickles written under them still resolve.
+from the proof in the singularity module docstring, and
+_balanced_intersections the self-intersections of the balanced curve
+from integer numerators, so they too need no arrays.  These live here,
+beside the specification, because this module imports nothing beyond the
+standard library and errors, and fractions only where a Fraction is
+built: `epicusp wind` without --numeric or --z0, `epicusp cusps` and
+`epicusp intersect -s 0` load it and never numpy.  curve, winding,
+singularity and geometry re-export every name they used to define, so
+their import paths and pickles written under them still resolve.
+
+The result types are frozen records on the _Record base here, in place
+of frozen dataclasses, whose module imports inspect: they compare, hash,
+print and pickle as the dataclasses did, and refuse assignment.
 Every public entry point checks each scalar argument with one call to
 _integer, _real, _weight, _check_pair, _grid_size or _point, defined here;
 each raises ValueError naming the argument.  _curve checks that a curve
@@ -29,9 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .errors import OnCurve
 
@@ -118,8 +123,65 @@ def _check_pair(a, b) -> tuple[int, int]:
     return a, b
 
 
-@dataclass(frozen=True)
-class TwoTermSpec:
+class _Record:
+    """Base of the frozen result types: named fields, each set once.
+
+    A subclass lists its fields as class annotations, in order, after
+    those of its bases; a class attribute of the same name is that field's
+    default.  Equality (same class, equal fields), hash, repr and pickles
+    (the class, then the dict of fields) are those of a frozen dataclass
+    with the same fields, and assigning or deleting an attribute raises
+    AttributeError.  A subclass that checks its arguments defines __init__
+    and passes the checked values on to this one.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        own = tuple(cls.__annotations__)
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{f: cls.__dict__[f] for f in own if f in cls.__dict__}}
+        cls.__match_args__ = cls._fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields or field in values:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {field!r}")
+        values.update(kwargs)
+        missing = [f for f in fields if f not in values and f not in self._defaults]
+        if missing:
+            raise TypeError(f"{name}() is missing the arguments {', '.join(missing)}")
+        # in field order, so the pickled dict is that of the dataclass
+        self.__dict__.update((f, values[f] if f in values else self._defaults[f]) for f in fields)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TwoTermSpec(_Record):
     """The two-term family with frequencies 1 <= a < b and weights 1-s, 1+s.
 
     Raises ValueError unless a, b are integers and s is a finite real
@@ -129,11 +191,9 @@ class TwoTermSpec:
     b: int
     s: float
 
-    def __post_init__(self) -> None:
-        a, b = _check_pair(self.a, self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "s", _weight(self.s, "s"))
+    def __init__(self, a, b, s) -> None:
+        a, b = _check_pair(a, b)
+        super().__init__(a, b, _weight(s, "s"))
 
 
 def _curve(value, name: str = "spec") -> TwoTermSpec:
@@ -170,13 +230,14 @@ def zeros_of_curve(a: int, b: int) -> list[Fraction]:
 
     These are exactly t = h/(2(b-a)) for odd h, giving b-a values in [0, 1).
     """
+    from fractions import Fraction
+
     a, b = _check_pair(a, b)
     d = 2 * (b - a)
     return [Fraction(h, d) for h in range(1, d, 2)]
 
 
-@dataclass(frozen=True)
-class CuspLocus:
+class CuspLocus(_Record):
     """Predicted cusp parameters of the family for fixed (a, b)."""
 
     s_bar: Fraction
@@ -191,6 +252,8 @@ def predicted_cusp_locus(a: int, b: int) -> CuspLocus:
     cusp, for every a (see the singularity module docstring); the t are
     zeros_of_curve.  The proven flag records whether a = 1, the paper's case.
     """
+    from fractions import Fraction
+
     a, b = _check_pair(a, b)
     return CuspLocus(s_bar=Fraction(a - b, a + b), t_values=tuple(zeros_of_curve(a, b)), proven=(a == 1))
 
@@ -228,3 +291,84 @@ def find_cusps(a: int, b: int) -> list[CuspCertificate]:
         x, y = math.cos(angle), math.sin(angle)
         certs.append(CuspCertificate(s, h / d, PlanePoint(-x, -y), PlanePoint(x, y), -1.0, a == 1))
     return certs
+
+
+class IntersectionRecord(NamedTuple):
+    """A self-intersection: gamma(t1) = gamma(t2) with t1 < t2."""
+
+    t1: float
+    t2: float
+    point: PlanePoint
+    on_rational_grid: bool
+    grid_index_pair: Optional[tuple[int, int]] = None
+
+
+def _check_isolated(spec: TwoTermSpec) -> None:
+    """Raise ValueError if the self-intersections of spec form a continuum:
+    a and b share a factor, or s = 1, or s = -1 with a >= 2."""
+    a, b, s = spec.a, spec.b, spec.s
+    if math.gcd(a, b) > 1 or s == 1.0 or (s == -1.0 and a > 1):
+        raise ValueError(
+            f"({a},{b},{s}) retraces itself, so its self-intersections form a continuum"
+        )
+
+
+def _balanced_intersections(spec: TwoTermSpec) -> list[IntersectionRecord]:
+    """geometry.self_intersections of a balanced curve (s = 0), from integers.
+
+    In the notation of the geometry module docstring both numerators of
+    g_+- factor.  With p = a+b and d = b-a,
+
+        sin(2 pi a u) + sin(2 pi b u) = 2 sin(pi p u) cos(pi d u),
+        sin(2 pi a u) - sin(2 pi b u) = -2 cos(pi p u) sin(pi d u),
+
+    so the roots in (0, 1/2) are rational: k/p and (2k+1)/(2d) for g_+,
+    (2k+1)/(2p) and k/d for g_-, a root of both factors counting once.  Over
+    L = 2(b^2 - a^2) = 2pd their numerators U are 2dk and p(2k+1) for g_+,
+    d(2k+1) and 2pk for g_-, and the centre m/(2(b-a)) is mp/L, so every
+    self-intersection is the pair of rationals ((mp - U) mod L, mp + U) / L.
+    Both numerators have the parity of mp + U.  When it is even the pair lies
+    on the grid j/(b^2 - a^2).  When it is odd, p is odd, and so is d; an odd
+    mp + U needs U = p(2k+1) with m even, or U = 2pk with m odd, and then both
+    numerators are p times an odd number: the pair is a meeting of two
+    origin passages h/(2(b-a)), h odd, which lie off the grid.
+
+    The pairs are sorted as the integers n1*L + n2, so ties keep their
+    exact order, and t = n/L is correctly rounded: float(Fraction(n, L)).
+    Both numerators even set on_rational_grid and the index pair
+    (n1/2, n2/2).  gamma is evaluated once per numerator with eval_complex's
+    float operations, so the points have its bits wherever math.cos and
+    math.sin round as np.cos and np.sin do: the phase u = f*t is reduced
+    to its fractional part, which u % 1.0 gives exactly for u >= 0, before
+    it is multiplied by 2*pi, and the terms, of weight 1, are summed as
+    (0.0 + e_a) + e_b.  Raises ValueError if a and b share a factor.
+    """
+    _check_isolated(spec)
+    a, b = spec.a, spec.b
+    p, d = a + b, b - a
+    L, half = 2 * p * d, p * d
+    plus = {*range(2 * d, half, 2 * d), *range(p, half, 2 * p)}
+    minus = {*range(d, half, 2 * d), *range(2 * p, half, 2 * p)}
+    keys = []
+    for m in range(d):
+        centre = m * p
+        for u in minus if m % 2 else plus:
+            n1, n2 = (centre - u) % L, centre + u
+            keys.append(n1 * L + n2 if n1 < n2 else n2 * L + n1)
+    keys.sort()
+    pairs = [divmod(key, L) for key in keys]
+    tau, cos, sin = 2.0 * math.pi, math.cos, math.sin
+    points = {}
+    for n in {n for pair in pairs for n in pair}:
+        t = n / L
+        angle_a, angle_b = tau * (a * t % 1.0), tau * (b * t % 1.0)
+        points[n] = (t, 0.0 + cos(angle_a) + cos(angle_b), 0.0 + sin(angle_a) + sin(angle_b))
+    # _make skips the keyword handling of the named-tuple constructors
+    record, plane_point = IntersectionRecord._make, PlanePoint._make
+    records = []
+    for n1, n2 in pairs:
+        (t1, x1, y1), (t2, x2, y2) = points[n1], points[n2]
+        on = n1 % 2 == 0
+        point = plane_point((0.5 * (x1 + x2), 0.5 * (y1 + y2)))
+        records.append(record((t1, t2, point, on, (n1 // 2, n2 // 2) if on else None)))
+    return records

@@ -13,21 +13,19 @@ itself is defined in spec, which needs no numpy, and re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import _roots, curve_scale, eval_grid
 from .errors import NearPole, OnCurve, Unresolved
-from .spec import MAX_GRID_SAMPLES, PlanePoint, TwoTermSpec, _curve, _grid_size, _point, _real
+from .spec import MAX_GRID_SAMPLES, PlanePoint, TwoTermSpec, _curve, _grid_size, _point, _real, _Record
 # the closed forms are defined in spec and re-exported here
 from .spec import winding_closed_form, zeros_of_curve
 
 ORIGIN = PlanePoint(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class WindingResult:
+class WindingResult(_Record):
     """Integer winding value with rounding diagnostics."""
 
     value: int
@@ -35,8 +33,7 @@ class WindingResult:
     samples: int
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class KernelParams(_Record):
     """Parameters of the integrand 1 / (beta + alpha * exp(2*pi*i*t)).
 
     Raises ValueError unless alpha and beta are finite real numbers and
@@ -45,11 +42,11 @@ class KernelParams:
     alpha: float
     beta: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _real(self.beta, "beta"))
-        if not self.beta > 0:
+    def __init__(self, alpha, beta) -> None:
+        alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
+        if not beta > 0:
             raise ValueError("beta must be strictly positive")
+        super().__init__(alpha, beta)
 
 
 def winding_numeric(spec: TwoTermSpec, z0: PlanePoint = ORIGIN, n: int = 4096) -> WindingResult:

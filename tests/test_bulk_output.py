@@ -16,7 +16,7 @@ from epicusp import (
     self_intersections,
 )
 from epicusp.curve import eval_grid
-from epicusp.render import _curve_samples, _interleave, _px
+from epicusp.render import CANVAS_PX, HALF_EXTENT, _curve_pixels, _interleave, _px
 from epicusp.singularity import undefined_derivative_sets
 from exact_counts import coprime_pairs
 
@@ -34,18 +34,20 @@ def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 
 class TestRenderCurve:
     @pytest.mark.parametrize("n", [2, 3, 255, 256, 1000, 1024, 65537])
-    def test_samples_have_the_bits_of_eval_grid(self, n):
+    def test_pixels_have_the_bits_of_eval_grid(self, n):
         # the byte test below rounds to 0.001 px and hides what lies under
-        # it; the plain floats must be eval_grid's, signed zeros included
+        # it; the plain floats must be those of eval_grid's samples
         specs = [
             TwoTermSpec(a, b, s)
             for b in range(2, 13)
             for a in range(1, b)
             for s in (-1.0, -0.5, 0.0, 0.3, 1.0)
         ]
-        for spec, (x, y) in zip(specs, _curve_samples(specs, n), strict=True):
+        width = 2 * HALF_EXTENT
+        for spec, (px, py) in zip(specs, _curve_pixels(specs, n), strict=True):
             z = eval_grid(spec, n)
-            assert same_bits(np.array(x), z.real) and same_bits(np.array(y), z.imag), spec
+            assert same_bits(np.array(px), (z.real + HALF_EXTENT) / width * CANVAS_PX), spec
+            assert same_bits(np.array(py), (HALF_EXTENT - z.imag) / width * CANVAS_PX), spec
 
     @given(st.lists(CURVES, min_size=1, max_size=9), st.sampled_from([2, 3, 255, 256, 1000, 1024]))
     @settings(deadline=None, max_examples=60)
@@ -99,9 +101,11 @@ class TestResultLists:
         spec = TwoTermSpec(a, b, s)
         assert repr(self_intersections(spec)) == repr(per_item.self_intersections(spec))
 
-    @pytest.mark.parametrize("b", [15, 29, 40, 60])
+    # every coprime pair with b <= 40: spec computes the s = 0 points in
+    # plain Python, per_item takes them from numpy's eval_complex
+    @pytest.mark.parametrize("b", [*range(2, 41), 60])
     def test_grid_flags_at_the_balanced_weight(self, b):
-        for a in range(1, b, 2 if b > 15 else 1):
+        for a in range(1, b, 2 if b > 40 else 1):
             if math.gcd(a, b) == 1:
                 spec = TwoTermSpec(a, b, 0.0)
                 assert repr(self_intersections(spec)) == repr(per_item.self_intersections(spec))

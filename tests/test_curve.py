@@ -449,7 +449,9 @@ class TestSpecValidation:
                 eval_complex(spec, t, order)
 
     @pytest.mark.parametrize(
-        "t", ["0.25", b"0.25", True, np.True_, [True, False], None, [0.5, None], 0.25 + 0j, [0.5j], 2**70]
+        "t",
+        ["0.25", b"0.25", True, np.True_, [True, False], None, [0.5, None], 0.25 + 0j, [0.5j], 2**70,
+         [1, True], (0.5, False), [[0.1], [True]], [0.5, np.True_], ([0.1, (0.2, True)],)],
     )
     def test_a_t_that_is_not_ints_or_floats_is_refused_naming_t(self, t):
         with pytest.raises(ValueError, match="t must be an int or a float"):

@@ -5,17 +5,19 @@ Each load check runs in a fresh interpreter, since this test process has
 long since imported numpy and every submodule.
 """
 
+import dataclasses
 import json
 import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import epicusp
-from epicusp import curve, singularity, spec, winding
+from epicusp import acceptance, curve, geometry, singularity, spec, winding
 
 PKG_ROOT = str(Path(epicusp.__file__).resolve().parent.parent)
 SUBMODULES = ("acceptance", "cli", "curve", "errors", "geometry", "render", "singularity",
@@ -78,6 +80,46 @@ def test_closed_form_commands_load_no_numpy(argv, stdout):
     modules, out = loaded_after(f"from epicusp.cli import main; main({argv!r})")
     assert [json.loads(line) for line in out.splitlines()] == stdout
     assert modules == ["epicusp", "epicusp.cli", "epicusp.errors", "epicusp.spec"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_balanced_intersections_load_only_spec(fmt):
+    argv = ["intersect", "-a", "2", "-b", "5", "-s", "0", "--format", fmt]
+    modules, out = loaded_after(f"from epicusp.cli import main; main({argv!r})")
+    assert modules == ["epicusp", "epicusp.cli", "epicusp.errors", "epicusp.spec"]
+    records = geometry.self_intersections(spec.TwoTermSpec(2, 5, 0.0))
+    lines = out.splitlines()
+    if fmt == "csv":
+        assert lines[0] == "t1,t2,x,y,on_grid"
+        got = [tuple(map(float, line.split(",")[:2])) for line in lines[1:]]
+    else:
+        got = [(row["t1"], row["t2"]) for row in map(json.loads, lines)]
+    assert len(records) == 12 and got == [(r.t1, r.t2) for r in records]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wind", "-a", "1", "-b", "3", "-s", "0.5"],
+        ["cusps", "-a", "7", "-b", "60"],
+        ["plot", "-a", "2", "-b", "7", "-s", "0.3", "-n", "256", "--out", os.devnull],
+        ["intersect", "-a", "11", "-b", "29", "-s", "0"],
+    ],
+)
+def test_closed_form_commands_load_neither_dataclasses_nor_fractions(argv):
+    # dataclasses imports inspect, and fractions decimal: a few ms of every
+    # cold command; a weight written as p/q still loads fractions to parse it
+    modules = all_loaded_after(
+        "import io, contextlib\nfrom epicusp.cli import main"
+        f"\nwith contextlib.redirect_stdout(io.StringIO()):\n    main({argv!r})"
+    )
+    assert "epicusp.spec" in modules
+    assert not {"dataclasses", "fractions", "numpy"} & modules
+
+
+def test_symmetry_loads_no_singularity():
+    modules, _ = loaded_after("from epicusp.cli import main; main(['symmetry', '-a', '2', '-b', '5', '-s', '0.3'])")
+    assert "epicusp.geometry" in modules and "epicusp.singularity" not in modules
 
 
 @pytest.mark.parametrize(
@@ -190,6 +232,7 @@ def test_an_unknown_name_raises_attribute_error():
     [
         (curve, ("PlanePoint", "_integer", "TwoTermSpec")),
         (winding, ("winding_closed_form", "zeros_of_curve")),
+        (geometry, ("IntersectionRecord",)),
         (singularity, ("CuspCertificate", "CuspLocus", "find_cusps", "predicted_cusp_locus",
                        "_check_pair", "_real")),
     ],
@@ -233,6 +276,14 @@ OLD_PICKLES = [
             spec.PlanePoint(-2.544910010097435e-11, 1.0), -1.0, True,
         ),
     ),
+    (
+        b"\x80\x04\x95}\x00\x00\x00\x00\x00\x00\x00\x8c\x10epicusp.geometry\x94\x8c\x12"
+        b"IntersectionRecord\x94\x93\x94(G?\xd0\x00\x00\x00\x00\x00\x00G?\xe8\x00\x00\x00"
+        b"\x00\x00\x00\x8c\x0cepicusp.spec\x94\x8c\nPlanePoint\x94\x93\x94G\xbf\xe0\x00\x00"
+        b"\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00\x86\x94\x81\x94\x88K\x03K\t"
+        b"\x86\x94t\x94\x81\x94.",
+        spec.IntersectionRecord(0.25, 0.75, spec.PlanePoint(-0.5, 0.0), True, (3, 9)),
+    ),
 ]
 
 
@@ -242,3 +293,55 @@ def test_pickles_from_the_old_modules_load_back_equal(data, expected):
     assert type(back) is type(expected) and back == expected
     assert pickle.loads(pickle.dumps(back)) == expected
 
+
+
+# the result types that were frozen dataclasses: their fields, defaults and
+# a value of each, and the module that defines them
+DATACLASS_TYPES = [
+    (spec, "TwoTermSpec", ["a", "b", "s"], (2, 5, -0.25)),
+    (spec, "CuspLocus", ["s_bar", "t_values", "proven"], (Fraction(-1, 2), (Fraction(1, 4), Fraction(3, 4)), True)),
+    (geometry, "SymmetryReport",
+     ["claimed_order", "rotation_deviation", "reflection_deviation", "coprime",
+      ("degenerate", bool, dataclasses.field(default=False))], (3, 2.5e-16, 0.0, True)),
+    (winding, "WindingResult", ["value", "residual", "samples"], (3, 1.5e-13, 4096)),
+    (winding, "KernelParams", ["alpha", "beta"], (0.5, 1.5)),
+    (acceptance, "CriterionResult", ["number", "name", "passed", "detail"], (8, "grid", True, "ok")),
+]
+
+
+@pytest.mark.parametrize("module, name, fields, values", DATACLASS_TYPES, ids=[t[1] for t in DATACLASS_TYPES])
+def test_result_types_behave_as_the_frozen_dataclasses_they_replace(monkeypatch, module, name, fields, values):
+    cls = getattr(module, name)
+    twin = dataclasses.make_dataclass(name, fields, frozen=True)
+    twin.__module__ = module.__name__
+    record, old = cls(*values), twin(*values)
+    assert repr(record) == repr(old) and hash(record) == hash(old)
+    assert record == cls(*values) and old == twin(*values)
+    changed = (values[0] + 1, *values[1:])
+    assert (record != cls(*changed)) and (old != twin(*changed))
+    assert record != old and record != values
+    # pickles are those the dataclass wrote, under each protocol
+    monkeypatch.setattr(module, name, twin)
+    written = [pickle.dumps(old, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    monkeypatch.undo()
+    assert [pickle.dumps(record, protocol) for protocol in range(len(written))] == written
+    assert all(pickle.loads(data) == record for data in written)
+    for field in old.__dataclass_fields__:
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert record == cls(*values)
+
+
+def test_result_types_take_keywords_and_defaults():
+    report = geometry.SymmetryReport(claimed_order=3, rotation_deviation=0.0, reflection_deviation=0.0, coprime=True)
+    assert report.degenerate is False and report.verified
+    assert geometry.SymmetryReport(3, 0.0, 0.0, True, True).degenerate is True
+    assert spec.TwoTermSpec(b=3, a=1, s=0.5) == spec.TwoTermSpec(1, 3, 0.5)
+    # too many, repeated, unknown and missing arguments
+    for args, kwargs in [((1, 2, 3, 4), {}), ((1, 2, 3), {"value": 1}), ((1, 2, 3), {"x": 1}), ((1, 2), {})]:
+        with pytest.raises(TypeError):
+            winding.WindingResult(*args, **kwargs)
